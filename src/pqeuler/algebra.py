@@ -508,18 +508,6 @@ class TruncSeries:
                            for c in self.coeffs]}
 
 
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
-def series_recip(f: TruncSeries) -> TruncSeries:
-    return f.recip()
-
-
-def series_from_fraction(num: TruncSeries, den: TruncSeries) -> TruncSeries:
-    return num * den.recip()
-
-
 # ---------------------------------------------------------------------------
 # q-calculus
 
@@ -643,10 +631,6 @@ class RationalFunctionQ:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunctionQ":
-        return cls(p)
-
     def __add__(self, other):
         return RationalFunctionQ(self.num * other.den + other.num * self.den,
                                  self.den * other.den)
@@ -677,12 +661,3 @@ class RationalFunctionQ:
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
-
-
-QRAT_RING = CoeffRing(
-    "qrat",
-    RationalFunctionQ(LaurentPoly()),
-    RationalFunctionQ(LaurentPoly.const(1)),
-    lambda c: not c.num.is_zero(),
-    lambda c: RationalFunctionQ(c.den, c.num),
-)

@@ -1,11 +1,14 @@
 """J- and S-fraction expansion, the two contraction transforms, and named
 presets for every continued fraction used by the library.
 
-Expansion is by convergents: the fraction is evaluated bottom-up with series
-reciprocals, which mirrors the displayed fractions directly; the lattice
-transfer computation provides the independent oracle.  A path of length N
-never climbs above ceil(N/2), so depth ceil(N/2)+1 suffices (tested, not
-assumed).
+The fast path reads a fraction as weighted lattice paths (Flajolet) and gets
+every coefficient up to the order from one forward pass of
+``lattice.transfer``: a J-fraction directly, an S-fraction in t^2 as Dyck
+paths, an S-fraction in t through its even contraction.
+``expand_by_convergents`` evaluates the fraction bottom-up with series
+reciprocals, as displayed; it is the independent oracle for checks and tests
+and never runs on the fast path.  A path of length N never climbs above
+ceil(N/2), so depth ceil(N/2)+1 suffices (tested, not assumed).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .algebra import (
     pq_bracket,
     q_bracket,
 )
+from .lattice import transfer
 
 
 def _depth_for(order: int) -> int:
@@ -56,25 +60,47 @@ class SFraction:
         return expand_s(self, order, ring)
 
 
+def _s_levels(sf: SFraction, order: int, depth: int | None) -> int:
+    return depth if depth is not None else (sf.depth or order // sf.power + 1)
+
+
 def expand_j(jf: JFraction, order: int,
              ring: CoeffRing = LAURENT_RING, depth: int | None = None) -> TruncSeries:
+    """Paths with up weight ac_h, level weight b_h and down weight 1, summed
+    per length by the transfer pass."""
     depth = depth if depth is not None else (jf.depth or _depth_for(order))
-    f = TruncSeries.one(order, ring)
-    one = TruncSeries.one(order, ring)
-    for h in range(depth - 1, -1, -1):
-        inner = one - TruncSeries.const(jf.b(h), order, ring).shift(1) \
-            - f.scale(jf.ac(h)).shift(2)
-        f = inner.recip()
-    return f
+    return TruncSeries(order, transfer(jf.ac, jf.b, None, depth, order), ring)
 
 
 def expand_s(sf: SFraction, order: int,
              ring: CoeffRing = LAURENT_RING, depth: int | None = None) -> TruncSeries:
-    levels = depth if depth is not None else (sf.depth or order // sf.power + 1)
-    f = TruncSeries.one(order, ring)
-    one = TruncSeries.one(order, ring)
-    for k in range(levels, 0, -1):
-        f = (one - f.scale(sf.c(k)).shift(sf.power)).recip()
+    """Power 2: Dyck paths with up weight c_(h+1).  Power 1: the even
+    contraction of the fraction cut to its first ``levels`` terms."""
+    levels = _s_levels(sf, order, depth)
+    if sf.power == 2:
+        return TruncSeries(order, transfer(lambda h: sf.c(h + 1), None, None,
+                                           levels, order), ring)
+    if sf.power != 1:
+        raise ValueError("S-fractions have power 1 or 2")
+    cut = SFraction(c=lambda k: sf.c(k) if k <= levels else _ZERO)
+    return expand_j(contract_even(cut), order, ring, depth=_depth_for(order))
+
+
+def expand_by_convergents(fraction: JFraction | SFraction, order: int,
+                          depth: int | None = None) -> TruncSeries:
+    """The oracle for checks and tests: evaluate the fraction bottom-up with
+    series reciprocals, exactly as displayed, from the tail 1 at the given
+    depth."""
+    one = TruncSeries.one(order, LAURENT_RING)
+    f = one
+    if isinstance(fraction, JFraction):
+        depth = depth if depth is not None else (fraction.depth or _depth_for(order))
+        for h in range(depth - 1, -1, -1):
+            f = (one - TruncSeries.const(fraction.b(h), order, LAURENT_RING).shift(1)
+                 - f.scale(fraction.ac(h)).shift(2)).recip()
+        return f
+    for k in range(_s_levels(fraction, order, depth), 0, -1):
+        f = (one - f.scale(fraction.c(k)).shift(fraction.power)).recip()
     return f
 
 
@@ -141,6 +167,7 @@ class Preset:
 
 
 _ONE = LaurentPoly.const(1)
+_ZERO = LaurentPoly()
 _Q = LaurentPoly.var("q")
 _PS = LaurentPoly.monomial(1, p=1, s=1)
 

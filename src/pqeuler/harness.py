@@ -12,7 +12,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import LAURENT_RING, LaurentPoly, q_bracket
 from .contfrac import (
@@ -20,6 +20,7 @@ from .contfrac import (
     SFraction,
     contract_even,
     contract_odd,
+    expand_by_convergents,
     expand_j,
     expand_odd_contraction,
     expand_s,
@@ -229,7 +230,9 @@ def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
 
 
 def _contraction_agrees(sf: SFraction, order: int):
-    direct = expand_s(sf, order)
+    # the direct side is the convergent oracle: both contractions below are
+    # expanded by the transfer pass, so they must not be compared with it
+    direct = expand_by_convergents(sf, order)
     even = expand_j(contract_even(sf), order)
     if direct != even:
         return "even contraction mismatch"
@@ -424,6 +427,8 @@ def check(check_id: str, param: int | None = None) -> CheckReport:
     except KeyError:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     param = default if param is None else param
+    if param < 0:
+        raise ValueError(f"check {check_id}: size must be nonnegative, got {param}")
     start = time.perf_counter()
     witness = fn(param)
     elapsed = time.perf_counter() - start

@@ -2,13 +2,15 @@
 
 Weighted sums come in two independent flavours: direct enumeration of the
 objects (the oracle) and a transfer computation over (position, height) with
-polynomial-valued state (the fast path).  The height of a step is always its
-starting ordinate.
+polynomial-valued state (the fast path).  ``transfer`` is that computation;
+it gives the sums for every length up to an order in one pass and also
+expands every continued fraction in ``contfrac``.  The height of a step is
+always its starting ordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import LaurentPoly
@@ -255,17 +257,21 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     method "dp" runs the height-indexed transfer computation and never touches
     individual objects.  The two agree exactly.
     """
-    if method == "dp":
-        return _weighted_sum_dp(kind, length, spec)
-    if method != "enumerate":
+    if method not in ("dp", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if kind in ("dyck", "diagramme", "restricted_diagramme") and length % 2:
         raise ValueError(f"{kind} objects have even length")
+    allow_level = kind in ("motzkin", "laguerre")
+    if method == "dp":
+        level = _required(spec.level, LEVEL) if allow_level else None
+        return transfer(_required(spec.up, UP), level,
+                        _required(spec.down, DOWN), length, length)[length]
     if length > cap:
         raise ValueError(f"length {length} exceeds cap {cap}")
-    allow_level = kind in ("motzkin", "laguerre")
     xi_kind = kind in ("diagramme", "restricted_diagramme", "laguerre")
     if xi_kind and spec.valuation is None:
         raise ValueError("xi-kind enumeration needs a valuation")
@@ -306,31 +312,77 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     return LaurentPoly({e: c for e, c in acc.items() if c})
 
 
-def _weighted_sum_dp(kind: str, length: int, spec: WeightSpec) -> LaurentPoly:
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind in ("dyck", "diagramme", "restricted_diagramme") and length % 2:
-        raise ValueError(f"{kind} objects have even length")
-    allow_level = kind in ("motzkin", "laguerre")
-    state = {0: LaurentPoly.const(1)}
-    for pos in range(length):
+def _required(fn, step: str):
+    """The weight function of a step, or one that rejects the first use of a
+    step the spec leaves out."""
+    if fn is not None:
+        return fn
+
+    def missing(h):
+        raise ValueError(f"weight spec has no {step} weight")
+    return missing
+
+
+_ONE = LaurentPoly.const(1)
+
+
+def _prepared(w: LaurentPoly):
+    """None for a zero weight (the step is skipped), _ONE for a unit weight
+    (the step costs no product), else the weight itself."""
+    if w.is_zero():
+        return None
+    return _ONE if w == _ONE else w
+
+
+def transfer(up: Callable[[int], LaurentPoly],
+             level: Callable[[int], LaurentPoly] | None,
+             down: Callable[[int], LaurentPoly] | None,
+             max_height: int, order: int) -> list[LaurentPoly]:
+    """Weighted sums of the paths of every length 0..order, in one forward pass.
+
+    ``up(h)``, ``level(h)`` and ``down(h)`` weight a step starting at height
+    h; ``level=None`` allows no level steps and ``down=None`` gives every down
+    step weight 1.  Heights stay within 0..max_height, and at max_height only
+    down steps are allowed, so element n is the t^n coefficient of the
+    J-fraction 1 / (1 - level(0) t - up(0) down(1) t^2 / (1 - ...)) cut at
+    depth max_height with the tail 1 (Flajolet's reading).  Prefixes
+    that cannot return to 0 within the order are pruned, every weight is
+    built once per height, and each pass step costs one product of a path
+    sum with a (small) weight.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if max_height < 0:
+        raise ValueError("max_height must be nonnegative")
+    top = min(max_height, order // 2)
+    # a step starting at h is used only if the path can still come back:
+    # up needs 2h + 2 <= order, level 2h + 1 <= order, down h <= order / 2
+    ups = [_prepared(up(h)) for h in range(top)]
+    levels = ([_prepared(level(h))
+               for h in range(min(max_height, (order + 1) // 2))]
+              if level is not None else [])
+    downs = [None] + [_ONE if down is None else _prepared(down(h))
+                      for h in range(1, top + 1)]
+    moves = [((1, ups[h] if h < len(ups) else None),
+              (0, levels[h] if h < len(levels) else None),
+              (-1, downs[h]))
+             for h in range(top + 1)]
+    sums = [_ONE]
+    state = {0: _ONE}
+    for pos in range(order):
+        remaining = order - pos - 1   # steps left after this one
         nxt: dict = {}
-        remaining = length - pos
         for h, val in state.items():
-            if h + 1 <= remaining - 1:
-                w = _step_weight(spec, kind, UP, h)
-                if not w.is_zero():
-                    nxt[h + 1] = nxt.get(h + 1, LaurentPoly()) + val * w
-            if allow_level and h <= remaining - 1:
-                w = _step_weight(spec, kind, LEVEL, h)
-                if not w.is_zero():
-                    nxt[h] = nxt.get(h, LaurentPoly()) + val * w
-            if h >= 1:
-                w = _step_weight(spec, kind, DOWN, h)
-                if not w.is_zero():
-                    nxt[h - 1] = nxt.get(h - 1, LaurentPoly()) + val * w
+            for delta, w in moves[h]:
+                target = h + delta
+                if w is None or target > remaining:
+                    continue
+                term = val if w is _ONE else val * w
+                prev = nxt.get(target)
+                nxt[target] = term if prev is None else prev + term
         state = nxt
-    return state.get(0, LaurentPoly())
+        sums.append(state.get(0, LaurentPoly()))
+    return sums
 
 
 # ---------------------------------------------------------------------------

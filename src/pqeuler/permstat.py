@@ -216,10 +216,6 @@ def inv_k(sigma, k: int) -> int:
     return sum(inv_parts(sigma, k))
 
 
-CYCLIC_TYPES = ("cyclic-valley", "cyclic-peak", "cyclic-double-ascent",
-                "cyclic-double-descent", "fixed")
-
-
 def cyclic_type(sigma, k: int) -> str:
     w = _word(sigma)
     sk = w[k - 1]
@@ -375,10 +371,14 @@ def _accumulate_task(args):
 
 
 def default_workers() -> int:
+    """PQEULER_WORKERS when set (a positive integer), else the CPU count."""
     env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    workers = int(env) if env.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return workers
 
 
 def stat_polynomial(family: str, n: int, weight: dict,
@@ -391,6 +391,8 @@ def stat_polynomial(family: str, n: int, weight: dict,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > cap:
         raise EnumerationCapError(
             f"enumeration too large: n={n} exceeds cap {cap}")

@@ -10,7 +10,7 @@ q-analogues).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -216,6 +216,8 @@ class EulerTableRow:
 def euler_table(nmax: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[EulerTableRow]:
     """Rows 0..nmax; every value cross-checked between the methods available
     at that n (enumeration up to the cap, continued fraction everywhere)."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     rows = []
     for n in range(nmax + 1):
         by_cf = e_pq(n, method="cf")

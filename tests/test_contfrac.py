@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pqeuler.algebra import LAURENT_RING, LaurentPoly, TruncSeries, q_bracket
@@ -5,9 +7,12 @@ from pqeuler.contfrac import (
     JFraction,
     PRESET_NAMES,
     SFraction,
+    _depth_for,
+    _s_levels,
     contract,
     contract_even,
     contract_odd,
+    expand_by_convergents,
     expand_j,
     expand_odd_contraction,
     expand_s,
@@ -32,36 +37,100 @@ def test_tangent_pq_low_coefficients():
 
 
 def test_j_fraction_matches_path_dp():
-    # oracle: transfer computation over Motzkin paths with the same weights
+    # oracles: enumeration of Motzkin paths with the same weights, and the
+    # evaluation by convergents
     jf = preset("thm4.1").fraction
+    spec = abc_weights(a=jf.ac, b=jf.b, c=lambda h: LaurentPoly.const(1))
     for n in range(7):
-        spec = abc_weights(a=lambda h: jf.ac(h), b=lambda h: jf.b(h),
-                           c=lambda h: LaurentPoly.const(1))
-        dp = weighted_sum("motzkin", n, spec)
-        assert preset("thm4.1").expand(n).coeff(n) == dp
+        want = weighted_sum("motzkin", n, spec, method="enumerate")
+        assert preset("thm4.1").expand(n).coeff(n) == want
+        assert expand_by_convergents(jf, n).coeff(n) == want
 
 
 def test_s_fraction_matches_dyck_dp():
     sf = preset("secant-pq").fraction
+    spec = abc_weights(a=lambda h: sf.c(h + 1),
+                       b=None, c=lambda h: LaurentPoly.const(1))
     for n in range(5):
-        spec = abc_weights(a=lambda h: sf.c(h + 1),
-                           b=None, c=lambda h: LaurentPoly.const(1))
-        dp = weighted_sum("dyck", 2 * n, spec)
-        assert preset("secant-pq").expand(2 * n).coeff(2 * n) == dp
+        want = weighted_sum("dyck", 2 * n, spec, method="enumerate")
+        assert preset("secant-pq").expand(2 * n).coeff(2 * n) == want
+        assert expand_by_convergents(sf, 2 * n).coeff(2 * n) == want
 
 
 def test_depth_is_sufficient():
     jf = preset("cf-A").fraction
     order = 8
     default = expand_j(jf, order)
-    deeper = expand_j(jf, order, depth=12)
+    deeper = expand_by_convergents(jf, order, depth=12)
     assert default == deeper
+
+
+MAX_ORDER = 10
+CUT_DEPTHS = (1, 2, 3)
+
+
+def _fast(fraction, order, depth):
+    expand = expand_j if isinstance(fraction, JFraction) else expand_s
+    return expand(fraction, order, depth=depth)
+
+
+def _default_depth(fraction, order):
+    if isinstance(fraction, JFraction):
+        return fraction.depth or _depth_for(order)
+    return _s_levels(fraction, order, None)
+
+
+def _assert_matches_convergents(fraction):
+    """The transfer pass equals the convergents at every order 0..MAX_ORDER,
+    at the cut depths and at the default depth.
+
+    Cutting a series at a lower order is a ring map, so the oracle at depth d
+    runs once, at the largest order that needs d, and is cut down from there.
+    """
+    needs = {d: MAX_ORDER for d in CUT_DEPTHS}
+    for order in range(MAX_ORDER + 1):
+        d = _default_depth(fraction, order)
+        needs[d] = max(needs.get(d, 0), order)
+    oracle = {d: expand_by_convergents(fraction, top, depth=d)
+              for d, top in needs.items()}
+    for order in range(MAX_ORDER + 1):
+        for depth in CUT_DEPTHS + (None,):
+            d = _default_depth(fraction, order) if depth is None else depth
+            want = oracle[d].coeffs[:order + 1]
+            assert _fast(fraction, order, depth).coeffs == want, (order, depth)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_transfer_matches_convergents_on_presets(name):
+    pr = preset(name)
+    _assert_matches_convergents(pr.fraction)
+    if pr.s_form is not None:
+        _assert_matches_convergents(pr.s_form)
+
+
+def test_transfer_matches_convergents_on_random_power1_fractions():
+    # the power-1 route: even contraction of the cut fraction (zeros allowed)
+    rng = random.Random(2009)
+    for _ in range(12):
+        polys = tuple(sum((LaurentPoly.var("q", d, coeff=rng.randint(-2, 2))
+                           for d in range(3)), LaurentPoly())
+                      for _ in range(MAX_ORDER + 2))
+        sf = SFraction(c=lambda k, _p=polys: _p[k - 1], power=1)
+        _assert_matches_convergents(sf)
+
+
+def test_negative_order_is_rejected():
+    for name in ("thm4.1", "secant-pq", "jv-tangent"):
+        with pytest.raises(ValueError):
+            preset(name).expand(-1)
+    with pytest.raises(ValueError):
+        expand_s(preset("jv-tangent").s_form, -1)
 
 
 def test_contractions_on_simple_fraction():
     sf = SFraction(c=lambda k: LaurentPoly.const(k), power=1)
     order = 9
-    direct = expand_s(sf, order)
+    direct = expand_by_convergents(sf, order)
     assert direct == expand_j(contract_even(sf), order)
     c1, jf = contract_odd(sf)
     assert direct == expand_odd_contraction(c1, jf, order)

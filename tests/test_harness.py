@@ -114,6 +114,35 @@ def test_cli_usage_errors(capsys):
     assert main(["bij", "fv", "--verify"]) == 2  # missing --n
 
 
+@pytest.mark.parametrize("argv", [
+    ["cf", "secant-pq", "--order", "-1"],
+    ["verify", "thm4_1", "--order", "-1"],
+    ["verify", "cor_cf_A", "--order", "-1"],
+    ["verify", "thm2_1", "--order", "-1"],
+    ["verify", "jv", "--n", "-3"],
+    ["verify", "contra", "--order", "-2"],
+    ["verify", "sec7", "--n", "-1"],
+    ["verify", "euler_roselle", "--n", "-1"],
+    ["table", "--family", "S", "--n", "-2", "--weight", "x=wex"],
+    ["table", "--what", "euler", "--n", "-1"],
+    ["export", "--n", "-1", "--out", "-"],
+], ids=" ".join)
+def test_cli_negative_size_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_worker_count_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("PQEULER_WORKERS", value)
+    assert main(["table", "--family", "S", "--n", "3", "--weight", "x=wex"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PQEULER_WORKERS" in captured.err and repr(value) in captured.err
+
+
 def test_parse_weight():
     w = parse_weight("q=toht+2*thto,x=ndes")
     assert w == {"q": {"toht": 1, "thto": 2}, "x": {"ndes": 1}}

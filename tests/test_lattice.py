@@ -13,6 +13,7 @@ from pqeuler.lattice import (
     enumerate_objects,
     laguerre_quintuple_weights,
     restricted_diagramme_pq_weights,
+    transfer,
     weighted_sum,
 )
 from pqeuler.qeuler import e_pq
@@ -103,3 +104,47 @@ def test_diagramme_weights_give_pq_euler():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         list(enumerate_objects("motzkin", 15))
+
+
+def test_transfer_gives_every_length_in_one_pass():
+    one = LaurentPoly.const(1)
+    sums = transfer(lambda h: one, lambda h: one, None, 6, 6)
+    assert [s.as_int() for s in sums] == MOTZKIN
+    spec = laguerre_quintuple_weights()
+    sums = transfer(spec.up, spec.level, spec.down, 6, 6)
+    for n, got in enumerate(sums):
+        assert got == weighted_sum("laguerre", n, spec, method="enumerate")
+
+
+def test_transfer_max_height_cuts_the_fraction():
+    # at the maximum height only down steps remain: with max height 1 the
+    # Dyck paths are (UD)^k, and the Motzkin paths never take a level step
+    # at height 1
+    one = LaurentPoly.const(1)
+    dyck = transfer(lambda h: one, None, None, 1, 8)
+    assert [s.as_int() for s in dyck] == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert [s.as_int() for s in transfer(lambda h: one, None, None, 0, 4)] == \
+        [1, 0, 0, 0, 0]
+    motzkin = transfer(lambda h: one, lambda h: one, None, 1, 4)
+    # 1/(1 - t - t^2) : Fibonacci
+    assert [s.as_int() for s in motzkin] == [1, 1, 2, 3, 5]
+
+
+def test_transfer_rejects_negative_sizes():
+    one = LaurentPoly.const(1)
+    with pytest.raises(ValueError, match="order"):
+        transfer(lambda h: one, None, None, 3, -1)
+    with pytest.raises(ValueError, match="max_height"):
+        transfer(lambda h: one, None, None, -1, 3)
+    spec = abc_weights(lambda h: one, lambda h: one, lambda h: one)
+    for method in ("dp", "enumerate"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_sum("motzkin", -1, spec, method=method)
+
+
+def test_dp_rejects_missing_weight():
+    one = LaurentPoly.const(1)
+    with pytest.raises(ValueError, match="L weight"):
+        weighted_sum("motzkin", 3, abc_weights(a=lambda h: one, c=lambda h: one))
+    assert weighted_sum("dyck", 4, abc_weights(a=lambda h: one,
+                                               c=lambda h: one)).as_int() == 2

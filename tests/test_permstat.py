@@ -11,6 +11,7 @@ from pqeuler.permstat import (
     basic_stats,
     cros_k,
     cyclic_type,
+    default_workers,
     family_iter,
     family_size,
     inv_k,
@@ -218,3 +219,22 @@ def test_stat_polynomial_parallel_matches_serial():
 def test_record_fields_are_nonnegative(w):
     rec = basic_stats(tuple(w))
     assert all(v >= 0 for v in rec.to_json().values())
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_worker_count_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("PQEULER_WORKERS", value)
+    with pytest.raises(ValueError, match=f"PQEULER_WORKERS.*{value!r}"):
+        default_workers()
+
+
+def test_worker_count_from_environment(monkeypatch):
+    monkeypatch.setenv("PQEULER_WORKERS", "3")
+    assert default_workers() == 3
+    monkeypatch.setenv("PQEULER_WORKERS", "")
+    assert default_workers() >= 1
+
+
+def test_negative_n_is_rejected():
+    with pytest.raises(ValueError):
+        stat_polynomial("S", -2, {"x": {"wex": 1}})
