@@ -1,8 +1,12 @@
 """Permutations, their statistics, and the permutation families.
 
-Words are in one-line notation on 1..n.  The global-statistics kernel is the
-compiled extension ``_statcore`` when available, with ``_statpure`` as the
-pure-Python fallback; set PQEULER_PURE=1 to force the fallback.
+Words are in one-line notation on 1..n.  ``stat_polynomial`` sums a weight
+over a family by a depth-first walk over prefixes that prunes the family as
+each letter is appended and updates only the weighted statistics.  The
+per-word kernel ``stat_tuple`` serves ``basic_stats`` and the scan oracle
+``_accumulate_scan``: it is the compiled extension ``_statcore`` when
+available, with ``_statpure`` as the pure-Python fallback; set PQEULER_PURE=1
+to force the fallback.
 """
 
 from __future__ import annotations
@@ -336,15 +340,182 @@ def _weight_plan(weight: dict):
     plan = []
     for var in VARS:
         stats = weight.get(var, {})
-        for stat in stats:
+        for stat, coeff in stats.items():
             if stat not in STAT_INDEX:
                 raise ValueError(f"unknown statistic {stat!r}")
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficient of {stat!r} in {var!r} must be "
+                                 f"an integer, got {coeff!r}")
         plan.append(tuple((STAT_INDEX[stat], coeff)
                           for stat, coeff in stats.items()))
     return tuple(plan)
 
 
+# The statistics the prefix walk updates.  The other three are linear in
+# them: n is a constant, ndes = n - des and mad = des + toht + 2 thto.
+_WALK_STATS = ("exc", "wex", "fix", "des", "maj", "inv", "cros", "nest",
+               "toht", "thto", "thot", "fmax", "suc", "adj")
+_DERIVED = {"n": ({}, 1), "ndes": ({"des": -1}, 1),
+            "mad": ({"des": 1, "toht": 1, "thto": 2}, 0)}
+
+
+def _packed_plan(plan, n: int):
+    """The plan over words of size n as (start key, {walk statistic: key
+    increment}, digit width).
+
+    A key packs the exponent vector into one int: the exponent of VARS[i] is
+    digit i in balanced base 2**width.  No statistic exceeds n*n, so the width
+    is chosen to hold every exponent a word of size n can reach, and no digit
+    ever carries into the next.
+    """
+    coeffs = [dict.fromkeys(_WALK_STATS, 0) for _ in VARS]
+    consts = [0] * len(VARS)
+    for i, entries in enumerate(plan):
+        for si, c in entries:
+            name = STAT_FIELDS[si]
+            terms, per_n = _DERIVED.get(name, ({name: 1}, 0))
+            consts[i] += c * per_n * n
+            for stat, mult in terms.items():
+                coeffs[i][stat] += c * mult
+    bound = max(abs(k) + n * n * sum(abs(c) for c in cs.values())
+                for k, cs in zip(consts, coeffs))
+    width = (2 * bound + 1).bit_length()
+    start = sum(k << (width * i) for i, k in enumerate(consts))
+    incs = {stat: sum(cs[stat] << (width * i) for i, cs in enumerate(coeffs))
+            for stat in _WALK_STATS}
+    return start, incs, width
+
+
+def _unpack(key: int, width: int) -> tuple:
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    exps = []
+    for _ in VARS:
+        digit = key & mask
+        if digit >= half:
+            digit -= 1 << width
+        exps.append(digit)
+        key = (key - digit) >> width
+    return tuple(exps)
+
+
 def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
+    """{exponent vector: count} over the family's words of size n whose first
+    letter is in ``firsts`` (default: any).
+
+    A depth-first walk over prefixes, in the manner of lexicographic
+    generation with restricted prefixes (Knuth, TAOCP 4A 7.2.1.2, Algorithm
+    X).  Appending value v at position p prunes the family at once and adds
+    to a packed key only what the new letter gives the weighted statistics:
+    O(1) bit counts over the used values, resolving fmax, suc and adj at the
+    next letter or at the leaf.
+    """
+    if n == 0:
+        return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
+    if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
+        return {}
+    start, inc, width = _packed_plan(plan, n)
+    w_des, w_maj, w_inv, w_cros, w_nest = (
+        inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
+    w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
+    w_fmax, w_suc, w_adj = inc["fmax"], inc["suc"], inc["adj"]
+    w_exc_wex = inc["exc"] + inc["wex"]
+    w_fix_wex = inc["fix"] + inc["wex"]
+    need_above = bool(w_inv or w_nest)
+    need_between = bool(w_toht or w_thto)
+    falling = family in ("A", "Aprime", "Adoubleprime")
+    alternating = falling or family == "Astar"
+    derangement = family == "D"
+    coderangement = family == "Dstar"
+
+    full = (2 << n) - 2                  # bit v stands for the value v
+    first_mask = full
+    if firsts is not None:
+        first_mask = 0
+        for first in firsts:
+            first_mask |= 1 << first
+    prefix = [0] * (n + 1)               # values of the first k letters
+    counts: dict = {}
+
+    # used: values of the first p-1 letters; a: letter p-1 (0 at p = 1);
+    # m: their maximum; below: values u placed at a position > u.
+    def walk(p, used, a, m, key, below):
+        free = full & ~used
+        if p == 1:
+            free &= first_mask
+        elif alternating:
+            # letter p falls below a in A at even p, in Astar at odd p
+            free &= (1 << a) - 1 if (p % 2 == 0) == falling else -(2 << a)
+        elif coderangement and a == m:
+            free &= (1 << a) - 1         # a left-to-right maximum must fall
+        if derangement:
+            free &= ~(1 << p)
+        elif coderangement and p == n:
+            free &= ~(1 << n)            # nor may the word end on its maximum
+        down = w_des + w_maj * (p - 1)
+        after_max = p > 1 and a == m
+        while free:
+            bv = free & -free
+            free ^= bv
+            v = bv.bit_length() - 1
+            k = key
+            if v > p:
+                k += w_exc_wex
+            elif v == p:
+                k += w_fix_wex
+            if p > 1:
+                if a > v:
+                    k += down
+                    if need_between:
+                        # values between v and a: 2-31 if already used,
+                        # 31-2 if still to come
+                        left = (used & ((1 << a) - (bv << 1))).bit_count()
+                        k += w_thto * left + w_toht * (a - v - 1 - left)
+                    if v == a - 1:
+                        k += w_adj
+                else:
+                    if w_thot:
+                        k += w_thot * (used & (bv - (2 << a))).bit_count()
+                    if v == a + 1:
+                        k += w_suc
+            if v > m:
+                if after_max:
+                    k += w_fmax
+                new_max = v
+            else:
+                new_max = m
+            if need_above:
+                above = (used >> v).bit_count()
+                k += w_inv * above
+                if v >= p:
+                    k += w_nest * above
+            if w_cros:
+                if v > p:
+                    k += w_cros * (used & (bv - (1 << p))).bit_count()
+                elif v < p - 1:
+                    # values below v at positions v+1..p-1
+                    low = bv - 1
+                    k += w_cros * ((used & low).bit_count()
+                                   - (prefix[v] & low).bit_count())
+            if w_nest:
+                k += w_nest * (below >> v).bit_count()
+            if p == n:
+                if v == n:
+                    k += w_fmax + w_suc
+                if v == 1:
+                    k += w_adj
+                counts[k] = counts.get(k, 0) + 1
+            else:
+                prefix[p] = used | bv
+                walk(p + 1, used | bv, v, new_max, k,
+                     below | bv if v < p else below)
+
+    walk(1, 0, 0, 0, start, 0)
+    return {_unpack(key, width): count for key, count in counts.items()}
+
+
+def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
+    """Oracle for ``_accumulate``, used only by tests: every word of S_n
+    filtered by ``family_contains``, each weighed through ``stat_tuple``."""
     acc: dict = {}
     if n == 0:
         if family in ("S", "A", "Astar"):
@@ -413,4 +584,4 @@ def stat_polynomial(family: str, n: int, weight: dict,
 def family_size(family: str, n: int, cap: int = DEFAULT_CAP) -> int:
     if family == "S":
         return math.factorial(n)
-    return sum(1 for _ in iter_family_words(family, n, cap))
+    return stat_polynomial(family, n, {}, cap).as_int()

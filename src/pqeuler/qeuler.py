@@ -27,12 +27,10 @@ from .algebra import (
     rising_factorial,
 )
 from .contfrac import preset
-from .permstat import EnumerationCapError, iter_family_words, stat_tuple
+from .permstat import EnumerationCapError, stat_polynomial
 
 DEFAULT_ENUM_CAP = 9
 DEFAULT_FORMULA_CAP = 12
-
-_TOHT, _THTO, _THOT = 10, 11, 12  # indices in the stat tuple
 
 
 def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
@@ -47,13 +45,9 @@ def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> Laur
         raise ValueError(f"unknown method {method!r}")
     if n > cap:
         raise EnumerationCapError(f"enumeration too large: n={n} exceeds cap {cap}")
-    companion = _THOT if n % 2 else _THTO
-    acc: dict = {}
-    for word in iter_family_words("A", n, cap=max(cap, n)):
-        st = stat_tuple(word)
-        e = (0, 0, st[companion], st[_TOHT], 0)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
+    companion = "thot" if n % 2 else "thto"
+    return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}},
+                           cap=max(cap, n))
 
 
 def e_q(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:

@@ -1,13 +1,18 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pqeuler import permstat
+from pqeuler.algebra import VARS, LaurentPoly
+from pqeuler.qeuler import e_pq
 from pqeuler.permstat import (
     EnumerationCapError,
     FAMILIES,
+    LINEAR_QUINTUPLE_WEIGHT,
     Permutation,
     QUINTUPLE_WEIGHT,
+    STAT_FIELDS,
     basic_stats,
     cros_k,
     cyclic_type,
@@ -213,6 +218,11 @@ def test_stat_polynomial_parallel_matches_serial():
     poly4 = stat_polynomial("S", 5, QUINTUPLE_WEIGHT, workers=4,
                             parallel_threshold=4)
     assert poly1 == poly4
+    for family in FAMILIES:
+        serial = stat_polynomial(family, 7, QUINTUPLE_WEIGHT, workers=1)
+        pooled = stat_polynomial(family, 7, QUINTUPLE_WEIGHT, workers=2,
+                                 parallel_threshold=7)
+        assert pooled == serial, family
 
 
 @given(st.permutations(list(range(1, 8))))
@@ -238,3 +248,95 @@ def test_worker_count_from_environment(monkeypatch):
 def test_negative_n_is_rejected():
     with pytest.raises(ValueError):
         stat_polynomial("S", -2, {"x": {"wex": 1}})
+
+
+# ---------------------------------------------------------------------------
+# the prefix walk against the scan oracle
+
+
+def _walk_and_scan(family, n, weight, firsts=None):
+    plan = permstat._weight_plan(weight)
+    return (permstat._accumulate(family, n, plan, firsts),
+            permstat._accumulate_scan(family, n, plan, firsts))
+
+
+def _stat_weights():
+    """Weights that together give every statistic a variable of its own
+    (coefficient 1 and -2) and pair it with another one in a variable."""
+    groups = [STAT_FIELDS[i:i + len(VARS)]
+              for i in range(0, len(STAT_FIELDS), len(VARS))]
+    weights = []
+    for coeff in (1, -2):
+        weights += [{var: {stat: coeff} for var, stat in zip(VARS, group)}
+                    for group in groups]
+    partner = {stat: STAT_FIELDS[(i + 7) % len(STAT_FIELDS)]
+               for i, stat in enumerate(STAT_FIELDS)}
+    weights += [{var: {stat: 1, partner[stat]: -1}
+                 for var, stat in zip(VARS, group)} for group in groups]
+    return weights
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_walk_matches_scan_on_every_statistic(family, n):
+    weights = _stat_weights() + [QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT]
+    for weight in weights:
+        walk, scan = _walk_and_scan(family, n, weight)
+        assert walk == scan, weight
+
+
+_VAR_WEIGHTS = st.dictionaries(
+    st.sampled_from(VARS),
+    st.dictionaries(st.sampled_from(STAT_FIELDS), st.integers(-3, 3),
+                    max_size=4),
+    max_size=len(VARS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 6), _VAR_WEIGHTS)
+def test_walk_matches_scan_on_random_weights(family, n, weight):
+    walk, scan = _walk_and_scan(family, n, weight)
+    assert walk == scan
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_walk_split_by_first_letter_sums_to_whole(family):
+    plan = permstat._weight_plan(QUINTUPLE_WEIGHT)
+    for n in range(1, 8):
+        total: dict = {}
+        for first in range(1, n + 1):
+            part, scan = _walk_and_scan(family, n, QUINTUPLE_WEIGHT, [first])
+            assert part == scan
+            for e, c in part.items():
+                total[e] = total.get(e, 0) + c
+        assert total == permstat._accumulate(family, n, plan)
+
+
+def test_stat_polynomial_never_scans(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the fast path called the per-word scan")
+
+    monkeypatch.setattr(permstat, "stat_tuple", forbidden)
+    monkeypatch.setattr(permstat, "_accumulate_scan", forbidden)
+    for family in FAMILIES:
+        for weight in (QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT):
+            stat_polynomial(family, 6, weight, workers=1)
+        family_size(family, 6)
+    e_pq(6)
+
+
+def test_packed_keys_hold_large_coefficients():
+    # far past the digit width that the exponents of S_6 alone would need
+    weight = {"x": {"inv": 10**12, "n": -10**12}, "y": {"fix": -7},
+              "s": {"cros": 3, "nest": -(2**70)}}
+    walk, scan = _walk_and_scan("S", 6, weight)
+    assert walk == scan
+    poly = stat_polynomial("S", 6, weight, workers=1)
+    assert poly == LaurentPoly(scan)
+    assert LaurentPoly.from_json(poly.to_json()) == poly
+
+
+@pytest.mark.parametrize("coeff", [0.5, 2.0, "1"])
+def test_non_integer_coefficient_is_rejected(coeff):
+    with pytest.raises(ValueError, match="integer"):
+        stat_polynomial("S", 3, {"x": {"inv": coeff}})
