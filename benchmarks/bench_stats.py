@@ -1,20 +1,26 @@
-"""Time the statistics kernels and the path ``stat_polynomial`` takes.
+"""Time the statistics kernels, the path ``stat_polynomial`` takes, and the
+algebra layer.
 
-Usage: python benchmarks/bench_stats.py [n]
+Usage: python benchmarks/bench_stats.py [n] [order]
 
 Scans all of S_n (default n=8) with the pure-Python and, when built, the
 compiled ``stat_tuple`` kernel, then times ``stat_polynomial`` on S_n with the
 quintuple weight in one process (the prefix walk) against the scan oracle
 ``permstat._accumulate_scan`` (every word through ``stat_tuple``), and checks
-that the two agree.
+that the two agree.  Last, for the algebra layer, it times three computations
+at the given order (default 12) that are nearly all ``LaurentPoly``
+products: ``preset("thm4.1").expand``, ``q_parity_formula`` and the Laguerre
+transfer pass, and reports their term products (pairs of terms multiplied in
+a product of two polynomials, counted in a second, untimed run) per second.
 """
 
 import itertools
 import sys
 import time
 
-from pqeuler import permstat
+from pqeuler import contfrac, lattice, permstat, qeuler
 from pqeuler._statpure import stat_tuple as pure_stat
+from pqeuler.algebra import LaurentPoly
 
 try:
     from pqeuler._statcore import stat_tuple as compiled_stat
@@ -38,8 +44,44 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
+def term_products(fn) -> int:
+    """Pairs of terms multiplied by ``LaurentPoly`` products during fn()."""
+    original = LaurentPoly.__mul__
+    count = 0
+
+    def counting(a, b):
+        nonlocal count
+        if isinstance(b, LaurentPoly):
+            count += len(a.terms) * len(b.terms)
+        return original(a, b)
+
+    LaurentPoly.__mul__ = counting
+    try:
+        fn()
+    finally:
+        LaurentPoly.__mul__ = original
+    return count
+
+
+def algebra_layer(order):
+    jobs = [
+        (f'preset("thm4.1").expand({order})',
+         lambda: contfrac.preset("thm4.1").expand(order)),
+        (f"q_parity_formula({order})", lambda: qeuler.q_parity_formula(order)),
+        (f"Laguerre transfer pass at {order}",
+         lambda: lattice.weighted_sum("laguerre", order,
+                                      lattice.laguerre_quintuple_weights())),
+    ]
+    for label, job in jobs:
+        _, seconds = timed(job)
+        products = term_products(job)
+        print(f"algebra {label}: {seconds:.3f}s, {products:,} term products, "
+              f"{products / seconds:,.0f}/s")
+
+
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    order = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     count, t_pure = scan(pure_stat, n)
     print(f"pure:     {count} words in {t_pure:.3f}s "
           f"({count / t_pure:,.0f}/s)")
@@ -56,11 +98,12 @@ def main():
     walk, t_walk = timed(
         lambda: permstat.stat_polynomial("S", n, weight, workers=1))
     oracle, t_scan = timed(lambda: permstat._accumulate_scan("S", n, plan))
-    if walk.terms != oracle:
+    if walk != LaurentPoly(oracle):
         raise SystemExit("stat_polynomial disagrees with the scan oracle")
     print(f"stat_polynomial S_{n} quintuple, 1 process: walk {t_walk:.3f}s, "
           f"scan oracle ({permstat.BACKEND} kernel) {t_scan:.3f}s, "
           f"{t_scan / t_walk:.1f}x")
+    algebra_layer(order)
 
 
 if __name__ == "__main__":

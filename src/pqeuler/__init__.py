@@ -45,6 +45,7 @@ from .permstat import (
 from .qeuler import (
     e_int,
     e_pq,
+    e_pq_upto,
     e_q,
     e_star_q,
     egf_exc_fix,

@@ -6,6 +6,18 @@ polynomials in ``(x, y)``, truncated power series in ``t`` over either ring,
 single-variable rational functions in ``q``, and the small q-calculus toolbox
 (brackets, factorials, Pochhammer symbols).
 
+A LaurentPoly stores each exponent vector as one packed int (Kronecker
+substitution): the five exponents are balanced digits base 2**EXP_BITS
+(EXP_BITS = 80), x the most significant, so multiplying two monomials is one
+integer add and integer order on the keys is ascending lex order on the
+vectors.  Every exponent must satisfy |e| < 2**(EXP_BITS - 1).  Packing an
+exponent outside that range raises OverflowError, and so does any product,
+power or substitution whose result could leave it: each polynomial carries an
+upper bound on its |exponents|, and the bounds are added and checked before
+any key is, so a digit never carries silently into the next.  ``pack`` and
+``unpack`` convert between the two forms; the exponent-tuple form is what
+LaurentPoly(dict), ``sorted_terms``, JSON and printing use.
+
 Everything here is immutable after construction and all operations are pure.
 """
 
@@ -17,41 +29,91 @@ from typing import Callable, Iterable
 VARS = ("x", "y", "p", "q", "s")
 NVARS = len(VARS)
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
-ZERO_EXP = (0,) * NVARS
+
+# Width in bits of one packed exponent digit.  Every exponent must satisfy
+# |e| < EXP_LIMIT = 2**(EXP_BITS - 1).
+EXP_BITS = 80
+EXP_LIMIT = 1 << (EXP_BITS - 1)
+_DIGIT_MASK = (1 << EXP_BITS) - 1
+# the packed key of the monomial VARS[i]; x is the most significant digit
+_PLACE = tuple(1 << (EXP_BITS * (NVARS - 1 - i)) for i in range(NVARS))
 
 
 class NotInvertibleError(ArithmeticError):
     """Raised when a series reciprocal or substitution needs a unit that isn't one."""
 
 
-def _exp_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+def _check_bound(bound: int) -> None:
+    if bound >= EXP_LIMIT:
+        raise OverflowError(
+            f"an exponent may reach {bound}, past the packed digit range "
+            f"|e| < 2**{EXP_BITS - 1}")
+
+
+def pack(e) -> int:
+    """The packed key of an exponent vector (Kronecker substitution)."""
+    if len(e) != NVARS:
+        raise ValueError(f"exponent vector needs {NVARS} entries, got {e!r}")
+    key = 0
+    for k in e:
+        _check_bound(abs(k))
+        key = (key << EXP_BITS) + k
+    return key
+
+
+def unpack(key: int) -> tuple:
+    """The exponent vector of a packed key; inverse of ``pack``."""
+    digits = []
+    for _ in range(NVARS):
+        digit = key & _DIGIT_MASK
+        if digit >= EXP_LIMIT:
+            digit -= 1 << EXP_BITS
+        digits.append(digit)
+        key = (key - digit) >> EXP_BITS
+    return tuple(reversed(digits))
 
 
 class LaurentPoly:
     """Laurent polynomial in x, y, p, q, s with arbitrary-precision integer
     coefficients.
 
-    ``terms`` maps an exponent vector (5 ints, negatives allowed) to a nonzero
-    coefficient.  The zero polynomial has an empty map.
+    ``terms`` maps the packed key of an exponent vector (see ``pack``) to a
+    nonzero coefficient; the zero polynomial has an empty map.  A key holds
+    the five exponents as balanced digits base 2**EXP_BITS, x most
+    significant, so a monomial product is the sum of the keys and integer
+    order is ascending lex order on the vectors.  ``bound`` is an upper bound
+    on every |exponent|; a product or power whose bound could reach
+    EXP_LIMIT raises ``OverflowError`` before any digit can carry.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "bound")
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
+        """From a map of exponent tuples to coefficients."""
+        terms = {e: c for e, c in terms.items() if c} if terms else {}
+        self.terms = {pack(e): c for e, c in terms.items()}
+        self.bound = max((abs(k) for e in terms for k in e), default=0)
+
+    @classmethod
+    def _packed(cls, terms: dict, bound: int) -> "LaurentPoly":
+        """From a map of packed keys to nonzero coefficients whose exponents
+        are all at most ``bound`` in absolute value."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        res.bound = bound
+        return res
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls({ZERO_EXP: c}) if c else cls()
+        return cls._packed({0: c} if c else {}, 0)
 
     @classmethod
     def var(cls, name: str, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
-        e = [0] * NVARS
-        e[VAR_INDEX[name]] = exp
-        return cls({tuple(e): coeff})
+        _check_bound(abs(exp))
+        return cls._packed({exp * _PLACE[VAR_INDEX[name]]: coeff} if coeff else {},
+                           abs(exp))
 
     @classmethod
     def monomial(cls, coeff: int = 1, **exps: int) -> "LaurentPoly":
@@ -76,38 +138,38 @@ class LaurentPoly:
         if not self.is_unit_monomial():
             raise NotInvertibleError(f"not invertible: {self}")
         ((e, c),) = self.terms.items()
-        return LaurentPoly({tuple(-k for k in e): c})
+        return LaurentPoly._packed({-e: c}, self.bound)
 
     def as_int(self) -> int:
         """Value of a constant polynomial; raises if any variable remains."""
         if not self.terms:
             return 0
-        if set(self.terms) != {ZERO_EXP}:
+        if set(self.terms) != {0}:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[ZERO_EXP]
+        return self.terms[0]
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        big, small = self.terms, other.terms
+        if len(small) > len(big):
+            big, small = small, big
+        out = dict(big)
+        for e, c in small.items():
             v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
-                out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+                del out[e]
+        return LaurentPoly._packed(out, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._packed({e: -c for e, c in self.terms.items()},
+                                   self.bound)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -121,35 +183,41 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return LaurentPoly._packed(
+                {e: c * other for e, c in self.terms.items()}, self.bound)
+        bound = self.bound + other.bound
+        _check_bound(bound)
         out: dict = {}
+        get = out.get
+        inner = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _exp_mul(e1, e2)
-                v = out.get(e, 0) + c1 * c2
+            for e2, c2 in inner:
+                e = e1 + e2
+                v = get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._packed(out, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.unit_inverse() ** (-k)
-        result = LaurentPoly.const(1)
+        if k == 0:
+            return LaurentPoly.const(1)
+        # square only while bits remain: a last, unused square could
+        # overflow where the result does not
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -172,43 +240,53 @@ class LaurentPoly:
         """
         if not assignment:
             return self
-        subs = {}
+        subs = []
         for name, val in assignment.items():
             idx = VAR_INDEX[name]
-            subs[idx] = LaurentPoly.const(val) if isinstance(val, int) else val
-        out = LaurentPoly()
-        for e, c in self.terms.items():
+            subs.append((idx, LaurentPoly.const(val) if isinstance(val, int) else val))
+        powers: dict = {}
+        out: dict = {}
+        bound = 0
+        for key, c in self.terms.items():
+            e = unpack(key)
             term = LaurentPoly.const(c)
-            rest = list(e)
-            for idx, val in subs.items():
+            for idx, val in subs:
                 k = e[idx]
-                rest[idx] = 0
                 if k == 0:
                     continue
-                if k < 0 and not val.is_unit_monomial():
-                    raise NotInvertibleError(
-                        f"non-invertible substitution {VARS[idx]} -> {val} "
-                        f"at exponent {k}"
-                    )
-                term = term * (val ** k)
-            mono = LaurentPoly({tuple(rest): 1})
-            out = out + term * mono
-        return out
+                key -= k * _PLACE[idx]
+                power = powers.get((idx, k))
+                if power is None:
+                    if k < 0 and not val.is_unit_monomial():
+                        raise NotInvertibleError(
+                            f"non-invertible substitution {VARS[idx]} -> {val} "
+                            f"at exponent {k}")
+                    power = powers[idx, k] = val ** k
+                term = term * power
+            term = term * LaurentPoly._packed({key: 1}, self.bound)
+            bound = max(bound, term.bound)
+            for e2, c2 in term.terms.items():
+                v = out.get(e2, 0) + c2
+                if v:
+                    out[e2] = v
+                else:
+                    del out[e2]
+        return LaurentPoly._packed(out, bound)
 
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in canonical (ascending lex on exponent vector) order."""
-        return sorted(self.terms.items())
+        """(exponent tuple, coefficient) pairs in ascending lex order."""
+        return [(unpack(e), c) for e, c in sorted(self.terms.items())]
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         # display in descending lex order, matching conventional print order
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for key, c in sorted(self.terms.items(), reverse=True):
             factors = []
-            for name, k in zip(VARS, e):
+            for name, k in zip(VARS, unpack(key)):
                 if k == 1:
                     factors.append(name)
                 elif k:
@@ -534,7 +612,7 @@ def q_bracket(n: int) -> LaurentPoly:
     """[n]_q = 1 + q + ... + q^(n-1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return LaurentPoly({(0, 0, 0, i, 0): 1 for i in range(n)})
+    return _from_q_dict(dict.fromkeys(range(n), 1))
 
 
 def q_factorial(n: int) -> LaurentPoly:
@@ -568,12 +646,14 @@ def rising_factorial(a, k: int) -> Fraction:
 # rational functions in q
 
 _Q_IDX = VAR_INDEX["q"]
+_Q_PLACE = _PLACE[_Q_IDX]
 
 
 def _q_only(poly: LaurentPoly) -> dict:
     """View a q-only LaurentPoly as {exponent: coeff}; raises otherwise."""
     out = {}
-    for e, c in poly.terms.items():
+    for key, c in poly.terms.items():
+        e = unpack(key)
         if any(e[i] for i in range(NVARS) if i != _Q_IDX):
             raise ValueError(f"not a q-only polynomial: {poly}")
         out[e[_Q_IDX]] = c
@@ -581,11 +661,14 @@ def _q_only(poly: LaurentPoly) -> dict:
 
 
 def _from_q_dict(d: dict) -> LaurentPoly:
-    return LaurentPoly({(0, 0, 0, k, 0): c for k, c in d.items() if c})
+    bound = max(map(abs, d), default=0)
+    _check_bound(bound)
+    return LaurentPoly._packed({k * _Q_PLACE: c for k, c in d.items() if c}, bound)
 
 
 def q_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient of q-only Laurent polynomials, or None if not divisible."""
+    """Exact quotient of q-only Laurent polynomials, or None if the quotient
+    is not a Laurent polynomial with integer coefficients."""
     nd, dd = _q_only(num), _q_only(den)
     if not dd:
         raise ZeroDivisionError("division by zero polynomial")
@@ -593,16 +676,19 @@ def q_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         return LaurentPoly()
     nmin, nmax = min(nd), max(nd)
     dmin, dmax = min(dd), max(dd)
-    a = [Fraction(nd.get(k, 0)) for k in range(nmin, nmax + 1)]
-    b = [Fraction(dd.get(k, 0)) for k in range(dmin, dmax + 1)]
-    qlen = len(a) - len(b) + 1
+    rem = [nd.get(k, 0) for k in range(nmin, nmax + 1)]
+    b = [dd.get(k, 0) for k in range(dmin, dmax + 1)]
+    qlen = len(rem) - len(b) + 1
     if qlen < 1:
         return None
-    quot = [Fraction(0)] * qlen
-    rem = a[:]
+    # long division from the top; each quotient coefficient is final once
+    # computed, so a fractional one means no integer quotient exists
+    quot = [0] * qlen
     lead = b[-1]
     for i in range(qlen - 1, -1, -1):
-        coef = rem[i + len(b) - 1] / lead
+        coef, r = divmod(rem[i + len(b) - 1], lead)
+        if r:
+            return None
         quot[i] = coef
         if coef:
             for j, bc in enumerate(b):
@@ -610,13 +696,7 @@ def q_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     if any(rem):
         return None
     shift = nmin - dmin
-    out = {}
-    for i, c in enumerate(quot):
-        if c:
-            if c.denominator != 1:
-                return None
-            out[i + shift] = c.numerator
-    return _from_q_dict(out)
+    return _from_q_dict({i + shift: c for i, c in enumerate(quot)})
 
 
 class RationalFunctionQ:
@@ -630,10 +710,6 @@ class RationalFunctionQ:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
-
-    def __add__(self, other):
-        return RationalFunctionQ(self.num * other.den + other.num * self.den,
-                                 self.den * other.den)
 
     def __sub__(self, other):
         return RationalFunctionQ(self.num * other.den - other.num * self.den,

@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import LAURENT_RING, LaurentPoly, q_bracket
+from .algebra import LAURENT_RING, LaurentPoly, TruncSeries
 from .contfrac import (
     JFraction,
     SFraction,
@@ -36,8 +36,11 @@ from .permstat import (
     QUINTUPLE_WEIGHT,
 )
 from .qeuler import (
-    e_int,
+    AT_ONE,
+    AT_Q,
+    AT_QSTAR,
     e_pq,
+    e_pq_upto,
     e_q,
     e_star_q,
     hrz_series,
@@ -90,14 +93,20 @@ def _signed(family: str, n: int, sign_stat: str, q_stat: str | None,
 # individual checks: each returns None on success or a witness string
 
 
+def _euler_cf(nmax: int, at: dict) -> list:
+    """E_n(p,q) for n = 0..nmax by continued fraction, specialized by ``at``."""
+    return [e.substitute(at) for e in e_pq_upto(nmax)]
+
+
 def _check_euler_roselle(nmax: int):
+    euler = [e.as_int() for e in _euler_cf(nmax, AT_ONE)]
     for n in range(1, nmax + 1):
         lhs_s = _signed("S", n, "exc", None, MINUS_ONE).as_int()
-        want_s = 0 if n % 2 == 0 else (-1) ** ((n - 1) // 2) * e_int(n)
+        want_s = 0 if n % 2 == 0 else (-1) ** ((n - 1) // 2) * euler[n]
         if lhs_s != want_s:
             return f"n={n} full sum {lhs_s} != {want_s}"
         lhs_d = _signed("D", n, "exc", None, MINUS_ONE).as_int()
-        want_d = (-1) ** (n // 2) * e_int(n) if n % 2 == 0 else 0
+        want_d = (-1) ** (n // 2) * euler[n] if n % 2 == 0 else 0
         if lhs_d != want_d:
             return f"n={n} derangement sum {lhs_d} != {want_d}"
     return None
@@ -120,8 +129,9 @@ def _check_foata_han(nmax: int):
 
 
 def _check_jv(nmax: int):
+    e_q_cf = _euler_cf(nmax, AT_Q)
     for n in range(1, nmax + 1):
-        rhs_base = e_q(n, method="cf")
+        rhs_base = e_q_cf[n]
         lhs_s = _signed("S", n, "wex", "cros", MINUS_ONE)
         want_s = (LaurentPoly() if n % 2 == 0
                   else MINUS_ONE ** ((n + 1) // 2) * rhs_base)
@@ -136,8 +146,9 @@ def _check_jv(nmax: int):
 
 
 def _check_shin_zeng(nmax: int):
+    e_star_q_cf = _euler_cf(nmax, AT_QSTAR)
     for n in range(1, nmax + 1):
-        rhs_base = e_star_q(n, method="cf")
+        rhs_base = e_star_q_cf[n]
         lhs_s = _signed("S", n, "exc", "inv", MINUS_INV_Q)
         want_s = (LaurentPoly() if n % 2 == 0
                   else MINUS_ONE ** ((n - 1) // 2) * rhs_base)
@@ -243,24 +254,25 @@ def _contraction_agrees(sf: SFraction, order: int):
     return None
 
 
-def _specialized_series_target(name: str, order: int):
-    """The signed Euler-number series each specialized fraction must equal."""
+def _specialized_series_target(name: str, e_q_cf: list, e_star_q_cf: list):
+    """The signed Euler-number series each specialized fraction must equal,
+    to the order of the given E_n(q) and E*_n(q) lists (n = 0..order)."""
+    order = len(e_q_cf) - 1
     coeffs = [LaurentPoly.const(1)]
     for n in range(1, order + 1):
         if name == "jv-tangent":
-            c = (MINUS_ONE ** ((n + 1) // 2) * e_q(n, "cf") if n % 2
+            c = (MINUS_ONE ** ((n + 1) // 2) * e_q_cf[n] if n % 2
                  else LaurentPoly())
         elif name == "jv-secant":
             c = (LaurentPoly() if n % 2
-                 else MINUS_INV_Q ** (n // 2) * e_q(n, "cf"))
+                 else MINUS_INV_Q ** (n // 2) * e_q_cf[n])
         elif name == "sz-tangent":
-            c = (MINUS_ONE ** ((n - 1) // 2) * e_star_q(n, "cf") if n % 2
+            c = (MINUS_ONE ** ((n - 1) // 2) * e_star_q_cf[n] if n % 2
                  else LaurentPoly())
         else:  # sz-secant
             c = (LaurentPoly() if n % 2
-                 else MINUS_Q ** (n // 2) * e_star_q(n, "cf"))
+                 else MINUS_Q ** (n // 2) * e_star_q_cf[n])
         coeffs.append(c)
-    from .algebra import TruncSeries
     return TruncSeries(order, coeffs, LAURENT_RING)
 
 
@@ -269,6 +281,9 @@ SPECIALIZED = ("jv-tangent", "jv-secant", "sz-tangent", "sz-secant")
 
 def _check_contra(order: int, trials: int = 100, seed: int = 0,
                   series_order: int = 10):
+    euler_pq = e_pq_upto(series_order)
+    e_q_cf = [e.substitute(AT_Q) for e in euler_pq]
+    e_star_q_cf = [e.substitute(AT_QSTAR) for e in euler_pq]
     for name in SPECIALIZED:
         pr = preset(name)
         j_series = pr.expand(order)
@@ -279,7 +294,7 @@ def _check_contra(order: int, trials: int = 100, seed: int = 0,
             why = _contraction_agrees(pr.s_form, order)
             if why:
                 return f"{name}: {why}"
-        target = _specialized_series_target(name, series_order)
+        target = _specialized_series_target(name, e_q_cf, e_star_q_cf)
         got = pr.expand(series_order)
         if got != target:
             return f"{name}: expansion differs from signed Euler series"
@@ -294,8 +309,9 @@ def _check_contra(order: int, trials: int = 100, seed: int = 0,
 
 
 def _check_sz_linear(nmax: int):
+    e_q_cf = _euler_cf(nmax, AT_Q)
     for n in range(1, nmax + 1):
-        rhs_base = e_q(n, method="cf")
+        rhs_base = e_q_cf[n]
         lhs_s = _signed("S", n, "ndes", "toht", MINUS_ONE)
         want_s = (LaurentPoly() if n % 2 == 0
                   else MINUS_ONE ** ((n + 1) // 2) * rhs_base)
@@ -359,15 +375,16 @@ def _check_sec7(nmax: int):
     q_cap = min(nmax, 10)
     q1_cap = min(nmax, 8)
     rz = rz_series(nmax)
+    euler_pq = e_pq_upto(nmax)
     for n in range(nmax + 1):
-        want = e_int(n)
+        want = euler_pq[n].substitute(AT_ONE).as_int()
         if rz.coeff(n) != want:
             return f"t^{n} of rational series: {rz.coeff(n)} != {want}"
         if parity_formula(n) != want:
             return f"double sum at n={n}: {parity_formula(n)} != {want}"
     hrz = hrz_series(q_cap)
     for n in range(q_cap + 1):
-        want = e_q(n, method="cf")
+        want = euler_pq[n].substitute(AT_Q)
         if hrz.coeff(n) != want:
             return f"t^{n} of q-rational series: {hrz.coeff(n)} != {want}"
         qp = q_parity_formula(n)

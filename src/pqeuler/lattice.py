@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, _check_bound
 
 UP, LEVEL, DOWN = "U", "L", "D"
 _DELTA = {UP: 1, LEVEL: 0, DOWN: -1}
 
-
-def _exp_add(e1, e2):
-    return (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-            e1[3] + e2[3], e1[4] + e2[4])
 
 KINDS = ("motzkin", "dyck", "diagramme", "restricted_diagramme", "laguerre")
 
@@ -276,40 +272,46 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     if xi_kind and spec.valuation is None:
         raise ValueError("xi-kind enumeration needs a valuation")
 
-    choice_cache: dict = {}
-
-    def choices(step, h):
-        """All (exponent, coefficient) branches for one step at one height."""
-        got = choice_cache.get((step, h))
-        if got is None:
-            out = []
-            if xi_kind:
-                for xi in _xi_range(kind, step, h):
-                    out.extend(spec.valuation(step, h, xi).terms.items())
-            else:
-                out = list(_step_weight(spec, kind, step, h).terms.items())
-            choice_cache[(step, h)] = got = tuple(out)
-        return got
+    # the branches of every step an object of this length can take, built
+    # up front so that the bound on a whole object's exponents is known
+    # before any packed key is added: up at h needs 2h + 2 <= length, level
+    # 2h + 1 <= length, down h >= 1 and 2h <= length
+    reach = {UP: (length - 2) // 2, DOWN: length // 2,
+             LEVEL: (length - 1) // 2 if allow_level else -1}
+    choices: dict = {}
+    step_bound = 0
+    for step, top in reach.items():
+        for h in range(1 if step == DOWN else 0, top + 1):
+            polys = ([spec.valuation(step, h, xi)
+                      for xi in _xi_range(kind, step, h)] if xi_kind
+                     else [_step_weight(spec, kind, step, h)])
+            branches = []
+            for poly in polys:
+                step_bound = max(step_bound, poly.bound)
+                branches.extend(poly.terms.items())
+            choices[step, h] = tuple(branches)
+    bound = step_bound * length
+    _check_bound(bound)
 
     acc: dict = {}
 
-    def rec(pos, h, exp, coeff):
+    def rec(pos, h, key, coeff):
         remaining = length - pos
         if remaining == 0:
-            acc[exp] = acc.get(exp, 0) + coeff
+            acc[key] = acc.get(key, 0) + coeff
             return
         if h + 1 <= remaining - 1:
-            for e, c in choices(UP, h):
-                rec(pos + 1, h + 1, _exp_add(exp, e), coeff * c)
+            for e, c in choices[UP, h]:
+                rec(pos + 1, h + 1, key + e, coeff * c)
         if allow_level and h <= remaining - 1:
-            for e, c in choices(LEVEL, h):
-                rec(pos + 1, h, _exp_add(exp, e), coeff * c)
+            for e, c in choices[LEVEL, h]:
+                rec(pos + 1, h, key + e, coeff * c)
         if h >= 1:
-            for e, c in choices(DOWN, h):
-                rec(pos + 1, h - 1, _exp_add(exp, e), coeff * c)
+            for e, c in choices[DOWN, h]:
+                rec(pos + 1, h - 1, key + e, coeff * c)
 
-    rec(0, 0, (0, 0, 0, 0, 0), 1)
-    return LaurentPoly({e: c for e, c in acc.items() if c})
+    rec(0, 0, 0, 1)
+    return LaurentPoly._packed({e: c for e, c in acc.items() if c}, bound)
 
 
 def _required(fn, step: str):

@@ -337,6 +337,10 @@ LINEAR_QUINTUPLE_WEIGHT = {"x": {"ndes": 1}, "y": {"fmax": 1},
 
 
 def _weight_plan(weight: dict):
+    for var in weight:
+        if var not in VARS:
+            raise ValueError(f"unknown weight variable {var!r}; "
+                             f"known: {', '.join(VARS)}")
     plan = []
     for var in VARS:
         stats = weight.get(var, {})

@@ -1,7 +1,8 @@
 """Euler numbers and all their q- and (p,q)-refinements.
 
 Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (by enumeration and by
-continued fraction), the exponential generating function of the
+continued fraction, the latter for every n up to a bound at once through
+``e_pq_upto``), the exponential generating function of the
 (excedance, fixed point) distribution, and the closed summation formulas
 (the rational series, the parity-independent double sum, and their
 q-analogues).
@@ -10,6 +11,7 @@ q-analogues).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +25,6 @@ from .algebra import (
     TruncSeries,
     q_bracket,
     q_factorial,
-    q_pochhammer,
     rising_factorial,
 )
 from .contfrac import preset
@@ -50,16 +51,32 @@ def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> Laur
                            cap=max(cap, n))
 
 
+def e_pq_upto(nmax: int) -> list[LaurentPoly]:
+    """E_n(p,q) for n = 0..nmax by continued fraction, from one expansion of
+    the tangent and one of the secant preset."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    tan = preset("tangent-pq").expand(nmax)
+    sec = preset("secant-pq").expand(nmax)
+    return [tan.coeff(n) if n % 2 else sec.coeff(n) for n in range(nmax + 1)]
+
+
+# the specializations of E_n(p,q) giving E_n(q), E*_n(q) and E_n
+AT_Q = {"p": 1}
+AT_QSTAR = {"p": LaurentPoly.var("q", 2)}
+AT_ONE = {"p": 1, "q": 1}
+
+
 def e_q(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
-    return e_pq(n, method, cap).substitute({"p": 1})
+    return e_pq(n, method, cap).substitute(AT_Q)
 
 
 def e_star_q(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
-    return e_pq(n, method, cap).substitute({"p": LaurentPoly.var("q", 2)})
+    return e_pq(n, method, cap).substitute(AT_QSTAR)
 
 
 def e_int(n: int, method: str = "cf", cap: int = DEFAULT_ENUM_CAP) -> int:
-    return e_pq(n, method, cap).substitute({"p": 1, "q": 1}).as_int()
+    return e_pq(n, method, cap).substitute(AT_ONE).as_int()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +170,9 @@ def hrz_series(order: int) -> TruncSeries:
     return total
 
 
-def _q_parity_term(n: int, m: int, k: int) -> RationalFunctionQ:
+def _q_parity_term(n: int, m: int, k: int):
+    """One term of the q double sum as (numerator, Counter of the j whose
+    factors 1 - q^(2j) make up its denominator)."""
     one_minus_q = LaurentPoly.const(1) - LaurentPoly.var("q")
     a_exp = (k * k + k * (n - m + 1) - (n - m) // 2
              + (m // 2) ** 2 - m * (n // 2))
@@ -161,16 +180,24 @@ def _q_parity_term(n: int, m: int, k: int) -> RationalFunctionQ:
            * one_minus_q ** (2 * (m // 2))
            * q_bracket(m - 2 * k + 1) ** (2 * (n // 2))
            * LaurentPoly.var("q", a_exp))
-    den = (q_pochhammer(2, 2, k)
-           * q_pochhammer(2, 2, m // 2 - k)
-           * q_pochhammer(2 * (m - 2 * k + 2), 2, k)
-           * q_pochhammer(2 * ((m + 1) // 2 - k + 1), 2, m // 2 - k))
-    return RationalFunctionQ(num, den)
+    # (q^2;q^2)_k (q^2;q^2)_(m/2-k) (q^(2(m-2k+2));q^2)_k
+    # (q^(2((m+1)/2-k+1));q^2)_(m/2-k), each factor 1 - q^(2j)
+    half, top = m // 2, (m + 1) // 2
+    den = Counter(range(1, k + 1))
+    den.update(range(1, half - k + 1))
+    den.update(range(m - 2 * k + 2, m - k + 2))
+    den.update(range(top - k + 1, top + half - 2 * k + 1))
+    return num, den
+
+
+def _q_factor(j: int) -> LaurentPoly:
+    return LaurentPoly.const(1) - LaurentPoly.var("q", 2 * j)
 
 
 def q_parity_formula(n: int) -> LaurentPoly:
-    """The parity-independent double sum for E_n(q); the per-m partial sums
-    are combined over a common denominator and must clear to a polynomial."""
+    """The parity-independent double sum for E_n(q).  The terms of each m are
+    summed over their least common denominator, a product of factors
+    1 - q^(2j), which must then clear to a polynomial."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -179,10 +206,19 @@ def q_parity_formula(n: int) -> LaurentPoly:
     for m in range(n + 1):
         if (n - m) % 2:
             continue
-        part = RationalFunctionQ(LaurentPoly())
-        for k in range(m // 2 + 1):
-            part = part + _q_parity_term(n, m, k)
-        total = total + q_factorial(m) * part.normalize()
+        terms = [_q_parity_term(n, m, k) for k in range(m // 2 + 1)]
+        common = Counter()
+        for _, den in terms:
+            common |= den
+        num = LaurentPoly()
+        for part, den in terms:
+            for j, mult in (common - den).items():
+                part = part * _q_factor(j) ** mult
+            num = num + part
+        den = LaurentPoly.const(1)
+        for j, mult in common.items():
+            den = den * _q_factor(j) ** mult
+        total = total + q_factorial(m) * RationalFunctionQ(num, den).normalize()
     return total
 
 
@@ -213,8 +249,7 @@ def euler_table(nmax: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[EulerTableR
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     rows = []
-    for n in range(nmax + 1):
-        by_cf = e_pq(n, method="cf")
+    for n, by_cf in enumerate(e_pq_upto(nmax)):
         methods = ["cf"]
         if n <= enum_cap:
             by_enum = e_pq(n, method="enumerate")
@@ -223,10 +258,10 @@ def euler_table(nmax: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[EulerTableR
             methods.insert(0, "enumeration")
         row = EulerTableRow(
             n=n,
-            e=by_cf.substitute({"p": 1, "q": 1}).as_int(),
+            e=by_cf.substitute(AT_ONE).as_int(),
             e_pq=by_cf,
-            e_q=by_cf.substitute({"p": 1}),
-            e_star_q=by_cf.substitute({"p": LaurentPoly.var("q", 2)}),
+            e_q=by_cf.substitute(AT_Q),
+            e_star_q=by_cf.substitute(AT_QSTAR),
             methods=tuple(methods),
         )
         rows.append(row)

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from pqeuler import lattice
 from pqeuler.algebra import (
+    EXP_BITS,
+    EXP_LIMIT,
     FRACTION_RING,
     LAURENT_RING,
     LaurentPoly,
@@ -19,7 +22,9 @@ from pqeuler.algebra import (
     q_factorial,
     q_pochhammer,
     rising_factorial,
+    unpack,
 )
+from pqeuler.qeuler import e_pq
 
 exponents = st.integers(min_value=-3, max_value=4)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -53,6 +58,75 @@ def test_ring_axioms(a, b, c):
 def test_json_round_trip(p):
     data = json.loads(json.dumps(p.to_json()))
     assert LaurentPoly.from_json(data) == p
+
+
+wide_exponents = st.one_of(exponents, st.integers(-EXP_LIMIT + 1, EXP_LIMIT - 1))
+
+
+@given(st.dictionaries(st.tuples(*[wide_exponents] * 5), coeffs, max_size=8))
+def test_sorted_terms_match_tuple_order(terms):
+    # packed-key order is lex order on the exponent vectors, negatives too
+    want = sorted((e, c) for e, c in terms.items() if c)
+    poly = LaurentPoly(terms)
+    assert poly.sorted_terms() == want
+    assert len(poly.terms) == len(want)
+    assert [unpack(k) for k in sorted(poly.terms)] == [e for e, _ in want]
+
+
+def test_exponent_range_boundary_on_construction():
+    top = EXP_LIMIT - 1
+    assert EXP_LIMIT == 2 ** (EXP_BITS - 1)
+    for e in [(top, 0, 0, 0, 0), (0, 0, 0, 0, -top), (top, -top, top, -top, top)]:
+        assert LaurentPoly({e: 3}).sorted_terms() == [(e, 3)]
+    for e in [(EXP_LIMIT, 0, 0, 0, 0), (0, 0, -EXP_LIMIT, 0, 0)]:
+        with pytest.raises(OverflowError):
+            LaurentPoly({e: 1})
+    with pytest.raises(OverflowError):
+        LaurentPoly.var("q", EXP_LIMIT)
+    with pytest.raises(OverflowError):
+        LaurentPoly.monomial(1, s=-EXP_LIMIT)
+
+
+def test_products_never_carry_between_digits():
+    half = EXP_LIMIT // 2
+    a = LaurentPoly.monomial(1, y=half, p=-half)
+    b = LaurentPoly.monomial(2, y=half - 1, p=-(half - 1), s=-1)
+    assert (a * b).sorted_terms() == [((0, EXP_LIMIT - 1, -(EXP_LIMIT - 1), 0, -1), 2)]
+    with pytest.raises(OverflowError):
+        a * a
+    with pytest.raises(OverflowError):
+        a * LaurentPoly.var("p", -half)
+    quarter = LaurentPoly.var("s", EXP_LIMIT // 4)
+    assert (quarter ** 3).sorted_terms() == [((0, 0, 0, 0, 3 * EXP_LIMIT // 4), 1)]
+    with pytest.raises(OverflowError):
+        quarter ** 4
+    with pytest.raises(OverflowError):
+        LaurentPoly.var("x", -(EXP_LIMIT // 4)) ** 4
+    with pytest.raises(OverflowError):
+        LaurentPoly.var("q", half).substitute({"q": LaurentPoly.var("q", 2)})
+    top = LaurentPoly.monomial(1, x=EXP_LIMIT - 1, q=1)
+    assert top.substitute({"q": 5}).sorted_terms() == [((EXP_LIMIT - 1, 0, 0, 0, 0), 5)]
+    with pytest.raises(OverflowError):
+        top.substitute({"q": LaurentPoly.var("x")})
+    # the lattice enumeration oracle adds packed keys; it checks its bound
+    # before the walk
+    spec = lattice.abc_weights(a=lambda h: LaurentPoly.var("x", half),
+                               c=lambda h: LaurentPoly.var("x", half))
+    with pytest.raises(OverflowError):
+        lattice.weighted_sum("dyck", 2, spec, method="enumerate")
+
+
+def test_json_and_str_output_fixed():
+    poly = e_pq(5, "cf")
+    assert str(poly) == ("p^4 + 3*p^3*q + 4*p^2*q^2 + p^2 "
+                         "+ 3*p*q^3 + 2*p*q + q^4 + q^2")
+    assert e_pq(3, "cf").to_json() == [{"e": [0, 0, 0, 1, 0], "c": "1"},
+                                       {"e": [0, 0, 1, 0, 0], "c": "1"}]
+    assert LaurentPoly.from_json(json.loads(json.dumps(poly.to_json()))) == poly
+    neg = LaurentPoly.monomial(-2, x=-1, s=3) + LaurentPoly.var("q", -4)
+    assert neg.to_json() == [{"e": [-1, 0, 0, 0, 3], "c": "-2"},
+                             {"e": [0, 0, 0, -4, 0], "c": "1"}]
+    assert str(neg) == "q^-4 - 2*x^-1*s^3"
 
 
 def test_sorted_terms_ascending_lex():

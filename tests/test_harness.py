@@ -134,6 +134,14 @@ def test_cli_negative_size_is_a_usage_error(argv, capsys):
     assert "nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("weight", ["z=inv", "x=wex,t=fix"])
+def test_cli_unknown_weight_variable_is_a_usage_error(weight, capsys):
+    assert main(["table", "--family", "S", "--n", "3", "--weight", weight]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown weight variable" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_cli_bad_worker_count_is_a_usage_error(value, monkeypatch, capsys):
     monkeypatch.setenv("PQEULER_WORKERS", value)

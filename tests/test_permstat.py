@@ -340,3 +340,11 @@ def test_packed_keys_hold_large_coefficients():
 def test_non_integer_coefficient_is_rejected(coeff):
     with pytest.raises(ValueError, match="integer"):
         stat_polynomial("S", 3, {"x": {"inv": coeff}})
+
+
+@pytest.mark.parametrize("weight", [{"z": {"inv": 1}},
+                                    {"x": {"wex": 1}, "t": {"fix": 1}}])
+def test_unknown_weight_variable_is_rejected(weight):
+    bad = next(var for var in weight if var not in VARS)
+    with pytest.raises(ValueError, match=repr(bad)):
+        stat_polynomial("S", 3, weight)

@@ -8,6 +8,7 @@ from pqeuler.permstat import EnumerationCapError, stat_polynomial
 from pqeuler.qeuler import (
     e_int,
     e_pq,
+    e_pq_upto,
     e_q,
     e_star_q,
     egf_exc_fix,
@@ -39,6 +40,17 @@ def test_cf_and_enumeration_agree():
         assert e_pq(n, "cf") == e_pq(n, "enumerate")
 
 
+def test_e_pq_upto_matches_enumeration():
+    table = e_pq_upto(8)
+    assert len(table) == 9
+    for n, poly in enumerate(table):
+        assert poly == e_pq(n, "enumerate")
+        assert poly == e_pq(n, "cf")
+    assert e_pq_upto(0) == [LaurentPoly.const(1)]
+    with pytest.raises(ValueError):
+        e_pq_upto(-1)
+
+
 def test_specializations_consistent():
     for n in range(8):
         full = e_pq(n, "cf")
@@ -67,7 +79,7 @@ def test_egf_low_coefficients():
 def test_egf_matches_enumeration(n):
     egf = egf_exc_fix(6)
     brute = stat_polynomial("S", n, {"x": {"exc": 1}, "y": {"fix": 1}})
-    want = RatPoly({(e[0], e[1]): c for e, c in brute.terms.items()})
+    want = RatPoly({(e[0], e[1]): c for e, c in brute.sorted_terms()})
     assert egf.coeff(n) * Fraction(math.factorial(n)) == want
 
 
