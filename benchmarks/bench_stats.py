@@ -1,13 +1,12 @@
-"""Time the statistics kernels, the path ``stat_polynomial`` takes, and the
+"""Time the statistics kernel, the path ``stat_polynomial`` takes, and the
 algebra layer.
 
 Usage: python benchmarks/bench_stats.py [n] [order]
 
-Scans all of S_n (default n=8) with the pure-Python and, when built, the
-compiled ``stat_tuple`` kernel, then times ``stat_polynomial`` on S_n with the
-quintuple weight in one process (the prefix walk) against the scan oracle
-``permstat._accumulate_scan`` (every word through ``stat_tuple``), and checks
-that the two agree.  Last, for the algebra layer, it times three computations
+Scans all of S_n (default n=8) with the per-word ``stat_tuple`` kernel, then
+times ``stat_polynomial`` on S_n with the quintuple weight in one process (the
+prefix walk) against the scan oracle ``permstat._accumulate_scan`` (every word
+through ``stat_tuple``), and checks that the two agree.  Last, for the algebra layer, it times three computations
 at the given order (default 12) that are nearly all ``LaurentPoly``
 products: ``preset("thm4.1").expand``, ``q_parity_formula`` and the Laguerre
 transfer pass, and reports their term products (pairs of terms multiplied in
@@ -19,13 +18,7 @@ import sys
 import time
 
 from pqeuler import contfrac, lattice, permstat, qeuler
-from pqeuler._statpure import stat_tuple as pure_stat
 from pqeuler.algebra import LaurentPoly
-
-try:
-    from pqeuler._statcore import stat_tuple as compiled_stat
-except ImportError:
-    compiled_stat = None
 
 
 def scan(fn, n):
@@ -82,16 +75,9 @@ def algebra_layer(order):
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     order = int(sys.argv[2]) if len(sys.argv) > 2 else 12
-    count, t_pure = scan(pure_stat, n)
-    print(f"pure:     {count} words in {t_pure:.3f}s "
-          f"({count / t_pure:,.0f}/s)")
-    if compiled_stat is None:
-        print("compiled: extension not available")
-    else:
-        count, t_comp = scan(compiled_stat, n)
-        print(f"compiled: {count} words in {t_comp:.3f}s "
-              f"({count / t_comp:,.0f}/s)")
-        print(f"speedup:  {t_pure / t_comp:.1f}x")
+    count, t_kernel = scan(permstat.stat_tuple, n)
+    print(f"kernel: {count} words in {t_kernel:.3f}s "
+          f"({count / t_kernel:,.0f}/s)")
 
     weight = permstat.QUINTUPLE_WEIGHT
     plan = permstat._weight_plan(weight)
@@ -101,7 +87,7 @@ def main():
     if walk != LaurentPoly(oracle):
         raise SystemExit("stat_polynomial disagrees with the scan oracle")
     print(f"stat_polynomial S_{n} quintuple, 1 process: walk {t_walk:.3f}s, "
-          f"scan oracle ({permstat.BACKEND} kernel) {t_scan:.3f}s, "
+          f"scan oracle {t_scan:.3f}s, "
           f"{t_scan / t_walk:.1f}x")
     algebra_layer(order)
 

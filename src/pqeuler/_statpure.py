@@ -1,11 +1,10 @@
-"""Pure-Python statistics kernel.
+"""Pure-Python per-word statistics kernel.
 
 Computes every global permutation statistic of the library in one pass over a
-word in one-line notation (values 1..n).  It serves ``permstat.basic_stats``
-and the scan oracle ``permstat._accumulate_scan``; ``stat_polynomial`` does
-not call it.  A compiled twin with identical semantics lives in
-``_statcore.pyx``; which one is active is decided at import time in
-``permstat``.
+word in one-line notation (values 1..n).  It serves only
+``permstat.basic_stats`` (``pqeuler stats``), the bijection tests and the scan
+oracle ``permstat._accumulate_scan``; ``stat_polynomial``, ``stat_table`` and
+the checks do not call it.
 """
 
 STAT_FIELDS = (

@@ -73,6 +73,21 @@ def unpack(key: int) -> tuple:
     return tuple(reversed(digits))
 
 
+def _mul_into(out: dict, a: dict, b: dict) -> dict:
+    """Add the product of the packed term maps a and b into out."""
+    get = out.get
+    inner = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in inner:
+            e = e1 + e2
+            v = get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
 class LaurentPoly:
     """Laurent polynomial in x, y, p, q, s with arbitrary-precision integer
     coefficients.
@@ -187,20 +202,22 @@ class LaurentPoly:
                 {e: c * other for e, c in self.terms.items()}, self.bound)
         bound = self.bound + other.bound
         _check_bound(bound)
-        out: dict = {}
-        get = out.get
-        inner = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in inner:
-                e = e1 + e2
-                v = get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return LaurentPoly._packed(out, bound)
+        return LaurentPoly._packed(_mul_into({}, self.terms, other.terms), bound)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, xs, ys) -> "LaurentPoly":
+        """sum(x * y for x, y in zip(xs, ys)), with every product added
+        straight into one map rather than built and then added."""
+        out: dict = {}
+        bound = 0
+        for x, y in zip(xs, ys):
+            b = x.bound + y.bound
+            _check_bound(b)
+            bound = max(bound, b)
+            _mul_into(out, x.terms, y.terms)
+        return cls._packed(out, bound)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -435,14 +452,19 @@ class RatPoly:
 
 
 class CoeffRing:
-    __slots__ = ("name", "zero", "one", "is_unit", "unit_inv")
+    """``dot(xs, ys)`` is the sum of the products x * y of paired elements;
+    by default it adds them one at a time from ``zero``."""
 
-    def __init__(self, name, zero, one, is_unit, unit_inv):
+    __slots__ = ("name", "zero", "one", "is_unit", "unit_inv", "dot")
+
+    def __init__(self, name, zero, one, is_unit, unit_inv, dot=None):
         self.name = name
         self.zero = zero
         self.one = one
         self.is_unit = is_unit
         self.unit_inv = unit_inv
+        self.dot = dot or (
+            lambda xs, ys: sum((x * y for x, y in zip(xs, ys)), zero))
 
 
 LAURENT_RING = CoeffRing(
@@ -451,6 +473,7 @@ LAURENT_RING = CoeffRing(
     LaurentPoly.const(1),
     lambda c: c.is_unit_monomial(),
     lambda c: c.unit_inverse(),
+    LaurentPoly.dot,
 )
 
 
@@ -542,9 +565,7 @@ class TruncSeries:
         inv0 = self.ring.unit_inv(c0)
         out = [inv0]
         for k in range(1, self.order + 1):
-            acc = self.ring.zero
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
+            acc = self.ring.dot(self.coeffs[1:k + 1], out[k - 1::-1])
             out.append(-(inv0 * acc))
         return TruncSeries(self.order, out, self.ring)
 

@@ -140,17 +140,7 @@ def _verify_bij(name: str, n: int) -> str | None:
             return "image is not the full set of histories"
         return None
     if name == "csz":
-        images = set()
-        for sigma in family_iter("S", n):
-            tau = csz(sigma)
-            images.add(tau.word)
-            a, b = basic_stats(sigma), basic_stats(tau)
-            if (a.ndes, a.fmax, a.toht, a.thto, a.mad) != \
-                    (b.wex, b.fix, b.cros, b.nest, b.inv):
-                return f"statistics not carried over at {sigma}"
-        if len(images) != math.factorial(n):
-            return "images collide"
-        return None
+        return harness.certify_csz(n)
     if name == "phi":
         for sigma in family_iter("S", n):
             if invol_phi(invol_phi(sigma)) != sigma:

@@ -8,10 +8,8 @@ are always exercised).
 
 from __future__ import annotations
 
-import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import LAURENT_RING, LaurentPoly, TruncSeries
@@ -28,12 +26,13 @@ from .contfrac import (
 )
 from .maps import csz, invol_phi, invol_psi
 from .permstat import (
-    Permutation,
-    basic_stats,
+    LINEAR_QUINTUPLE_WEIGHT,
+    QUINTUPLE_WEIGHT,
     family_contains,
     family_iter,
+    lex_rank,
     stat_polynomial,
-    QUINTUPLE_WEIGHT,
+    stat_table,
 )
 from .qeuler import (
     AT_ONE,
@@ -188,20 +187,35 @@ def _check_cor2_3(order: int):
                        lambda n: e_star_q(n, cap=order))
 
 
+def certify_csz(n: int):
+    """Witness that csz is not a bijection of S_n carrying (ndes, fmax, toht,
+    thto, mad) to (wex, fix, cros, nest, inv), or None if it is.
+
+    Both sides read their statistics from one ``stat_table`` each, as
+    exponent vectors (x, y, p, q, s) of the two quintuple weights.
+    """
+    linear = stat_table(n, LINEAR_QUINTUPLE_WEIGHT)
+    quintuple = stat_table(n, QUINTUPLE_WEIGHT)
+    seen = bytearray(len(quintuple))
+    for rank, sigma in enumerate(family_iter("S", n)):
+        tau = csz(sigma)
+        if len(tau) != n:
+            return f"sigma={sigma}: image {tau} is not in S_{n}"
+        image = lex_rank(tau.word)
+        if seen[image]:
+            return f"n={n}: biword map is not injective (tau={tau})"
+        seen[image] = 1
+        if linear[rank] != quintuple[image]:
+            return (f"sigma={sigma}: {linear[rank]} != {quintuple[image]} "
+                    f"(tau={tau})")
+    return None
+
+
 def _check_thm3_2(nmax: int):
     for n in range(1, nmax + 1):
-        images = set()
-        for sigma in family_iter("S", n):
-            tau = csz(sigma)
-            images.add(tau.word)
-            a = basic_stats(sigma)
-            b = basic_stats(tau)
-            left = (a.ndes, a.fmax, a.toht, a.thto, a.mad)
-            right = (b.wex, b.fix, b.cros, b.nest, b.inv)
-            if left != right:
-                return f"sigma={sigma}: {left} != {right} (tau={tau})"
-        if len(images) != math.factorial(n):
-            return f"n={n}: biword map is not injective"
+        why = certify_csz(n)
+        if why:
+            return why
     return None
 
 
@@ -332,29 +346,40 @@ def _check_sz_linear(nmax: int):
     return None
 
 
+# (ndes, toht, mad) as the first three digits of a stat_table vector
+_INVOLUTION_WEIGHT = {"x": {"ndes": 1}, "y": {"toht": 1}, "p": {"mad": 1}}
+
+
 def _involution_certificates(n: int):
-    for sigma in family_iter("S", n):
+    stats = stat_table(n, _INVOLUTION_WEIGHT)
+    for rank, sigma in enumerate(family_iter("S", n)):
         tau = invol_phi(sigma)
+        if len(tau) != n:
+            return f"sigma={sigma}: image {tau} is not in S_{n}"
         if invol_phi(tau) != sigma:
             return f"n={n} sigma={sigma}: first involution not self-inverse"
         fixed = family_contains("Aprime", sigma.word)
         if fixed != (tau == sigma):
             return f"n={n} sigma={sigma}: wrong fixed set for first involution"
         if not fixed:
-            a, b = basic_stats(sigma), basic_stats(tau)
-            if a.toht != b.toht or abs(a.ndes - b.ndes) != 1:
+            a_ndes, a_toht, _, _, _ = stats[rank]
+            b_ndes, b_toht, _, _, _ = stats[lex_rank(tau.word)]
+            if a_toht != b_toht or abs(a_ndes - b_ndes) != 1:
                 return f"n={n} sigma={sigma}: first involution statistic deltas"
     for sigma in family_iter("Dstar", n):
         tau = invol_psi(sigma)
+        if len(tau) != n:
+            return f"sigma={sigma}: image {tau} is not in S_{n}"
         if invol_psi(tau) != sigma:
             return f"n={n} sigma={sigma}: second involution not self-inverse"
         fixed = family_contains("Adoubleprime", sigma.word)
         if fixed != (tau == sigma):
             return f"n={n} sigma={sigma}: wrong fixed set for second involution"
         if not fixed:
-            a, b = basic_stats(sigma), basic_stats(tau)
-            if (a.toht - b.toht != a.ndes - b.ndes
-                    or abs(a.ndes - b.ndes) != 1 or a.mad != b.mad):
+            a_ndes, a_toht, a_mad, _, _ = stats[lex_rank(sigma.word)]
+            b_ndes, b_toht, b_mad, _, _ = stats[lex_rank(tau.word)]
+            if (a_toht - b_toht != a_ndes - b_ndes
+                    or abs(a_ndes - b_ndes) != 1 or a_mad != b_mad):
                 return f"n={n} sigma={sigma}: second involution statistic deltas"
     return None
 
@@ -395,18 +420,18 @@ def _check_sec7(nmax: int):
     return None
 
 
+# pairs of statistics with one joint distribution over S_n
+_EQUIDIST_PAIRS = (("suc", "ndes"), ("fmax", "ndes"), ("fix", "wex"))
+
+
 def _check_equidist_remark(nmax: int):
     for n in range(1, nmax + 1):
-        suc_ndes = Counter()
-        fmax_ndes = Counter()
-        fix_wex = Counter()
-        for sigma in family_iter("S", n):
-            st = basic_stats(sigma)
-            suc_ndes[(st.suc, st.ndes)] += 1
-            fmax_ndes[(st.fmax, st.ndes)] += 1
-            fix_wex[(st.fix, st.wex)] += 1
-        if not (suc_ndes == fmax_ndes == fix_wex):
-            return f"n={n}: pair distributions differ"
+        first, *rest = (stat_polynomial("S", n, {"x": {a: 1}, "y": {b: 1}})
+                        for a, b in _EQUIDIST_PAIRS)
+        for pair, dist in zip(_EQUIDIST_PAIRS[1:], rest):
+            if dist != first:
+                return (f"n={n}: {pair} distribution {dist} != "
+                        f"{_EQUIDIST_PAIRS[0]} distribution {first}")
     return None
 
 

@@ -1,12 +1,12 @@
 """Permutations, their statistics, and the permutation families.
 
 Words are in one-line notation on 1..n.  ``stat_polynomial`` sums a weight
-over a family by a depth-first walk over prefixes that prunes the family as
-each letter is appended and updates only the weighted statistics.  The
-per-word kernel ``stat_tuple`` serves ``basic_stats`` and the scan oracle
-``_accumulate_scan``: it is the compiled extension ``_statcore`` when
-available, with ``_statpure`` as the pure-Python fallback; set PQEULER_PURE=1
-to force the fallback.
+over a family, and ``stat_table`` lists the weight's exponent vector of every
+word of S_n, both from a depth-first walk over prefixes that prunes the
+family as each letter is appended and updates only the weighted statistics.
+The per-word kernel ``stat_tuple`` (from ``_statpure``) serves only
+``basic_stats`` (``pqeuler stats``), the bijection tests and the scan oracle
+``_accumulate_scan``.
 """
 
 from __future__ import annotations
@@ -18,18 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 from .algebra import LaurentPoly, VARS
-from ._statpure import STAT_FIELDS, stat_tuple as _stat_tuple_pure
+from ._statpure import STAT_FIELDS, stat_tuple
 
-if os.environ.get("PQEULER_PURE"):
-    stat_tuple = _stat_tuple_pure
-    BACKEND = "pure"
-else:
-    try:
-        from ._statcore import stat_tuple  # type: ignore[no-redef]
-        BACKEND = "compiled"
-    except ImportError:
-        stat_tuple = _stat_tuple_pure
-        BACKEND = "pure"
+BACKEND = "pure"
 
 STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 
@@ -299,8 +290,7 @@ def family_contains(family: str, word) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
-def iter_family_words(family: str, n: int, cap: int = DEFAULT_CAP):
-    """Words of the family in lexicographic order (raw tuples)."""
+def _check_size(family: str, n: int, cap: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 0:
@@ -308,6 +298,11 @@ def iter_family_words(family: str, n: int, cap: int = DEFAULT_CAP):
     if n > cap:
         raise EnumerationCapError(
             f"enumeration too large: n={n} exceeds cap {cap}")
+
+
+def iter_family_words(family: str, n: int, cap: int = DEFAULT_CAP):
+    """Words of the family in lexicographic order (raw tuples)."""
+    _check_size(family, n, cap)
     if n == 0:
         if family in ("S", "A", "Astar"):
             yield ()
@@ -402,9 +397,11 @@ def _unpack(key: int, width: int) -> tuple:
     return tuple(exps)
 
 
-def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
+def _accumulate(family: str, n: int, plan, firsts=None, keys=None) -> dict:
     """{exponent vector: count} over the family's words of size n whose first
-    letter is in ``firsts`` (default: any).
+    letter is in ``firsts`` (default: any).  With a list as ``keys``, append
+    each word's packed key to it in lexicographic order instead, and return
+    an empty dict (for n >= 1; see ``stat_table``).
 
     A depth-first walk over prefixes, in the manner of lexicographic
     generation with restricted prefixes (Knuth, TAOCP 4A 7.2.1.2, Algorithm
@@ -507,7 +504,10 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
                     k += w_fmax + w_suc
                 if v == 1:
                     k += w_adj
-                counts[k] = counts.get(k, 0) + 1
+                if keys is None:
+                    counts[k] = counts.get(k, 0) + 1
+                else:
+                    keys.append(k)
             else:
                 prefix[p] = used | bv
                 walk(p + 1, used | bv, v, new_max, k,
@@ -515,6 +515,39 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
 
     walk(1, 0, 0, 0, start, 0)
     return {_unpack(key, width): count for key, count in counts.items()}
+
+
+def stat_table(n: int, weight: dict) -> list:
+    """The weight's exponent vector of every word of S_n, indexed by the
+    word's ``lex_rank``, from one prefix walk.
+
+    The walk visits S_n in lexicographic order, so the i-th key it leaves is
+    that of the word of rank i.  Equal keys share one unpacked vector.
+    """
+    _check_size("S", n, DEFAULT_CAP)
+    plan = _weight_plan(weight)
+    if n == 0:
+        return [(0,) * len(VARS)]
+    keys: list = []
+    _accumulate("S", n, plan, keys=keys)
+    width = _packed_plan(plan, n)[2]
+    vectors = {key: _unpack(key, width) for key in set(keys)}
+    return [vectors[key] for key in keys]
+
+
+def lex_rank(word) -> int:
+    """Index of a word of S_n among all of S_n in lexicographic order.
+
+    Horner's rule over its Lehmer code (Lehmer, 1960): the code's i-th digit
+    counts the values below word[i] still free, read off a bit mask of the
+    values already placed.
+    """
+    n = len(word)
+    rank = used = 0
+    for i, v in enumerate(word):
+        rank = rank * (n - i) + v - 1 - (used & ((1 << v) - 1)).bit_count()
+        used |= 1 << v
+    return rank
 
 
 def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
@@ -564,13 +597,7 @@ def stat_polynomial(family: str, n: int, weight: dict,
     Enumeration is split by first letter across processes when ``workers`` > 1
     and n >= parallel_threshold; the result is independent of the split.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise EnumerationCapError(
-            f"enumeration too large: n={n} exceeds cap {cap}")
+    _check_size(family, n, cap)
     plan = _weight_plan(weight)
     workers = default_workers() if workers is None else workers
     if workers > 1 and n >= parallel_threshold:

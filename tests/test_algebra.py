@@ -52,6 +52,8 @@ def test_ring_axioms(a, b, c):
     assert a + LaurentPoly() == a
     assert a * LaurentPoly.const(1) == a
     assert a - a == LaurentPoly()
+    assert LaurentPoly.dot([a, b, c], [b, c, a]) == a * b + b * c + c * a
+    assert LaurentPoly.dot([a, -a], [b, b]).terms == {}
 
 
 @given(laurent_polys())
@@ -94,6 +96,8 @@ def test_products_never_carry_between_digits():
     assert (a * b).sorted_terms() == [((0, EXP_LIMIT - 1, -(EXP_LIMIT - 1), 0, -1), 2)]
     with pytest.raises(OverflowError):
         a * a
+    with pytest.raises(OverflowError):
+        LaurentPoly.dot([b, a], [b, a])
     with pytest.raises(OverflowError):
         a * LaurentPoly.var("p", -half)
     quarter = LaurentPoly.var("s", EXP_LIMIT // 4)

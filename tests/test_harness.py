@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from pqeuler import harness
+from pqeuler import harness, permstat
 from pqeuler.cli import main, parse_weight
+from pqeuler.permstat import Permutation, basic_stats, family_iter
 
 
 @pytest.mark.parametrize("cid", harness.CHECK_IDS)
@@ -11,6 +12,63 @@ def test_every_check_passes_small(cid):
     param = {"contra": 8, "sec7": 8}.get(cid, 5)
     report = harness.check(cid, param)
     assert report.passed, report.witness
+
+
+PER_WORD_CHECKS = ("thm3_2", "sz_linear", "equidist_remark")
+
+
+@pytest.mark.parametrize("cid", PER_WORD_CHECKS)
+def test_per_word_checks_pass_through_8(cid):
+    for param in (0, 8):
+        report = harness.check(cid, param)
+        assert report.passed, report.witness
+
+
+def test_per_word_checks_never_call_the_kernel(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a check called the per-word kernel")
+
+    monkeypatch.setattr(permstat, "stat_tuple", forbidden)
+    monkeypatch.setattr(permstat, "basic_stats", forbidden)
+    monkeypatch.setattr(harness, "basic_stats", forbidden, raising=False)
+    for cid in PER_WORD_CHECKS:
+        report = harness.check(cid, 6)
+        assert report.passed, report.witness
+
+
+def test_thm3_2_fails_when_two_csz_images_are_swapped(monkeypatch):
+    real = harness.csz
+    a, b = Permutation((1, 2, 3, 4)), Permutation((1, 2, 4, 3))
+    swapped = {a: real(b), b: real(a)}
+    monkeypatch.setattr(harness, "csz",
+                        lambda sigma: swapped.get(sigma) or real(sigma))
+    report = harness.check("thm3_2", 5)
+    assert not report.passed
+    assert report.witness.startswith("sigma=1234:")
+
+
+def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
+    # swap the partners of two moved words of equal ndes: still an
+    # involution with the same fixed set, but ndes no longer changes by 1
+    real = harness.invol_phi
+    moved = [s for s in family_iter("S", 4) if real(s) != s]
+    a, b = next((s, t) for s in moved for t in moved
+                if t not in (s, real(s))
+                and basic_stats(s).ndes == basic_stats(t).ndes)
+    fake = {a: b, b: a, real(a): real(b), real(b): real(a)}
+    monkeypatch.setattr(harness, "invol_phi",
+                        lambda sigma: fake.get(sigma) or real(sigma))
+    report = harness.check("sz_linear", 5)
+    assert not report.passed
+    assert "first involution statistic deltas" in report.witness
+
+
+def test_equidist_remark_fails_on_a_pair_of_another_distribution(monkeypatch):
+    monkeypatch.setattr(harness, "_EQUIDIST_PAIRS",
+                        (("suc", "ndes"), ("des", "fix"), ("fix", "wex")))
+    report = harness.check("equidist_remark", 5)
+    assert not report.passed
+    assert "('des', 'fix') distribution" in report.witness
 
 
 def test_check_report_shape():
@@ -96,6 +154,7 @@ def test_cli_bij(capsys):
 def test_cli_bij_verify(capsys):
     assert main(["bij", "fv", "--verify", "--n", "5"]) == 0
     assert main(["bij", "psi", "--verify", "--n", "5"]) == 0
+    assert main(["bij", "csz", "--verify", "--n", "5"]) == 0
 
 
 def test_cli_export(tmp_path, capsys):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from pqeuler import permstat
 from pqeuler.algebra import VARS, LaurentPoly
 from pqeuler.qeuler import e_pq
+from pqeuler._statpure import stat_tuple
 from pqeuler.permstat import (
+    BACKEND,
     EnumerationCapError,
     FAMILIES,
     LINEAR_QUINTUPLE_WEIGHT,
@@ -23,9 +25,11 @@ from pqeuler.permstat import (
     inv_parts,
     is_coderangement,
     iter_family_words,
+    lex_rank,
     nest_k,
     pattern_k,
     stat_polynomial,
+    stat_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,8 @@ def test_cap_errors():
         list(iter_family_words("S", 12))
     with pytest.raises(EnumerationCapError):
         stat_polynomial("S", 12, QUINTUPLE_WEIGHT)
+    with pytest.raises(EnumerationCapError):
+        stat_table(12, QUINTUPLE_WEIGHT)
 
 
 def test_unknown_family():
@@ -248,6 +254,16 @@ def test_worker_count_from_environment(monkeypatch):
 def test_negative_n_is_rejected():
     with pytest.raises(ValueError):
         stat_polynomial("S", -2, {"x": {"wex": 1}})
+    with pytest.raises(ValueError):
+        stat_table(-1, {"x": {"wex": 1}})
+
+
+def test_backend_identifier():
+    assert BACKEND == "pure"
+
+
+def test_field_count():
+    assert len(stat_tuple((2, 1, 3))) == len(STAT_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +364,28 @@ def test_unknown_weight_variable_is_rejected(weight):
     bad = next(var for var in weight if var not in VARS)
     with pytest.raises(ValueError, match=repr(bad)):
         stat_polynomial("S", 3, weight)
+
+
+# ---------------------------------------------------------------------------
+# the per-word table from the walk against the per-word kernel
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_stat_table_matches_stat_tuple(n):
+    words = list(itertools.permutations(range(1, n + 1)))
+    kernel = [stat_tuple(w) for w in words]
+    weights = [{"x": {stat: 1}} for stat in STAT_FIELDS]
+    for weight in weights + [QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT]:
+        table = stat_table(n, weight)
+        assert len(table) == len(words)
+        for w, st_w, got in zip(words, kernel, table):
+            want = tuple(sum(c * st_w[STAT_FIELDS.index(stat)]
+                             for stat, c in weight.get(var, {}).items())
+                         for var in VARS)
+            assert got == want, (w, weight)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_lex_rank_is_the_index_in_permutations(n):
+    for i, w in enumerate(itertools.permutations(range(1, n + 1))):
+        assert lex_rank(w) == i
