@@ -6,8 +6,6 @@ integer/rational arithmetic."""
 from .algebra import (
     LaurentPoly,
     NotInvertibleError,
-    RatPoly,
-    RationalFunctionQ,
     TruncSeries,
     bracket,
     pq_bracket,

@@ -1,10 +1,9 @@
 """Exact arithmetic kernel.
 
 Multivariate Laurent polynomials over the fixed variable universe
-``(x, y, p, q, s)`` with big-integer coefficients, rational-coefficient
-polynomials in ``(x, y)``, truncated power series in ``t`` over either ring,
-single-variable rational functions in ``q``, and the small q-calculus toolbox
-(brackets, factorials, Pochhammer symbols).
+``(x, y, p, q, s)`` with big-integer coefficients, truncated power series in
+``t`` over them, exact division of q-only polynomials, and the small
+q-calculus toolbox (brackets, factorials, rising factorials).
 
 A LaurentPoly stores each exponent vector as one packed int (Kronecker
 substitution): the five exponents are balanced digits base 2**EXP_BITS
@@ -24,7 +23,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 VARS = ("x", "y", "p", "q", "s")
 NVARS = len(VARS)
@@ -330,192 +329,40 @@ class LaurentPoly:
         return cls({tuple(item["e"]): int(item["c"]) for item in data})
 
 
-class RatPoly:
-    """Polynomial in x and y with rational coefficients (nonnegative exponents).
-
-    Used for the exponential generating function coefficients; same canonical
-    form rules as LaurentPoly.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[e] = c
-
-    @classmethod
-    def const(cls, c) -> "RatPoly":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def monomial(cls, coeff, ex: int = 0, ey: int = 0) -> "RatPoly":
-        return cls({(ex, ey): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        res = RatPoly.__new__(RatPoly)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = RatPoly.__new__(RatPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RatPoly()
-            res = RatPoly.__new__(RatPoly)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        res = RatPoly.__new__(RatPoly)
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.const(other)
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, xv, yv) -> Fraction:
-        xv, yv = Fraction(xv), Fraction(yv)
-        return sum((c * xv**a * yv**b for (a, b), c in self.terms.items()),
-                   Fraction(0))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b), c in sorted(self.terms.items(), reverse=True):
-            factors = []
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            if b:
-                factors.append("y" if b == 1 else f"y^{b}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
-
-    __repr__ = __str__
-
-    def to_json(self) -> list:
-        out = []
-        for (a, b), c in sorted(self.terms.items()):
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            out.append({"e": [a, b, 0, 0, 0], "c": cs})
-        return out
-
-
-# ---------------------------------------------------------------------------
-# coefficient-ring adapters for truncated series
-
-
-class CoeffRing:
-    """``dot(xs, ys)`` is the sum of the products x * y of paired elements;
-    by default it adds them one at a time from ``zero``."""
-
-    __slots__ = ("name", "zero", "one", "is_unit", "unit_inv", "dot")
-
-    def __init__(self, name, zero, one, is_unit, unit_inv, dot=None):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.is_unit = is_unit
-        self.unit_inv = unit_inv
-        self.dot = dot or (
-            lambda xs, ys: sum((x * y for x, y in zip(xs, ys)), zero))
-
-
-LAURENT_RING = CoeffRing(
-    "laurent",
-    LaurentPoly(),
-    LaurentPoly.const(1),
-    lambda c: c.is_unit_monomial(),
-    lambda c: c.unit_inverse(),
-    LaurentPoly.dot,
-)
-
-
-def _ratpoly_is_unit(c: RatPoly) -> bool:
-    return len(c.terms) == 1 and (0, 0) in c.terms
-
-
-def _ratpoly_inv(c: RatPoly) -> RatPoly:
-    if not _ratpoly_is_unit(c):
-        raise NotInvertibleError(f"not invertible: {c}")
-    return RatPoly.const(1 / c.terms[(0, 0)])
-
-
-RATPOLY_RING = CoeffRing("ratpoly", RatPoly(), RatPoly.const(1),
-                         _ratpoly_is_unit, _ratpoly_inv)
-
-FRACTION_RING = CoeffRing("fraction", Fraction(0), Fraction(1),
-                          lambda c: c != 0, lambda c: 1 / c)
+_ZERO = LaurentPoly()
+_ONE = LaurentPoly.const(1)
 
 
 class TruncSeries:
-    """Power series in t truncated at a fixed order N (coefficients 0..N)."""
+    """Power series in t truncated at a fixed order N (coefficients 0..N),
+    with LaurentPoly coefficients.
 
-    __slots__ = ("order", "coeffs", "ring")
+    ``ring`` and the second argument of ``one`` are kept only for callers
+    written against the former pluggable-ring API (perfbench's planted-fault
+    test passes ``series.ring`` back to ``one``); every series is over
+    LaurentPoly and both are ignored.
+    """
 
-    def __init__(self, order: int, coeffs, ring: CoeffRing):
+    __slots__ = ("order", "coeffs")
+
+    ring = LaurentPoly
+
+    def __init__(self, order: int, coeffs=()):
         coeffs = list(coeffs)[: order + 1]
-        coeffs += [ring.zero] * (order + 1 - len(coeffs))
+        coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.order = order
         self.coeffs = coeffs
-        self.ring = ring
 
     @classmethod
-    def const(cls, c, order: int, ring: CoeffRing) -> "TruncSeries":
-        return cls(order, [c], ring)
+    def const(cls, c: LaurentPoly, order: int) -> "TruncSeries":
+        return cls(order, [c])
 
     @classmethod
-    def one(cls, order: int, ring: CoeffRing) -> "TruncSeries":
-        return cls(order, [ring.one], ring)
+    def one(cls, order: int, ring=None) -> "TruncSeries":
+        return cls(order, [_ONE])
 
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k <= self.order else self.ring.zero
+    def coeff(self, k: int) -> LaurentPoly:
+        return self.coeffs[k] if 0 <= k <= self.order else _ZERO
 
     def _check(self, other):
         if self.order != other.order:
@@ -524,50 +371,36 @@ class TruncSeries:
     def __add__(self, other):
         self._check(other)
         return TruncSeries(self.order,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                           self.ring)
+                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check(other)
         return TruncSeries(self.order,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)],
-                           self.ring)
+                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return TruncSeries(self.order, [-a for a in self.coeffs], self.ring)
+        return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
-        n = self.order
-        out = [self.ring.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if isinstance(a, (LaurentPoly, RatPoly)) and a.is_zero():
-                continue
-            if a == self.ring.zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out, self.ring)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(self.order, [LaurentPoly.dot(a[:k + 1], b[k::-1])
+                                        for k in range(self.order + 1)])
 
-    def scale(self, c):
-        return TruncSeries(self.order, [c * a for a in self.coeffs], self.ring)
+    def scale(self, c: LaurentPoly):
+        return TruncSeries(self.order, [c * a for a in self.coeffs])
 
     def shift(self, k: int):
         """Multiply by t^k; coefficients beyond the order are dropped."""
-        return TruncSeries(self.order, [self.ring.zero] * k + self.coeffs,
-                           self.ring)
+        return TruncSeries(self.order, [_ZERO] * k + self.coeffs)
 
     def recip(self) -> "TruncSeries":
-        c0 = self.coeffs[0]
-        if not self.ring.is_unit(c0):
-            raise NotInvertibleError(f"not invertible: constant term {c0}")
-        inv0 = self.ring.unit_inv(c0)
+        inv0 = self.coeffs[0].unit_inverse()
         out = [inv0]
         for k in range(1, self.order + 1):
-            acc = self.ring.dot(self.coeffs[1:k + 1], out[k - 1::-1])
+            acc = LaurentPoly.dot(self.coeffs[1:k + 1], out[k - 1::-1])
             out.append(-(inv0 * acc))
-        return TruncSeries(self.order, out, self.ring)
+        return TruncSeries(self.order, out)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -577,16 +410,9 @@ class TruncSeries:
     def __str__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
-            if isinstance(c, (LaurentPoly, RatPoly)):
-                if c.is_zero():
-                    continue
-                cs = str(c)
-                multi = len(c.terms) > 1
-            else:
-                if c == 0:
-                    continue
-                cs = str(c)
-                multi = False
+            if c.is_zero():
+                continue
+            cs = str(c)
             if k == 0:
                 parts.append(cs)
                 continue
@@ -595,7 +421,7 @@ class TruncSeries:
                 parts.append(tpart)
             elif cs == "-1":
                 parts.append(f"-{tpart}")
-            elif multi:
+            elif len(c.terms) > 1:
                 parts.append(f"({cs})*{tpart}")
             else:
                 parts.append(f"{cs}*{tpart}")
@@ -603,8 +429,7 @@ class TruncSeries:
 
     def to_json(self) -> dict:
         return {"order": self.order,
-                "coeffs": [c.to_json() if hasattr(c, "to_json") else str(c)
-                           for c in self.coeffs]}
+                "coeffs": [c.to_json() for c in self.coeffs]}
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +468,6 @@ def q_factorial(n: int) -> LaurentPoly:
     return acc
 
 
-def q_pochhammer(base_exponent: int, step_exponent: int, k: int) -> LaurentPoly:
-    """Product over i < k of (1 - q^(base + i*step)); e.g. (q^2;q^2)_k = (2,2,k)."""
-    acc = LaurentPoly.const(1)
-    for i in range(k):
-        acc = acc * (LaurentPoly.const(1)
-                     - LaurentPoly.var("q", base_exponent + i * step_exponent))
-    return acc
-
-
 def rising_factorial(a, k: int) -> Fraction:
     """(a)_k = a (a+1) ... (a+k-1); 1 when k = 0."""
     if k < 0:
@@ -664,7 +480,7 @@ def rising_factorial(a, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# rational functions in q
+# exact division in q
 
 _Q_IDX = VAR_INDEX["q"]
 _Q_PLACE = _PLACE[_Q_IDX]
@@ -719,42 +535,3 @@ def q_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     shift = nmin - dmin
     return _from_q_dict({i + shift: c for i, c in enumerate(quot)})
 
-
-class RationalFunctionQ:
-    """Quotient of two q-only Laurent polynomials; equality by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        den = LaurentPoly.const(1) if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def __sub__(self, other):
-        return RationalFunctionQ(self.num * other.den - other.num * self.den,
-                                 self.den * other.den)
-
-    def __mul__(self, other):
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
-
-    def __neg__(self):
-        return RationalFunctionQ(-self.num, self.den)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = RationalFunctionQ(other)
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def normalize(self) -> LaurentPoly:
-        """Clear the denominator; raises if the value is not a Laurent polynomial."""
-        quot = q_div_exact(self.num, self.den)
-        if quot is None:
-            raise ArithmeticError("rational function does not reduce to a polynomial")
-        return quot
-
-    def __str__(self):
-        return f"({self.num}) / ({self.den})"

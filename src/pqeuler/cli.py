@@ -13,7 +13,6 @@ import sys
 from dataclasses import asdict
 
 from . import harness
-from .algebra import LAURENT_RING
 from .contfrac import PRESET_NAMES, preset
 from .lattice import enumerate_objects
 from .maps import csz, csz_biwords, fv, fv_star, fz, invol_phi, invol_psi
@@ -21,7 +20,6 @@ from .permstat import (
     FAMILIES,
     Permutation,
     basic_stats,
-    family_contains,
     family_iter,
     stat_polynomial,
     STAT_FIELDS,
@@ -43,6 +41,8 @@ def parse_weight(text: str) -> dict:
         if "=" not in clause:
             raise UsageError(f"bad weight clause {clause!r} (want var=expr)")
         var, expr = (part.strip() for part in clause.split("=", 1))
+        if var in weight:
+            raise UsageError(f"weight variable {var!r} is given twice")
         stats: dict = {}
         for term in expr.split("+"):
             term = term.strip()
@@ -109,7 +109,7 @@ _BIJ_MAPS = {"fv": fv, "fv-star": fv_star, "fz": fz,
 def _verify_bij(name: str, n: int) -> str | None:
     if name == "fv":
         if n % 2 == 0:
-            return "fv verification needs odd n"
+            raise UsageError("fv verification needs odd n")
         images = {fv(s) for s in family_iter("A", n)}
         paths = list(enumerate_objects("diagramme", n - 1))
         if len(images) != sum(1 for _ in family_iter("A", n)):
@@ -121,7 +121,7 @@ def _verify_bij(name: str, n: int) -> str | None:
         return None
     if name == "fv-star":
         if n % 2 == 1:
-            return "fv-star verification needs even n"
+            raise UsageError("fv-star verification needs even n")
         images = {fv_star(s) for s in family_iter("A", n)}
         paths = list(enumerate_objects("restricted_diagramme", n))
         if len(images) != sum(1 for _ in family_iter("A", n)):
@@ -200,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named identity check")
     p.add_argument("id", choices=harness.CHECK_IDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--order", type=int)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--n", type=int)
+    size.add_argument("--order", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -16,15 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import (
-    CoeffRing,
-    LAURENT_RING,
-    LaurentPoly,
-    TruncSeries,
-    bracket,
-    pq_bracket,
-    q_bracket,
-)
+from .algebra import LaurentPoly, TruncSeries, bracket, pq_bracket, q_bracket
 from .lattice import transfer
 
 
@@ -42,10 +34,9 @@ class JFraction:
 
     b: Callable[[int], LaurentPoly]
     ac: Callable[[int], LaurentPoly]
-    depth: int | None = None
 
-    def expand(self, order: int, ring: CoeffRing = LAURENT_RING) -> TruncSeries:
-        return expand_j(self, order, ring)
+    def expand(self, order: int) -> TruncSeries:
+        return expand_j(self, order)
 
 
 @dataclass(frozen=True)
@@ -54,36 +45,33 @@ class SFraction:
 
     c: Callable[[int], LaurentPoly]
     power: int = 1
-    depth: int | None = None
 
-    def expand(self, order: int, ring: CoeffRing = LAURENT_RING) -> TruncSeries:
-        return expand_s(self, order, ring)
+    def expand(self, order: int) -> TruncSeries:
+        return expand_s(self, order)
 
 
 def _s_levels(sf: SFraction, order: int, depth: int | None) -> int:
-    return depth if depth is not None else (sf.depth or order // sf.power + 1)
+    return depth if depth is not None else order // sf.power + 1
 
 
-def expand_j(jf: JFraction, order: int,
-             ring: CoeffRing = LAURENT_RING, depth: int | None = None) -> TruncSeries:
+def expand_j(jf: JFraction, order: int, depth: int | None = None) -> TruncSeries:
     """Paths with up weight ac_h, level weight b_h and down weight 1, summed
     per length by the transfer pass."""
-    depth = depth if depth is not None else (jf.depth or _depth_for(order))
-    return TruncSeries(order, transfer(jf.ac, jf.b, None, depth, order), ring)
+    depth = depth if depth is not None else _depth_for(order)
+    return TruncSeries(order, transfer(jf.ac, jf.b, None, depth, order))
 
 
-def expand_s(sf: SFraction, order: int,
-             ring: CoeffRing = LAURENT_RING, depth: int | None = None) -> TruncSeries:
+def expand_s(sf: SFraction, order: int, depth: int | None = None) -> TruncSeries:
     """Power 2: Dyck paths with up weight c_(h+1).  Power 1: the even
     contraction of the fraction cut to its first ``levels`` terms."""
     levels = _s_levels(sf, order, depth)
     if sf.power == 2:
         return TruncSeries(order, transfer(lambda h: sf.c(h + 1), None, None,
-                                           levels, order), ring)
+                                           levels, order))
     if sf.power != 1:
         raise ValueError("S-fractions have power 1 or 2")
     cut = SFraction(c=lambda k: sf.c(k) if k <= levels else _ZERO)
-    return expand_j(contract_even(cut), order, ring, depth=_depth_for(order))
+    return expand_j(contract_even(cut), order)
 
 
 def expand_by_convergents(fraction: JFraction | SFraction, order: int,
@@ -91,12 +79,12 @@ def expand_by_convergents(fraction: JFraction | SFraction, order: int,
     """The oracle for checks and tests: evaluate the fraction bottom-up with
     series reciprocals, exactly as displayed, from the tail 1 at the given
     depth."""
-    one = TruncSeries.one(order, LAURENT_RING)
+    one = TruncSeries.one(order)
     f = one
     if isinstance(fraction, JFraction):
-        depth = depth if depth is not None else (fraction.depth or _depth_for(order))
+        depth = depth if depth is not None else _depth_for(order)
         for h in range(depth - 1, -1, -1):
-            f = (one - TruncSeries.const(fraction.b(h), order, LAURENT_RING).shift(1)
+            f = (one - TruncSeries.const(fraction.b(h), order).shift(1)
                  - f.scale(fraction.ac(h)).shift(2)).recip()
         return f
     for k in range(_s_levels(fraction, order, depth), 0, -1):
@@ -137,17 +125,8 @@ def contract_odd(sf: SFraction):
     return c(1), JFraction(b=b, ac=ac)
 
 
-def contract(sf: SFraction, variant: str):
-    if variant == "even":
-        return contract_even(sf)
-    if variant == "odd":
-        return contract_odd(sf)
-    raise ValueError(f"unknown contraction variant {variant!r}")
-
-
-def expand_odd_contraction(c1: LaurentPoly, jf: JFraction, order: int,
-                           ring: CoeffRing = LAURENT_RING) -> TruncSeries:
-    return TruncSeries.one(order, ring) + expand_j(jf, order, ring).scale(c1).shift(1)
+def expand_odd_contraction(c1: LaurentPoly, jf: JFraction, order: int) -> TruncSeries:
+    return TruncSeries.one(order) + expand_j(jf, order).scale(c1).shift(1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +140,8 @@ class Preset:
     t_prefix: int = 0          # multiply the expansion by t^t_prefix
     s_form: SFraction | None = None  # equivalent S-fraction form, when one exists
 
-    def expand(self, order: int, ring: CoeffRing = LAURENT_RING) -> TruncSeries:
-        series = self.fraction.expand(order, ring)
+    def expand(self, order: int) -> TruncSeries:
+        series = self.fraction.expand(order)
         return series.shift(self.t_prefix) if self.t_prefix else series
 
 

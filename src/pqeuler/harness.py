@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import LAURENT_RING, LaurentPoly, TruncSeries
+from .algebra import LaurentPoly, TruncSeries
 from .contfrac import (
     JFraction,
     SFraction,
@@ -287,7 +287,7 @@ def _specialized_series_target(name: str, e_q_cf: list, e_star_q_cf: list):
             c = (LaurentPoly() if n % 2
                  else MINUS_Q ** (n // 2) * e_star_q_cf[n])
         coeffs.append(c)
-    return TruncSeries(order, coeffs, LAURENT_RING)
+    return TruncSeries(order, coeffs)
 
 
 SPECIALIZED = ("jv-tangent", "jv-secant", "sz-tangent", "sz-secant")

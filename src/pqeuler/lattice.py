@@ -10,6 +10,7 @@ always its starting ordinate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -222,27 +223,12 @@ def enumerate_objects(kind: str, length: int, cap: int = DEFAULT_LENGTH_CAP):
         else:
             heights = path.heights()
             ranges = [_xi_range(kind, s, h) for s, h in zip(steps, heights)]
-            for xi in _product(ranges):
+            for xi in itertools.product(*ranges):
                 if kind == "laguerre":
                     yield LaguerreHistory(path, xi)
                 else:
                     yield DyckDiagramme(path, xi,
                                         restricted=(kind == "restricted_diagramme"))
-
-
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    import itertools
-    yield from itertools.product(*ranges)
-
-
-def _step_weight(spec: WeightSpec, kind: str, step: str, h: int) -> LaurentPoly:
-    fn = {UP: spec.up, LEVEL: spec.level, DOWN: spec.down}[step]
-    if fn is None:
-        raise ValueError(f"weight spec has no {step} weight")
-    return fn(h)
 
 
 def weighted_sum(kind: str, length: int, spec: WeightSpec,
@@ -278,13 +264,15 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     # 2h + 1 <= length, down h >= 1 and 2h <= length
     reach = {UP: (length - 2) // 2, DOWN: length // 2,
              LEVEL: (length - 1) // 2 if allow_level else -1}
+    step_fns = {UP: _required(spec.up, UP), LEVEL: _required(spec.level, LEVEL),
+                DOWN: _required(spec.down, DOWN)}
     choices: dict = {}
     step_bound = 0
     for step, top in reach.items():
         for h in range(1 if step == DOWN else 0, top + 1):
             polys = ([spec.valuation(step, h, xi)
                       for xi in _xi_range(kind, step, h)] if xi_kind
-                     else [_step_weight(spec, kind, step, h)])
+                     else [step_fns[step](h)])
             branches = []
             for poly in polys:
                 step_bound = max(step_bound, poly.bound)

@@ -3,9 +3,9 @@
 Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (by enumeration and by
 continued fraction, the latter for every n up to a bound at once through
 ``e_pq_upto``), the exponential generating function of the
-(excedance, fixed point) distribution, and the closed summation formulas
-(the rational series, the parity-independent double sum, and their
-q-analogues).
+(excedance, fixed point) distribution as n!-scaled integer polynomials, and
+the closed summation formulas (the rational series, the parity-independent
+double sum, and their q-analogues).
 """
 
 from __future__ import annotations
@@ -16,14 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    FRACTION_RING,
-    LAURENT_RING,
     LaurentPoly,
-    RATPOLY_RING,
-    RatPoly,
-    RationalFunctionQ,
     TruncSeries,
     q_bracket,
+    q_div_exact,
     q_factorial,
     rising_factorial,
 )
@@ -83,28 +79,27 @@ def e_int(n: int, method: str = "cf", cap: int = DEFAULT_ENUM_CAP) -> int:
 # the exponential generating function of (exc, fix)
 
 
-def egf_exc_fix(order: int) -> TruncSeries:
-    """(1-x) exp(yt) / (exp(xt) - x exp(t)) as a t-series over rational
-    polynomials in x, y.
+def egf_exc_fix(order: int) -> list[LaurentPoly]:
+    """n! [t^n] of (1-x) exp(yt) / (exp(xt) - x exp(t)) for n = 0..order: the
+    (exc, fix) polynomials of S_n, with x marking exc and y marking fix.
 
-    The denominator's common factor (1-x) is cancelled symbolically:
-    exp(xt) - x exp(t) = (1-x) (1 - sum over n>=2 of
-    x (1 + x + ... + x^(n-2)) t^n / n!).
+    The denominator's common factor (1-x) cancels:
+    exp(xt) - x exp(t) = (1-x) D with D = 1 - sum over m>=2 of
+    (x + ... + x^(m-1)) t^m / m!.  A product of exponential generating
+    functions is a binomial convolution, so F D = exp(yt) reads
+    F_n = y^n + sum over k <= n-2 of C(n,k) F_k (x + ... + x^(n-k-1)).
     """
-    ring = RATPOLY_RING
-    den_coeffs = [RatPoly.const(1)]
-    for n in range(1, order + 1):
-        if n < 2:
-            den_coeffs.append(RatPoly())
-            continue
-        geom = RatPoly({(i + 1, 0): 1 for i in range(n - 1)})  # x * (1+...+x^(n-2))
-        den_coeffs.append(geom * Fraction(-1, math.factorial(n)))
-    den = TruncSeries(order, den_coeffs, ring)
-    expy = TruncSeries(order,
-                       [RatPoly.monomial(Fraction(1, math.factorial(k)), ey=k)
-                        for k in range(order + 1)],
-                       ring)
-    return expy * den.recip()
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    y = LaurentPoly.var("y")
+    geom = [LaurentPoly({(i, 0, 0, 0, 0): 1 for i in range(1, m)})
+            for m in range(order + 1)]
+    out: list[LaurentPoly] = []
+    for n in range(order + 1):
+        ks = range(n - 1)
+        out.append(y ** n + LaurentPoly.dot([math.comb(n, k) * out[k] for k in ks],
+                                            [geom[n - k] for k in ks]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +108,13 @@ def egf_exc_fix(order: int) -> TruncSeries:
 
 def rz_series(order: int) -> TruncSeries:
     """Sum over m of m! t^m / prod_k (1 + (m-2k+1)^2 t^2), truncated."""
-    ring = FRACTION_RING
-    total = TruncSeries(order, [], ring)
+    one, zero = LaurentPoly.const(1), LaurentPoly()
+    total = TruncSeries(order)
     for m in range(order + 1):
-        term = TruncSeries.const(Fraction(math.factorial(m)), order, ring).shift(m)
+        term = TruncSeries.const(LaurentPoly.const(math.factorial(m)), order).shift(m)
         for k in range(m // 2 + 1):
-            c = (m - 2 * k + 1) ** 2
-            factor = TruncSeries(order, [Fraction(1), Fraction(0), Fraction(c)], ring)
-            term = term * factor.recip()
+            c = LaurentPoly.const((m - 2 * k + 1) ** 2)
+            term = term * TruncSeries(order, [one, zero, c]).recip()
         total = total + term
     return total
 
@@ -154,17 +148,14 @@ def hrz_series(order: int) -> TruncSeries:
     """q-analogue of the rational series: sum over m of
     q^(m+1) [m]! t^m / prod_k (q^(m-2k+1) + [m-2k+1]^2 t^2),
     expanded exactly over Laurent polynomials in q."""
-    ring = LAURENT_RING
-    total = TruncSeries(order, [], ring)
+    total = TruncSeries(order)
     for m in range(order + 1):
         lead = LaurentPoly.var("q", m + 1) * q_factorial(m)
-        term = TruncSeries.const(lead, order, ring).shift(m)
+        term = TruncSeries.const(lead, order).shift(m)
         for k in range(m // 2 + 1):
             j = m - 2 * k + 1
             factor = TruncSeries(
-                order,
-                [LaurentPoly.var("q", j), LaurentPoly(), q_bracket(j) ** 2],
-                ring)
+                order, [LaurentPoly.var("q", j), LaurentPoly(), q_bracket(j) ** 2])
             term = term * factor.recip()
         total = total + term
     return total
@@ -218,7 +209,11 @@ def q_parity_formula(n: int) -> LaurentPoly:
         den = LaurentPoly.const(1)
         for j, mult in common.items():
             den = den * _q_factor(j) ** mult
-        total = total + q_factorial(m) * RationalFunctionQ(num, den).normalize()
+        quot = q_div_exact(num, den)
+        if quot is None:
+            raise ArithmeticError(
+                f"q double sum at n={n}, m={m} does not clear to a polynomial")
+        total = total + q_factorial(m) * quot
     return total
 
 

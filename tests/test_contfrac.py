@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from pqeuler.algebra import LAURENT_RING, LaurentPoly, TruncSeries, q_bracket
+from pqeuler.algebra import LaurentPoly, TruncSeries, q_bracket
 from pqeuler.contfrac import (
     JFraction,
     PRESET_NAMES,
     SFraction,
     _depth_for,
     _s_levels,
-    contract,
     contract_even,
     contract_odd,
     expand_by_convergents,
@@ -76,7 +75,7 @@ def _fast(fraction, order, depth):
 
 def _default_depth(fraction, order):
     if isinstance(fraction, JFraction):
-        return fraction.depth or _depth_for(order)
+        return _depth_for(order)
     return _s_levels(fraction, order, None)
 
 
@@ -133,18 +132,11 @@ def test_contractions_on_simple_fraction():
     direct = expand_by_convergents(sf, order)
     assert direct == expand_j(contract_even(sf), order)
     c1, jf = contract_odd(sf)
+    assert c1 == LaurentPoly.const(1)
     assert direct == expand_odd_contraction(c1, jf, order)
-
-
-def test_contract_dispatch():
-    sf = SFraction(c=lambda k: q_bracket(k), power=1)
-    assert isinstance(contract(sf, "even"), JFraction)
-    c1, jf = contract(sf, "odd")
-    assert c1 == q_bracket(1)
-    with pytest.raises(ValueError):
-        contract(sf, "sideways")
-    with pytest.raises(ValueError):
-        contract_even(SFraction(c=lambda k: q_bracket(k), power=2))
+    for contract in (contract_even, contract_odd):
+        with pytest.raises(ValueError):
+            contract(SFraction(c=lambda k: q_bracket(k), power=2))
 
 
 def test_every_preset_expands():

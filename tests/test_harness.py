@@ -171,6 +171,9 @@ def test_cli_usage_errors(capsys):
     assert main(["table", "--n", "3"]) == 2  # no family/weight
     assert main(["bij", "fv"]) == 2  # no perm, no --verify
     assert main(["bij", "fv", "--verify"]) == 2  # missing --n
+    assert main(["bij", "fv", "--verify", "--n", "4"]) == 2  # fv needs odd n
+    assert main(["bij", "fv-star", "--verify", "--n", "3"]) == 2  # even n
+    assert main(["verify", "jv", "--n", "3", "--order", "5"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,6 +202,14 @@ def test_cli_unknown_weight_variable_is_a_usage_error(weight, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown weight variable" in captured.err
+
+
+def test_cli_repeated_weight_variable_is_a_usage_error(capsys):
+    argv = ["table", "--family", "S", "--n", "3", "--weight", "x=wex,x=fix"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'x'" in captured.err and "twice" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

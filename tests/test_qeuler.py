@@ -1,9 +1,7 @@
-import math
-from fractions import Fraction
-
 import pytest
 
-from pqeuler.algebra import LaurentPoly, RatPoly
+from pqeuler import qeuler
+from pqeuler.algebra import LaurentPoly
 from pqeuler.permstat import EnumerationCapError, stat_polynomial
 from pqeuler.qeuler import (
     e_int,
@@ -68,19 +66,18 @@ def test_enumeration_cap():
 
 def test_egf_low_coefficients():
     egf = egf_exc_fix(4)
-    t2 = egf.coeff(2) * Fraction(2)
-    t3 = egf.coeff(3) * Fraction(6)
-    # x + y^2 and x^2 + (3y+1)x + y^3
-    assert t2 == RatPoly({(1, 0): 1, (0, 2): 1})
-    assert t3 == RatPoly({(2, 0): 1, (1, 1): 3, (1, 0): 1, (0, 3): 1})
+    assert len(egf) == 5
+    assert str(egf[2]) == "x + y^2"
+    assert str(egf[3]) == "x^2 + 3*x*y + x + y^3"
+    assert egf_exc_fix(0) == [LaurentPoly.const(1)]
+    with pytest.raises(ValueError):
+        egf_exc_fix(-1)
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(9))
 def test_egf_matches_enumeration(n):
-    egf = egf_exc_fix(6)
-    brute = stat_polynomial("S", n, {"x": {"exc": 1}, "y": {"fix": 1}})
-    want = RatPoly({(e[0], e[1]): c for e, c in brute.sorted_terms()})
-    assert egf.coeff(n) * Fraction(math.factorial(n)) == want
+    egf = egf_exc_fix(8)
+    assert egf[n] == stat_polynomial("S", n, {"x": {"exc": 1}, "y": {"fix": 1}})
 
 
 def test_rz_series():
@@ -105,6 +102,13 @@ def test_q_parity_formula():
         got = q_parity_formula(n)
         assert got == e_q(n, "cf")
         assert got.substitute({"q": 1}).as_int() == parity_formula(n)
+
+
+def test_q_parity_formula_must_clear(monkeypatch):
+    # the summed terms of each m must divide out to a polynomial
+    monkeypatch.setattr(qeuler, "q_div_exact", lambda num, den: None)
+    with pytest.raises(ArithmeticError):
+        q_parity_formula(4)
 
 
 def test_euler_table():
