@@ -132,8 +132,15 @@ def test_contractions_on_simple_fraction():
     direct = expand_by_convergents(sf, order)
     assert direct == expand_j(contract_even(sf), order)
     c1, jf = contract_odd(sf)
-    assert c1 == LaurentPoly.const(1)
     assert direct == expand_odd_contraction(c1, jf, order)
+
+
+def test_contract_dispatch():
+    sf = SFraction(c=lambda k: q_bracket(k), power=1)
+    assert isinstance(contract_even(sf), JFraction)
+    c1, jf = contract_odd(sf)
+    assert c1 == q_bracket(1)
+    assert isinstance(jf, JFraction)
     for contract in (contract_even, contract_odd):
         with pytest.raises(ValueError):
             contract(SFraction(c=lambda k: q_bracket(k), power=2))
