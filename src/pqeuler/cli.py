@@ -8,26 +8,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
 from . import harness
 from .contfrac import PRESET_NAMES, preset
-from .lattice import enumerate_objects
 from .maps import csz, csz_biwords, fv, fv_star, fz, invol_phi, invol_psi
 from .permstat import (
     FAMILIES,
     Permutation,
     basic_stats,
-    family_iter,
     stat_polynomial,
     STAT_FIELDS,
 )
 from .qeuler import euler_table
-
-BIJ_NAMES = ("fv", "fv-star", "fz", "csz", "phi", "psi")
-
 
 class UsageError(Exception):
     pass
@@ -102,63 +96,23 @@ def _cmd_table(args) -> int:
     return 0
 
 
-_BIJ_MAPS = {"fv": fv, "fv-star": fv_star, "fz": fz,
-             "csz": csz, "phi": invol_phi, "psi": invol_psi}
-
-
-def _verify_bij(name: str, n: int) -> str | None:
-    if name == "fv":
-        if n % 2 == 0:
-            raise UsageError("fv verification needs odd n")
-        images = {fv(s) for s in family_iter("A", n)}
-        paths = list(enumerate_objects("diagramme", n - 1))
-        if len(images) != sum(1 for _ in family_iter("A", n)):
-            return "images collide"
-        if not images.issubset(set(paths)):
-            return "image outside the diagramme codomain"
-        if len(images) != len(paths):
-            return "image does not fill the codomain"
-        return None
-    if name == "fv-star":
-        if n % 2 == 1:
-            raise UsageError("fv-star verification needs even n")
-        images = {fv_star(s) for s in family_iter("A", n)}
-        paths = list(enumerate_objects("restricted_diagramme", n))
-        if len(images) != sum(1 for _ in family_iter("A", n)):
-            return "images collide"
-        if not images.issubset(set(paths)):
-            return "image outside the restricted codomain"
-        if len(images) != len(paths):
-            return "image does not fill the codomain"
-        return None
-    if name == "fz":
-        images = {fz(s) for s in family_iter("S", n)}
-        paths = list(enumerate_objects("laguerre", n))
-        if len(images) != math.factorial(n):
-            return "images collide"
-        if set(paths) != images:
-            return "image is not the full set of histories"
-        return None
-    if name == "csz":
-        return harness.certify_csz(n)
-    if name == "phi":
-        for sigma in family_iter("S", n):
-            if invol_phi(invol_phi(sigma)) != sigma:
-                return f"not an involution at {sigma}"
-        return None
-    if name == "psi":
-        for sigma in family_iter("Dstar", n):
-            if invol_psi(invol_psi(sigma)) != sigma:
-                return f"not an involution at {sigma}"
-        return None
-    raise UsageError(f"unknown bijection {name!r}")
+# name -> (map, the harness certificate that runs it over every word of size n)
+_BIJECTIONS = {
+    "fv": (fv, harness.certify_fv),
+    "fv-star": (fv_star, harness.certify_fv_star),
+    "fz": (fz, harness.certify_fz),
+    "csz": (csz, harness.certify_csz),
+    "phi": (invol_phi, harness.certify_phi),
+    "psi": (invol_psi, harness.certify_psi),
+}
+BIJ_NAMES = tuple(_BIJECTIONS)
 
 
 def _cmd_bij(args) -> int:
     if args.verify:
         if args.n is None:
             raise UsageError("bij --verify needs --n")
-        why = _verify_bij(args.name, args.n)
+        why = _BIJECTIONS[args.name][1](args.n)
         if why is None:
             print(f"{args.name} verified at n={args.n}")
             return 0
@@ -171,7 +125,7 @@ def _cmd_bij(args) -> int:
         fw, gw = csz_biwords(sigma)
         print(f"descent biword:    {fw}")
         print(f"nondescent biword: {gw}")
-    print(_BIJ_MAPS[args.name](sigma))
+    print(_BIJECTIONS[args.name][0](sigma))
     return 0
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import LaurentPoly, TruncSeries
 from .contfrac import (
-    JFraction,
     SFraction,
     contract_even,
     contract_odd,
@@ -24,7 +24,8 @@ from .contfrac import (
     expand_s,
     preset,
 )
-from .maps import csz, invol_phi, invol_psi
+from .lattice import enumerate_objects
+from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
 from .permstat import (
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
@@ -88,76 +89,78 @@ def _signed(family: str, n: int, sign_stat: str, q_stat: str | None,
     return stat_polynomial(family, n, weight).substitute({"x": sign})
 
 
+ODD, EVEN = 1, 0
+
+
+@dataclass(frozen=True)
+class Side:
+    """One side of a signed identity: the sum over ``family`` of
+    x^sign_stat q^q_stat, which at n of the side's parity equals
+    lead * unit^(n//2) * base_n and at the other parity 0.  Where ``fixed``
+    names a family (the fixed points of a sign-reversing involution), the
+    sum over it is the same."""
+
+    family: str
+    sign_stat: str
+    q_stat: str | None
+    x: LaurentPoly
+    parity: int
+    unit: LaurentPoly
+    lead: int = 1
+    fixed: str | None = None
+
+    def sum(self, n: int, family: str | None = None) -> LaurentPoly:
+        return _signed(family or self.family, n, self.sign_stat, self.q_stat,
+                       self.x)
+
+    def value(self, n: int, base: LaurentPoly) -> LaurentPoly:
+        if n % 2 != self.parity:
+            return LaurentPoly()
+        return self.lead * self.unit ** (n // 2) * base
+
+    def __str__(self):
+        q_part = f" q^{self.q_stat}" if self.q_stat else ""
+        return f"sum over {self.family} of ({self.x})^{self.sign_stat}{q_part}"
+
+
+# check id -> (base, tangent side, secant side).  base_n is E_n(p,q) by
+# continued fraction under the given substitution, or, for None, the sum of
+# q^inv over Astar_n by enumeration.
+SIGNED = {
+    "euler_roselle": (AT_ONE, Side("S", "exc", None, MINUS_ONE, ODD, MINUS_ONE),
+                      Side("D", "exc", None, MINUS_ONE, EVEN, MINUS_ONE)),
+    "foata_han": (None, Side("S", "exc", "maj", MINUS_INV_Q, ODD, MINUS_ONE),
+                  Side("D", "exc", "maj", MINUS_INV_Q, EVEN, MINUS_ONE)),
+    "jv": (AT_Q, Side("S", "wex", "cros", MINUS_ONE, ODD, MINUS_ONE, -1),
+           Side("D", "exc", "cros", MINUS_INV_Q, EVEN, MINUS_INV_Q)),
+    "shin_zeng": (AT_QSTAR, Side("S", "exc", "inv", MINUS_INV_Q, ODD, MINUS_ONE),
+                  Side("D", "exc", "inv", MINUS_ONE, EVEN, MINUS_Q)),
+    "sz_linear": (AT_Q, Side("S", "ndes", "toht", MINUS_ONE, ODD, MINUS_ONE, -1,
+                             "Aprime"),
+                  Side("Dstar", "ndes", "toht", MINUS_INV_Q, EVEN, MINUS_INV_Q,
+                       fixed="Adoubleprime")),
+}
+
+
 # ---------------------------------------------------------------------------
 # individual checks: each returns None on success or a witness string
 
 
-def _euler_cf(nmax: int, at: dict) -> list:
-    """E_n(p,q) for n = 0..nmax by continued fraction, specialized by ``at``."""
-    return [e.substitute(at) for e in e_pq_upto(nmax)]
-
-
-def _check_euler_roselle(nmax: int):
-    euler = [e.as_int() for e in _euler_cf(nmax, AT_ONE)]
+def _check_signed(check_id: str, nmax: int):
+    at, *sides = SIGNED[check_id]
+    if at is None:
+        bases = [None] + [stat_polynomial("Astar", n, {"q": {"inv": 1}})
+                          for n in range(1, nmax + 1)]
+    else:
+        bases = [e.substitute(at) for e in e_pq_upto(nmax)]
     for n in range(1, nmax + 1):
-        lhs_s = _signed("S", n, "exc", None, MINUS_ONE).as_int()
-        want_s = 0 if n % 2 == 0 else (-1) ** ((n - 1) // 2) * euler[n]
-        if lhs_s != want_s:
-            return f"n={n} full sum {lhs_s} != {want_s}"
-        lhs_d = _signed("D", n, "exc", None, MINUS_ONE).as_int()
-        want_d = (-1) ** (n // 2) * euler[n] if n % 2 == 0 else 0
-        if lhs_d != want_d:
-            return f"n={n} derangement sum {lhs_d} != {want_d}"
-    return None
-
-
-def _check_foata_han(nmax: int):
-    for n in range(1, nmax + 1):
-        rhs_base = stat_polynomial("Astar", n, {"q": {"inv": 1}})
-        lhs_s = _signed("S", n, "exc", "maj", MINUS_INV_Q)
-        want_s = (LaurentPoly() if n % 2 == 0
-                  else MINUS_ONE ** ((n - 1) // 2) * rhs_base)
-        if lhs_s != want_s:
-            return f"n={n} maj identity: {lhs_s} != {want_s}"
-        lhs_d = _signed("D", n, "exc", "maj", MINUS_INV_Q)
-        want_d = (MINUS_ONE ** (n // 2) * rhs_base if n % 2 == 0
-                  else LaurentPoly())
-        if lhs_d != want_d:
-            return f"n={n} derangement maj identity: {lhs_d} != {want_d}"
-    return None
-
-
-def _check_jv(nmax: int):
-    e_q_cf = _euler_cf(nmax, AT_Q)
-    for n in range(1, nmax + 1):
-        rhs_base = e_q_cf[n]
-        lhs_s = _signed("S", n, "wex", "cros", MINUS_ONE)
-        want_s = (LaurentPoly() if n % 2 == 0
-                  else MINUS_ONE ** ((n + 1) // 2) * rhs_base)
-        if lhs_s != want_s:
-            return f"n={n} wex/cros identity: {lhs_s} != {want_s}"
-        lhs_d = _signed("D", n, "exc", "cros", MINUS_INV_Q)
-        want_d = (MINUS_INV_Q ** (n // 2) * rhs_base if n % 2 == 0
-                  else LaurentPoly())
-        if lhs_d != want_d:
-            return f"n={n} derangement cros identity: {lhs_d} != {want_d}"
-    return None
-
-
-def _check_shin_zeng(nmax: int):
-    e_star_q_cf = _euler_cf(nmax, AT_QSTAR)
-    for n in range(1, nmax + 1):
-        rhs_base = e_star_q_cf[n]
-        lhs_s = _signed("S", n, "exc", "inv", MINUS_INV_Q)
-        want_s = (LaurentPoly() if n % 2 == 0
-                  else MINUS_ONE ** ((n - 1) // 2) * rhs_base)
-        if lhs_s != want_s:
-            return f"n={n} exc/inv identity: {lhs_s} != {want_s}"
-        lhs_d = _signed("D", n, "exc", "inv", MINUS_ONE)
-        want_d = (MINUS_Q ** (n // 2) * rhs_base if n % 2 == 0
-                  else LaurentPoly())
-        if lhs_d != want_d:
-            return f"n={n} derangement inv identity: {lhs_d} != {want_d}"
+        for side in sides:
+            got = side.sum(n)
+            want = side.value(n, bases[n])
+            if got != want:
+                return f"n={n} {side}: {got} != {want}"
+            if side.fixed and side.sum(n, side.fixed) != got:
+                return f"n={n} {side} differs from the sum over {side.fixed}"
     return None
 
 
@@ -185,6 +188,41 @@ def _check_cor2_2(order: int):
 def _check_cor2_3(order: int):
     return _cf_vs_enum(order, "tangent-qstar", "secant-qstar",
                        lambda n: e_star_q(n, cap=order))
+
+
+def _certify_onto(bijection, family: str, n: int, kind: str, length: int):
+    """Witness that ``bijection`` does not map the family's words of length n
+    one-to-one onto the lattice objects of the kind and length, or None if
+    it does."""
+    preimage = {}
+    for sigma in family_iter(family, n):
+        image = bijection(sigma)
+        if image in preimage:
+            return f"sigma={sigma}: image {image} is also that of {preimage[image]}"
+        preimage[image] = sigma
+    codomain = set(enumerate_objects(kind, length))
+    for image, sigma in preimage.items():
+        if image not in codomain:
+            return f"sigma={sigma}: image {image} is not a {kind} of length {length}"
+    if len(preimage) != len(codomain):
+        return f"n={n}: {len(codomain) - len(preimage)} {kind} objects are not hit"
+    return None
+
+
+def certify_fv(n: int):
+    if n % 2 == 0:
+        raise ValueError("fv verification needs odd n")
+    return _certify_onto(fv, "A", n, "diagramme", n - 1)
+
+
+def certify_fv_star(n: int):
+    if n % 2:
+        raise ValueError("fv-star verification needs even n")
+    return _certify_onto(fv_star, "A", n, "restricted_diagramme", n)
+
+
+def certify_fz(n: int):
+    return _certify_onto(fz, "S", n, "laguerre", n)
 
 
 def certify_csz(n: int):
@@ -268,53 +306,37 @@ def _contraction_agrees(sf: SFraction, order: int):
     return None
 
 
-def _specialized_series_target(name: str, e_q_cf: list, e_star_q_cf: list):
-    """The signed Euler-number series each specialized fraction must equal,
-    to the order of the given E_n(q) and E*_n(q) lists (n = 0..order)."""
-    order = len(e_q_cf) - 1
-    coeffs = [LaurentPoly.const(1)]
-    for n in range(1, order + 1):
-        if name == "jv-tangent":
-            c = (MINUS_ONE ** ((n + 1) // 2) * e_q_cf[n] if n % 2
-                 else LaurentPoly())
-        elif name == "jv-secant":
-            c = (LaurentPoly() if n % 2
-                 else MINUS_INV_Q ** (n // 2) * e_q_cf[n])
-        elif name == "sz-tangent":
-            c = (MINUS_ONE ** ((n - 1) // 2) * e_star_q_cf[n] if n % 2
-                 else LaurentPoly())
-        else:  # sz-secant
-            c = (LaurentPoly() if n % 2
-                 else MINUS_Q ** (n // 2) * e_star_q_cf[n])
-        coeffs.append(c)
-    return TruncSeries(order, coeffs)
+# contra's specialized presets, by the signed identity whose tangent and
+# secant sides (with 1 at t^0) their expansions must equal
+SPECIALIZED = {"jv": ("jv-tangent", "jv-secant"),
+               "shin_zeng": ("sz-tangent", "sz-secant")}
+CONTRA_TRIALS = 100
+CONTRA_SEED = 0
+CONTRA_SERIES_ORDER = 10
 
 
-SPECIALIZED = ("jv-tangent", "jv-secant", "sz-tangent", "sz-secant")
-
-
-def _check_contra(order: int, trials: int = 100, seed: int = 0,
-                  series_order: int = 10):
-    euler_pq = e_pq_upto(series_order)
-    e_q_cf = [e.substitute(AT_Q) for e in euler_pq]
-    e_star_q_cf = [e.substitute(AT_QSTAR) for e in euler_pq]
-    for name in SPECIALIZED:
-        pr = preset(name)
-        j_series = pr.expand(order)
-        s_series = expand_s(pr.s_form, order)
-        if j_series != s_series:
-            return f"{name}: level form disagrees with contracted form"
-        if pr.s_form.power == 1:
-            why = _contraction_agrees(pr.s_form, order)
-            if why:
-                return f"{name}: {why}"
-        target = _specialized_series_target(name, e_q_cf, e_star_q_cf)
-        got = pr.expand(series_order)
-        if got != target:
-            return f"{name}: expansion differs from signed Euler series"
-    rng = random.Random(seed)
+def _check_contra(order: int):
+    euler_pq = e_pq_upto(CONTRA_SERIES_ORDER)
+    for check_id, names in SPECIALIZED.items():
+        at, *sides = SIGNED[check_id]
+        bases = [e.substitute(at) for e in euler_pq]
+        for name, side in zip(names, sides):
+            pr = preset(name)
+            j_series = pr.expand(order)
+            s_series = expand_s(pr.s_form, order)
+            if j_series != s_series:
+                return f"{name}: level form disagrees with contracted form"
+            if pr.s_form.power == 1:
+                why = _contraction_agrees(pr.s_form, order)
+                if why:
+                    return f"{name}: {why}"
+            target = TruncSeries(CONTRA_SERIES_ORDER, [LaurentPoly.const(1)] + [
+                side.value(n, bases[n]) for n in range(1, CONTRA_SERIES_ORDER + 1)])
+            if pr.expand(CONTRA_SERIES_ORDER) != target:
+                return f"{name}: expansion differs from signed Euler series"
+    rng = random.Random(CONTRA_SEED)
     levels = order + 4
-    for t in range(trials):
+    for t in range(CONTRA_TRIALS):
         sf = _random_s_fraction(rng, levels)
         why = _contraction_agrees(sf, order)
         if why:
@@ -323,65 +345,59 @@ def _check_contra(order: int, trials: int = 100, seed: int = 0,
 
 
 def _check_sz_linear(nmax: int):
-    e_q_cf = _euler_cf(nmax, AT_Q)
+    why = _check_signed("sz_linear", nmax)
     for n in range(1, nmax + 1):
-        rhs_base = e_q_cf[n]
-        lhs_s = _signed("S", n, "ndes", "toht", MINUS_ONE)
-        want_s = (LaurentPoly() if n % 2 == 0
-                  else MINUS_ONE ** ((n + 1) // 2) * rhs_base)
-        if lhs_s != want_s:
-            return f"n={n} ndes/toht sum over S: {lhs_s} != {want_s}"
-        lhs_d = _signed("Dstar", n, "ndes", "toht", MINUS_INV_Q)
-        want_d = (MINUS_INV_Q ** (n // 2) * rhs_base if n % 2 == 0
-                  else LaurentPoly())
-        if lhs_d != want_d:
-            return f"n={n} ndes/toht sum over coderangements: {lhs_d} != {want_d}"
-        if lhs_s != _signed("Aprime", n, "ndes", "toht", MINUS_ONE):
-            return f"n={n} sum over S differs from its fixed-set sum"
-        if lhs_d != _signed("Adoubleprime", n, "ndes", "toht", MINUS_INV_Q):
-            return f"n={n} coderangement sum differs from its fixed-set sum"
-        why = _involution_certificates(n)
         if why:
-            return why
-    return None
+            break
+        stats = stat_table(n, _INVOLUTION_WEIGHT)
+        why = certify_phi(n, stats) or certify_psi(n, stats)
+    return why
 
 
 # (ndes, toht, mad) as the first three digits of a stat_table vector
 _INVOLUTION_WEIGHT = {"x": {"ndes": 1}, "y": {"toht": 1}, "p": {"mad": 1}}
 
 
-def _involution_certificates(n: int):
-    stats = stat_table(n, _INVOLUTION_WEIGHT)
-    for rank, sigma in enumerate(family_iter("S", n)):
-        tau = invol_phi(sigma)
+def _certify_involution(invol, name: str, ranked, fixed_set: str, n: int,
+                        stats, deltas_ok):
+    """Witness that ``invol`` is not an involution of the words of length n
+    in ``ranked`` ((lex_rank, word) pairs) fixing exactly the words of
+    ``fixed_set`` and moving every other word's (ndes, toht, mad) as
+    ``deltas_ok`` allows, or None if it is.  ``stats`` is
+    stat_table(n, _INVOLUTION_WEIGHT), built here if None."""
+    if n < 1:
+        raise ValueError(f"the {name} is stated for n >= 1, got n={n}")
+    if stats is None:
+        stats = stat_table(n, _INVOLUTION_WEIGHT)
+    for rank, sigma in ranked:
+        tau = invol(sigma)
         if len(tau) != n:
             return f"sigma={sigma}: image {tau} is not in S_{n}"
-        if invol_phi(tau) != sigma:
-            return f"n={n} sigma={sigma}: first involution not self-inverse"
-        fixed = family_contains("Aprime", sigma.word)
+        if invol(tau) != sigma:
+            return f"n={n} sigma={sigma}: {name} not self-inverse"
+        fixed = family_contains(fixed_set, sigma.word)
         if fixed != (tau == sigma):
-            return f"n={n} sigma={sigma}: wrong fixed set for first involution"
-        if not fixed:
-            a_ndes, a_toht, _, _, _ = stats[rank]
-            b_ndes, b_toht, _, _, _ = stats[lex_rank(tau.word)]
-            if a_toht != b_toht or abs(a_ndes - b_ndes) != 1:
-                return f"n={n} sigma={sigma}: first involution statistic deltas"
-    for sigma in family_iter("Dstar", n):
-        tau = invol_psi(sigma)
-        if len(tau) != n:
-            return f"sigma={sigma}: image {tau} is not in S_{n}"
-        if invol_psi(tau) != sigma:
-            return f"n={n} sigma={sigma}: second involution not self-inverse"
-        fixed = family_contains("Adoubleprime", sigma.word)
-        if fixed != (tau == sigma):
-            return f"n={n} sigma={sigma}: wrong fixed set for second involution"
-        if not fixed:
-            a_ndes, a_toht, a_mad, _, _ = stats[lex_rank(sigma.word)]
-            b_ndes, b_toht, b_mad, _, _ = stats[lex_rank(tau.word)]
-            if (a_toht - b_toht != a_ndes - b_ndes
-                    or abs(a_ndes - b_ndes) != 1 or a_mad != b_mad):
-                return f"n={n} sigma={sigma}: second involution statistic deltas"
+            return f"n={n} sigma={sigma}: wrong fixed set for {name}"
+        if not fixed and not deltas_ok(stats[rank], stats[lex_rank(tau.word)]):
+            return f"n={n} sigma={sigma}: {name} statistic deltas"
     return None
+
+
+def certify_phi(n: int, stats=None):
+    """invol_phi on S_n: fixed set Aprime_n; ndes changes by 1, toht stays."""
+    return _certify_involution(
+        invol_phi, "first involution", enumerate(family_iter("S", n)),
+        "Aprime", n, stats, lambda a, b: a[1] == b[1] and abs(a[0] - b[0]) == 1)
+
+
+def certify_psi(n: int, stats=None):
+    """invol_psi on Dstar_n: fixed set Adoubleprime_n; ndes changes by 1,
+    toht by as much, and mad stays."""
+    ranked = ((lex_rank(sigma.word), sigma) for sigma in family_iter("Dstar", n))
+    return _certify_involution(
+        invol_psi, "second involution", ranked, "Adoubleprime", n, stats,
+        lambda a, b: (a[1] - b[1] == a[0] - b[0] and abs(a[0] - b[0]) == 1
+                      and a[2] == b[2]))
 
 
 def _check_mad_remark(nmax: int):
@@ -442,10 +458,10 @@ PERM_DEFAULT = 7
 SERIES_DEFAULT = 8
 
 CHECKS = {
-    "euler_roselle": (_check_euler_roselle, PERM_DEFAULT),
-    "foata_han": (_check_foata_han, PERM_DEFAULT),
-    "jv": (_check_jv, PERM_DEFAULT),
-    "shin_zeng": (_check_shin_zeng, PERM_DEFAULT),
+    "euler_roselle": (partial(_check_signed, "euler_roselle"), PERM_DEFAULT),
+    "foata_han": (partial(_check_signed, "foata_han"), PERM_DEFAULT),
+    "jv": (partial(_check_signed, "jv"), PERM_DEFAULT),
+    "shin_zeng": (partial(_check_signed, "shin_zeng"), PERM_DEFAULT),
     "thm2_1": (_check_thm2_1, SERIES_DEFAULT),
     "cor2_2": (_check_cor2_2, SERIES_DEFAULT),
     "cor2_3": (_check_cor2_3, SERIES_DEFAULT),

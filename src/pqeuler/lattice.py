@@ -90,13 +90,7 @@ class DyckDiagramme:
         if not path.is_dyck():
             raise ValueError("diagramme needs a Dyck path")
         xi = tuple(xi)
-        if len(xi) != len(path):
-            raise ValueError("xi length must match path length")
-        for step, h, x in zip(path.steps, path.heights(), xi):
-            hi = h - 1 if (restricted and step == DOWN) else h
-            if not 0 <= x <= hi:
-                raise ValueError(
-                    f"xi out of range: step {step} at height {h} has xi={x}")
+        _check_xi("restricted_diagramme" if restricted else "diagramme", path, xi)
         self.path = path
         self.xi = xi
         self.restricted = restricted
@@ -123,18 +117,7 @@ class LaguerreHistory:
 
     def __init__(self, path: MotzkinPath, xi):
         xi = tuple(xi)
-        if len(xi) != len(path):
-            raise ValueError("xi length must match path length")
-        for step, h, x in zip(path.steps, path.heights(), xi):
-            if step == UP:
-                ok = 0 <= x <= h
-            elif step == LEVEL:
-                ok = -h <= x <= h
-            else:
-                ok = 0 <= x <= h - 1
-            if not ok:
-                raise ValueError(
-                    f"xi out of range: step {step} at height {h} has xi={x}")
+        _check_xi("laguerre", path, xi)
         self.path = path
         self.xi = xi
 
@@ -168,15 +151,30 @@ class WeightSpec:
 
 
 def _xi_range(kind: str, step: str, h: int) -> range:
-    if kind == "laguerre":
-        if step == UP:
-            return range(0, h + 1)
-        if step == LEVEL:
-            return range(-h, h + 1)
-        return range(0, h)
-    if kind == "restricted_diagramme" and step == DOWN:
+    """The choices of xi for a step at height h in an object of the kind."""
+    if kind == "laguerre" and step == LEVEL:
+        return range(-h, h + 1)
+    if kind in ("laguerre", "restricted_diagramme") and step == DOWN:
         return range(0, h)
     return range(0, h + 1)
+
+
+def _check_xi(kind: str, path: MotzkinPath, xi: tuple) -> None:
+    if len(xi) != len(path):
+        raise ValueError("xi length must match path length")
+    for step, h, x in zip(path.steps, path.heights(), xi):
+        if x not in _xi_range(kind, step, h):
+            raise ValueError(
+                f"xi out of range: step {step} at height {h} has xi={x}")
+
+
+def _check_kind_length(kind: str, length: int) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if kind in ("dyck", "diagramme", "restricted_diagramme") and length % 2:
+        raise ValueError(f"{kind} objects have even length")
 
 
 def _iter_paths(length: int, allow_level: bool):
@@ -205,12 +203,7 @@ def _iter_paths(length: int, allow_level: bool):
 
 def enumerate_objects(kind: str, length: int, cap: int = DEFAULT_LENGTH_CAP):
     """Stream every object of the kind exactly once, deterministic order."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if kind in ("dyck", "diagramme", "restricted_diagramme") and length % 2:
-        raise ValueError(f"{kind} objects have even length")
+    _check_kind_length(kind, length)
     if length > cap:
         raise ValueError(f"length {length} exceeds cap {cap}")
     allow_level = kind in ("motzkin", "laguerre")
@@ -241,12 +234,7 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     """
     if method not in ("dp", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if kind in ("dyck", "diagramme", "restricted_diagramme") and length % 2:
-        raise ValueError(f"{kind} objects have even length")
+    _check_kind_length(kind, length)
     allow_level = kind in ("motzkin", "laguerre")
     if method == "dp":
         level = _required(spec.level, LEVEL) if allow_level else None

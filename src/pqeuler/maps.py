@@ -109,14 +109,21 @@ def csz_biwords(sigma: Permutation):
     """
     w = sigma.word
     n = len(w)
-    emb = {k: pattern_k(sigma, k, "2-31") for k in range(1, n + 1)}
-
+    pos = [0] * (n + 1)
+    for i, v in enumerate(w):
+        pos[v] = i
+    # emb[k] counts the descents a > k > b wholly right of k (pattern 2-31)
+    emb = [0] * (n + 1)
     descent_tops = set()
     descent_bottoms = set()
     for i in range(n - 1):
-        if w[i] > w[i + 1]:
-            descent_tops.add(w[i])
-            descent_bottoms.add(w[i + 1])
+        a, b = w[i], w[i + 1]
+        if a > b:
+            descent_tops.add(a)
+            descent_bottoms.add(b)
+            for k in range(b + 1, a):
+                if pos[k] < i:
+                    emb[k] += 1
 
     f = sorted(descent_bottoms)
     g = sorted(v for v in w if v not in descent_bottoms)

@@ -27,7 +27,6 @@ from .contfrac import preset
 from .permstat import EnumerationCapError, stat_polynomial
 
 DEFAULT_ENUM_CAP = 9
-DEFAULT_FORMULA_CAP = 12
 
 
 def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
@@ -36,8 +35,7 @@ def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> Laur
     if n < 0:
         raise ValueError("n must be nonnegative")
     if method == "cf":
-        pr = preset("tangent-pq") if n % 2 else preset("secant-pq")
-        return pr.expand(n).coeff(n)
+        return e_pq_upto(n)[n]
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
     if n > cap:

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from pqeuler import harness, permstat
-from pqeuler.cli import main, parse_weight
+from pqeuler.cli import BIJ_NAMES, main, parse_weight
 from pqeuler.permstat import Permutation, basic_stats, family_iter
 
 
@@ -47,7 +48,7 @@ def test_thm3_2_fails_when_two_csz_images_are_swapped(monkeypatch):
     assert report.witness.startswith("sigma=1234:")
 
 
-def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
+def _plant_phi_partner_swap(monkeypatch):
     # swap the partners of two moved words of equal ndes: still an
     # involution with the same fixed set, but ndes no longer changes by 1
     real = harness.invol_phi
@@ -58,9 +59,88 @@ def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
     fake = {a: b, b: a, real(a): real(b), real(b): real(a)}
     monkeypatch.setattr(harness, "invol_phi",
                         lambda sigma: fake.get(sigma) or real(sigma))
+
+
+def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
+    _plant_phi_partner_swap(monkeypatch)
     report = harness.check("sz_linear", 5)
     assert not report.passed
     assert "first involution statistic deltas" in report.witness
+
+
+def test_certify_fz_fails_when_two_images_collide(monkeypatch):
+    real = harness.fz
+    a, b = Permutation((1, 2, 3)), Permutation((1, 3, 2))
+    monkeypatch.setattr(harness, "fz",
+                        lambda sigma: real(a) if sigma == b else real(sigma))
+    assert harness.certify_fz(3) == f"sigma=132: image {real(a)} is also that of 123"
+    assert harness.certify_fz(2) is None
+
+
+SIDES = [(cid, half) for cid in harness.SIGNED for half in (1, 2)]
+
+
+def _side_id(side):
+    cid, half = side
+    return f"{cid}-{('tangent', 'secant')[half - 1]}"
+
+
+def _flip_lead(monkeypatch, cid, half):
+    """Plant a fault: the side's lead sign flipped in SIGNED.  Returns the
+    side as it was."""
+    row = list(harness.SIGNED[cid])
+    side = row[half]
+    row[half] = dataclasses.replace(side, lead=-side.lead)
+    monkeypatch.setitem(harness.SIGNED, cid, tuple(row))
+    return side
+
+
+@pytest.mark.parametrize("cid,half", SIDES, ids=map(_side_id, SIDES))
+def test_signed_check_fails_when_a_side_flips_its_lead(cid, half, monkeypatch):
+    side = _flip_lead(monkeypatch, cid, half)
+    report = harness.check(cid, 5)
+    assert not report.passed
+    assert str(side) in report.witness
+
+
+CONTRA_SIDES = [side for side in SIDES if side[0] in ("jv", "shin_zeng")]
+
+
+@pytest.mark.parametrize("cid,half", CONTRA_SIDES, ids=map(_side_id, CONTRA_SIDES))
+def test_contra_targets_follow_the_signed_table(cid, half, monkeypatch):
+    _flip_lead(monkeypatch, cid, half)
+    name = harness.SPECIALIZED[cid][half - 1]
+    report = harness.check("contra", 2)
+    assert report.witness == f"{name}: expansion differs from signed Euler series"
+
+
+# the hand-written sign of each side before the table, as a factor of base_n
+# at n of the side's parity
+_M1, _MQ, _MIQ = harness.MINUS_ONE, harness.MINUS_Q, harness.MINUS_INV_Q
+HAND_WRITTEN = {
+    ("euler_roselle", 1): lambda n: _M1 ** ((n - 1) // 2),
+    ("euler_roselle", 2): lambda n: _M1 ** (n // 2),
+    ("foata_han", 1): lambda n: _M1 ** ((n - 1) // 2),
+    ("foata_han", 2): lambda n: _M1 ** (n // 2),
+    ("jv", 1): lambda n: _M1 ** ((n + 1) // 2),
+    ("jv", 2): lambda n: _MIQ ** (n // 2),
+    ("shin_zeng", 1): lambda n: _M1 ** ((n - 1) // 2),
+    ("shin_zeng", 2): lambda n: _MQ ** (n // 2),
+    ("sz_linear", 1): lambda n: _M1 ** ((n + 1) // 2),
+    ("sz_linear", 2): lambda n: _MIQ ** (n // 2),
+}
+
+
+def test_signed_sides_match_the_hand_written_formulas():
+    from pqeuler.algebra import LaurentPoly
+    base = LaurentPoly.monomial(2, p=3, q=-1) + LaurentPoly.const(5)
+    assert sorted(HAND_WRITTEN) == sorted(SIDES)
+    for (cid, half), sign in HAND_WRITTEN.items():
+        side = harness.SIGNED[cid][half]
+        parity = 1 if half == 1 else 0
+        for n in range(1, 13):
+            want = sign(n) * base if n % 2 == parity else LaurentPoly()
+            assert side.value(n, base) == want, (cid, half, n)
 
 
 def test_equidist_remark_fails_on_a_pair_of_another_distribution(monkeypatch):
@@ -152,9 +232,19 @@ def test_cli_bij(capsys):
 
 
 def test_cli_bij_verify(capsys):
-    assert main(["bij", "fv", "--verify", "--n", "5"]) == 0
-    assert main(["bij", "psi", "--verify", "--n", "5"]) == 0
-    assert main(["bij", "csz", "--verify", "--n", "5"]) == 0
+    sizes = {"fv": 5, "fv-star": 6}
+    for name in BIJ_NAMES:
+        n = sizes.get(name, 5)
+        assert main(["bij", name, "--verify", "--n", str(n)]) == 0, name
+        assert capsys.readouterr().out == f"{name} verified at n={n}\n"
+
+
+def test_cli_bij_verify_fails_on_a_planted_phi_fault(monkeypatch, capsys):
+    _plant_phi_partner_swap(monkeypatch)  # the swapped words have length 4
+    assert main(["bij", "phi", "--verify", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "first involution statistic deltas" in captured.err
 
 
 def test_cli_export(tmp_path, capsys):
@@ -173,6 +263,7 @@ def test_cli_usage_errors(capsys):
     assert main(["bij", "fv", "--verify"]) == 2  # missing --n
     assert main(["bij", "fv", "--verify", "--n", "4"]) == 2  # fv needs odd n
     assert main(["bij", "fv-star", "--verify", "--n", "3"]) == 2  # even n
+    assert main(["bij", "phi", "--verify", "--n", "0"]) == 2  # n >= 1
     assert main(["verify", "jv", "--n", "3", "--order", "5"]) == 2
 
 

@@ -3,6 +3,7 @@ import pytest
 from pqeuler.algebra import LaurentPoly
 from pqeuler.lattice import (
     DOWN,
+    LEVEL,
     DyckDiagramme,
     LaguerreHistory,
     MotzkinPath,
@@ -56,6 +57,24 @@ def test_diagramme_counts_are_euler_numbers():
         assert rcount == e_pq(2 * n, "cf").substitute({"p": 1, "q": 1}).as_int()
 
 
+# the xi range of every (kind, step) as (lowest, highest) at height h
+XI_BOUNDS = {
+    ("diagramme", UP): lambda h: (0, h),
+    ("diagramme", DOWN): lambda h: (0, h),
+    ("restricted_diagramme", UP): lambda h: (0, h),
+    ("restricted_diagramme", DOWN): lambda h: (0, h - 1),
+    ("laguerre", UP): lambda h: (0, h),
+    ("laguerre", LEVEL): lambda h: (-h, h),
+    ("laguerre", DOWN): lambda h: (0, h - 1),
+}
+
+
+def _object(kind, path, xi):
+    if kind == "laguerre":
+        return LaguerreHistory(path, xi)
+    return DyckDiagramme(path, xi, restricted=(kind == "restricted_diagramme"))
+
+
 def test_xi_validation():
     path = dyck_path("UD")
     DyckDiagramme(path, [0, 0])
@@ -67,6 +86,23 @@ def test_xi_validation():
     with pytest.raises(ValueError):
         LaguerreHistory(MotzkinPath("L"), [1])
     LaguerreHistory(MotzkinPath("ULD"), [0, -1, 0])
+    # both ends of every (kind, step) range, at heights 0 to 2
+    seen = set()
+    for kind, steps in (("diagramme", "UUDD"), ("restricted_diagramme", "UUDD"),
+                        ("laguerre", "UULDD")):
+        path = MotzkinPath(steps)
+        for i, (step, h) in enumerate(zip(path.steps, path.heights())):
+            seen.add((kind, step))
+            lo, hi = XI_BOUNDS[kind, step](h)
+            for x, ok in ((lo, True), (hi, True), (lo - 1, False), (hi + 1, False)):
+                xi = [0] * len(path)
+                xi[i] = x
+                if ok:
+                    _object(kind, path, xi)
+                else:
+                    with pytest.raises(ValueError, match="xi out of range"):
+                        _object(kind, path, xi)
+    assert seen == set(XI_BOUNDS)
 
 
 def test_dp_equals_enumeration_small():
