@@ -164,30 +164,37 @@ def _check_signed(check_id: str, nmax: int):
     return None
 
 
-def _cf_vs_enum(order: int, tangent: str, secant: str, enum_fn):
-    tan = preset(tangent).expand(order)
-    sec = preset(secant).expand(order)
+def _sum_over_s(weight: dict):
+    return lambda n, cap: stat_polynomial("S", n, weight, cap=cap)
+
+
+# check id -> (preset giving t^n at odd n, preset giving it at even n, the
+# enumerated side as a call (n, cap)).  The calls look their enumerators up
+# here when they run, not when the table is built.
+SERIES = {
+    "thm2_1": ("tangent-pq", "secant-pq", lambda n, cap: e_pq(n, cap=cap)),
+    "cor2_2": ("tangent-q", "secant-q", lambda n, cap: e_q(n, cap=cap)),
+    "cor2_3": ("tangent-qstar", "secant-qstar",
+               lambda n, cap: e_star_q(n, cap=cap)),
+    "thm4_1": ("thm4.1", "thm4.1", _sum_over_s(QUINTUPLE_WEIGHT)),
+    "cor_cf_A": ("cf-A", "cf-A", _sum_over_s(
+        {"x": {"wex": 1}, "y": {"fix": 1}, "q": {"cros": 1}})),
+    "cor_cf_SZ": ("cf-SZ", "cf-SZ", _sum_over_s(
+        {"x": {"exc": 1}, "y": {"fix": 1}, "q": {"inv": 1}})),
+}
+
+
+def _check_series(check_id: str, order: int):
+    odd, even, enumerated = SERIES[check_id]
+    series = {name: preset(name).expand(order)
+              for name in dict.fromkeys((odd, even))}
     for n in range(order + 1):
-        got = tan.coeff(n) if n % 2 else sec.coeff(n)
-        want = enum_fn(n)
+        name = odd if n % 2 else even
+        got = series[name].coeff(n)
+        want = enumerated(n, order)
         if got != want:
-            return f"t^{n} of {tangent if n % 2 else secant}: {got} != {want}"
+            return f"t^{n} of {name}: {got} != {want}"
     return None
-
-
-def _check_thm2_1(order: int):
-    return _cf_vs_enum(order, "tangent-pq", "secant-pq",
-                       lambda n: e_pq(n, cap=order))
-
-
-def _check_cor2_2(order: int):
-    return _cf_vs_enum(order, "tangent-q", "secant-q",
-                       lambda n: e_q(n, cap=order))
-
-
-def _check_cor2_3(order: int):
-    return _cf_vs_enum(order, "tangent-qstar", "secant-qstar",
-                       lambda n: e_star_q(n, cap=order))
 
 
 def _certify_onto(bijection, family: str, n: int, kind: str, length: int):
@@ -255,30 +262,6 @@ def _check_thm3_2(nmax: int):
         if why:
             return why
     return None
-
-
-def _cf_vs_stat(order: int, preset_name: str, weight: dict):
-    series = preset(preset_name).expand(order)
-    for n in range(order + 1):
-        want = stat_polynomial("S", n, weight, cap=order)
-        got = series.coeff(n)
-        if got != want:
-            return f"t^{n} of {preset_name}: {got} != {want}"
-    return None
-
-
-def _check_thm4_1(order: int):
-    return _cf_vs_stat(order, "thm4.1", QUINTUPLE_WEIGHT)
-
-
-def _check_cor_cf_a(order: int):
-    return _cf_vs_stat(order, "cf-A",
-                       {"x": {"wex": 1}, "y": {"fix": 1}, "q": {"cros": 1}})
-
-
-def _check_cor_cf_sz(order: int):
-    return _cf_vs_stat(order, "cf-SZ",
-                       {"x": {"exc": 1}, "y": {"fix": 1}, "q": {"inv": 1}})
 
 
 def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
@@ -364,21 +347,29 @@ def _certify_involution(invol, name: str, ranked, fixed_set: str, n: int,
     in ``ranked`` ((lex_rank, word) pairs) fixing exactly the words of
     ``fixed_set`` and moving every other word's (ndes, toht, mad) as
     ``deltas_ok`` allows, or None if it is.  ``stats`` is
-    stat_table(n, _INVOLUTION_WEIGHT), built here if None."""
+    stat_table(n, _INVOLUTION_WEIGHT), built here if None.
+
+    The involution runs once per word: a first pass ranks every image, and
+    the second reads self-inverse from the ranks, so an image outside the
+    domain shows as a word that is not self-inverse."""
     if n < 1:
         raise ValueError(f"the {name} is stated for n >= 1, got n={n}")
     if stats is None:
         stats = stat_table(n, _INVOLUTION_WEIGHT)
-    for rank, sigma in ranked:
-        tau = invol(sigma)
+    ranked = list(ranked)
+    taus = [invol(sigma) for _, sigma in ranked]
+    image = {rank: lex_rank(tau.word)
+             for (rank, _), tau in zip(ranked, taus) if len(tau) == n}
+    for (rank, sigma), tau in zip(ranked, taus):
         if len(tau) != n:
             return f"sigma={sigma}: image {tau} is not in S_{n}"
-        if invol(tau) != sigma:
+        partner = image[rank]
+        if image.get(partner) != rank:
             return f"n={n} sigma={sigma}: {name} not self-inverse"
         fixed = family_contains(fixed_set, sigma.word)
-        if fixed != (tau == sigma):
+        if fixed != (partner == rank):
             return f"n={n} sigma={sigma}: wrong fixed set for {name}"
-        if not fixed and not deltas_ok(stats[rank], stats[lex_rank(tau.word)]):
+        if not fixed and not deltas_ok(stats[rank], stats[partner]):
             return f"n={n} sigma={sigma}: {name} statistic deltas"
     return None
 
@@ -462,13 +453,13 @@ CHECKS = {
     "foata_han": (partial(_check_signed, "foata_han"), PERM_DEFAULT),
     "jv": (partial(_check_signed, "jv"), PERM_DEFAULT),
     "shin_zeng": (partial(_check_signed, "shin_zeng"), PERM_DEFAULT),
-    "thm2_1": (_check_thm2_1, SERIES_DEFAULT),
-    "cor2_2": (_check_cor2_2, SERIES_DEFAULT),
-    "cor2_3": (_check_cor2_3, SERIES_DEFAULT),
+    "thm2_1": (partial(_check_series, "thm2_1"), SERIES_DEFAULT),
+    "cor2_2": (partial(_check_series, "cor2_2"), SERIES_DEFAULT),
+    "cor2_3": (partial(_check_series, "cor2_3"), SERIES_DEFAULT),
     "thm3_2": (_check_thm3_2, PERM_DEFAULT),
-    "thm4_1": (_check_thm4_1, SERIES_DEFAULT),
-    "cor_cf_A": (_check_cor_cf_a, SERIES_DEFAULT),
-    "cor_cf_SZ": (_check_cor_cf_sz, SERIES_DEFAULT),
+    "thm4_1": (partial(_check_series, "thm4_1"), SERIES_DEFAULT),
+    "cor_cf_A": (partial(_check_series, "cor_cf_A"), SERIES_DEFAULT),
+    "cor_cf_SZ": (partial(_check_series, "cor_cf_SZ"), SERIES_DEFAULT),
     "contra": (_check_contra, 12),
     "sz_linear": (_check_sz_linear, PERM_DEFAULT),
     "mad_remark": (_check_mad_remark, PERM_DEFAULT),

@@ -4,9 +4,9 @@ Words are in one-line notation on 1..n.  ``stat_polynomial`` sums a weight
 over a family, and ``stat_table`` lists the weight's exponent vector of every
 word of S_n, both from a depth-first walk over prefixes that prunes the
 family as each letter is appended and updates only the weighted statistics.
-The per-word kernel ``stat_tuple`` (from ``_statpure``) serves only
-``basic_stats`` (``pqeuler stats``), the bijection tests and the scan oracle
-``_accumulate_scan``.
+The per-word kernel ``stat_tuple`` computes every statistic of one word in
+one pass; it serves only ``basic_stats`` (``pqeuler stats``), the bijection
+tests and the scan oracle ``_accumulate_scan``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, make_dataclass
 
 from .algebra import LaurentPoly, VARS
-from ._statpure import STAT_FIELDS, stat_tuple
 
 BACKEND = "pure"
 
+STAT_FIELDS = (
+    "n", "exc", "wex", "fix", "des", "ndes", "maj", "inv", "cros", "nest",
+    "toht", "thto", "thot", "fmax", "mad", "suc", "adj",
+)
 STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 
 WORKERS_ENV = "PQEULER_WORKERS"
@@ -32,28 +35,9 @@ class EnumerationCapError(ValueError):
     """Raised when an exhaustive enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    n: int
-    exc: int
-    wex: int
-    fix: int
-    des: int
-    ndes: int
-    maj: int
-    inv: int
-    cros: int
-    nest: int
-    toht: int
-    thto: int
-    thot: int
-    fmax: int
-    mad: int
-    suc: int
-    adj: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
+StatRecord = make_dataclass(
+    "StatRecord", [(name, int) for name in STAT_FIELDS], frozen=True,
+    namespace={"__module__": __name__, "to_json": asdict})
 
 
 class Permutation:
@@ -107,6 +91,87 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self})"
+
+
+def stat_tuple(word):
+    """All statistics of ``word`` as a tuple ordered like STAT_FIELDS."""
+    n = len(word)
+    exc = wex = fix = 0
+    for i in range(n):
+        v = word[i]
+        pos = i + 1
+        if v > pos:
+            exc += 1
+        if v >= pos:
+            wex += 1
+        if v == pos:
+            fix += 1
+
+    des = maj = 0
+    for i in range(n - 1):
+        if word[i] > word[i + 1]:
+            des += 1
+            maj += i + 1
+    ndes = n - des
+
+    inv = 0
+    for i in range(n):
+        wi = word[i]
+        for j in range(i + 1, n):
+            if wi > word[j]:
+                inv += 1
+
+    cros = nest = 0
+    for i in range(1, n + 1):
+        si = word[i - 1]
+        for j in range(i + 1, n + 1):
+            sj = word[j - 1]
+            if j <= si < sj:          # i < j <= s_i < s_j
+                cros += 1
+            elif si < sj < i:         # s_i < s_j < i < j
+                cros += 1
+            if j <= sj < si:          # i < j <= s_j < s_i
+                nest += 1
+            elif sj < si < i:         # s_j < s_i < i < j
+                nest += 1
+
+    # vincular patterns anchored at the adjacent pair (t, t+1)
+    toht = thto = thot = 0
+    for t in range(n - 1):
+        a = word[t]
+        b = word[t + 1]
+        for j in range(t + 2, n):     # 31-2: the 2 strictly right of the pair
+            v = word[j]
+            if a > v > b:
+                toht += 1
+        for j in range(t):            # 2-31 / 2-13: the 2 strictly left
+            v = word[j]
+            if a > v > b:
+                thto += 1
+            elif a < v < b:
+                thot += 1
+
+    fmax = 0
+    running_max = 0
+    for i in range(n):
+        v = word[i]
+        if v > running_max:
+            running_max = v
+            if i == n - 1 or v < word[i + 1]:
+                fmax += 1
+
+    suc = adj = 0
+    for i in range(n):
+        nxt = word[i + 1] if i + 1 < n else n + 1
+        if nxt == word[i] + 1:
+            suc += 1
+        nxt = word[i + 1] if i + 1 < n else 0
+        if nxt == word[i] - 1:
+            adj += 1
+
+    mad = des + toht + 2 * thto
+    return (n, exc, wex, fix, des, ndes, maj, inv, cros, nest,
+            toht, thto, thot, fmax, mad, suc, adj)
 
 
 def basic_stats(sigma) -> StatRecord:
@@ -551,25 +616,17 @@ def lex_rank(word) -> int:
 
 
 def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
-    """Oracle for ``_accumulate``, used only by tests: every word of S_n
-    filtered by ``family_contains``, each weighed through ``stat_tuple``."""
+    """Oracle for ``_accumulate``, used only by tests: the family's words from
+    ``iter_family_words`` whose first letter is in ``firsts`` (default: any;
+    the empty word has none and always counts), each weighed through
+    ``stat_tuple``."""
     acc: dict = {}
-    if n == 0:
-        if family in ("S", "A", "Astar"):
-            acc[(0,) * len(VARS)] = 1
-        return acc
-    firsts = range(1, n + 1) if firsts is None else firsts
-    values = list(range(1, n + 1))
-    for first in firsts:
-        rest = [v for v in values if v != first]
-        for tail in itertools.permutations(rest):
-            word = (first,) + tail
-            if not family_contains(family, word):
-                continue
-            st = stat_tuple(word)
-            e = tuple(sum(c * st[si] for si, c in entries)
-                      for entries in plan)
-            acc[e] = acc.get(e, 0) + 1
+    for word in iter_family_words(family, n, cap=n):
+        if n and firsts is not None and word[0] not in firsts:
+            continue
+        st = stat_tuple(word)
+        e = tuple(sum(c * st[si] for si, c in entries) for entries in plan)
+        acc[e] = acc.get(e, 0) + 1
     return acc
 
 

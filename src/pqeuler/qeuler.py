@@ -24,7 +24,7 @@ from .algebra import (
     rising_factorial,
 )
 from .contfrac import preset
-from .permstat import EnumerationCapError, stat_polynomial
+from .permstat import stat_polynomial
 
 DEFAULT_ENUM_CAP = 9
 
@@ -38,11 +38,8 @@ def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> Laur
         return e_pq_upto(n)[n]
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    if n > cap:
-        raise EnumerationCapError(f"enumeration too large: n={n} exceeds cap {cap}")
     companion = "thot" if n % 2 else "thto"
-    return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}},
-                           cap=max(cap, n))
+    return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}}, cap)
 
 
 def e_pq_upto(nmax: int) -> list[LaurentPoly]:

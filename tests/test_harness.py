@@ -68,6 +68,18 @@ def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
     assert "first involution statistic deltas" in report.witness
 
 
+def test_sz_linear_fails_when_invol_psi_leaves_the_coderangements(monkeypatch):
+    # the first moved coderangement of length 4 goes to 1234, which is not
+    # one: its image has no image, so psi is not self-inverse there
+    real = harness.invol_psi
+    first = next(s for s in family_iter("Dstar", 4) if real(s) != s)
+    monkeypatch.setattr(harness, "invol_psi",
+                        lambda sigma: Permutation((1, 2, 3, 4)) if sigma == first
+                        else real(sigma))
+    report = harness.check("sz_linear", 4)
+    assert report.witness == f"n=4 sigma={first}: second involution not self-inverse"
+
+
 def test_certify_fz_fails_when_two_images_collide(monkeypatch):
     real = harness.fz
     a, b = Permutation((1, 2, 3)), Permutation((1, 3, 2))
@@ -112,6 +124,21 @@ def test_contra_targets_follow_the_signed_table(cid, half, monkeypatch):
     name = harness.SPECIALIZED[cid][half - 1]
     report = harness.check("contra", 2)
     assert report.witness == f"{name}: expansion differs from signed Euler series"
+
+
+SERIES_IDS = list(harness.SERIES)
+
+
+@pytest.mark.parametrize("cid", SERIES_IDS)
+def test_series_check_fails_on_a_planted_preset(cid, monkeypatch):
+    # the odd-n preset of the next row, wrong at some odd n <= 5 in each row
+    odd, even, enumerated = harness.SERIES[cid]
+    planted = harness.SERIES[SERIES_IDS[(SERIES_IDS.index(cid) + 1) % 6]][0]
+    monkeypatch.setitem(harness.SERIES, cid, (planted, even, enumerated))
+    report = harness.check(cid, 5)
+    assert not report.passed
+    assert report.witness.startswith("t^")
+    assert f" of {planted}: " in report.witness
 
 
 # the hand-written sign of each side before the table, as a factor of base_n

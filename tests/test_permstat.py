@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from pqeuler import permstat
 from pqeuler.algebra import VARS, LaurentPoly
 from pqeuler.qeuler import e_pq
-from pqeuler._statpure import stat_tuple
 from pqeuler.permstat import (
     BACKEND,
     EnumerationCapError,
@@ -30,6 +29,7 @@ from pqeuler.permstat import (
     pattern_k,
     stat_polynomial,
     stat_table,
+    stat_tuple,
 )
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,12 @@ def test_stat_polynomial_never_scans(monkeypatch):
             stat_polynomial(family, 6, weight, workers=1)
         family_size(family, 6)
     e_pq(6)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_walk_and_scan_ignore_the_first_letter_at_n0(family):
+    walk, scan = _walk_and_scan(family, 0, QUINTUPLE_WEIGHT, [1])
+    assert walk == scan == _walk_and_scan(family, 0, QUINTUPLE_WEIGHT)[0]
 
 
 def test_packed_keys_hold_large_coefficients():
