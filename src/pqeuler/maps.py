@@ -153,25 +153,16 @@ def csz(sigma: Permutation) -> Permutation:
 # involutions
 
 
-def _classify(w, i, left, right):
-    """Double ascent / double descent test for the entry at 0-based i with
-    explicit boundary values."""
-    prev = w[i - 1] if i > 0 else left
-    nxt = w[i + 1] if i + 1 < len(w) else right
-    v = w[i]
-    if prev < v < nxt:
-        return "da"
-    if prev > v > nxt:
-        return "dd"
-    return None
-
-
 def _largest_movable(w, left, right):
-    best = None
-    for i in range(len(w)):
-        kind = _classify(w, i, left, right)
-        if kind and (best is None or w[i] > w[best[0]]):
-            best = (i, kind)
+    """(0-based index, "da" or "dd") of the largest double ascent or double
+    descent of w with the given boundary values, or None."""
+    best, top = None, 0
+    prev = left
+    for i, v in enumerate(w):
+        nxt = w[i + 1] if i + 1 < len(w) else right
+        if v > top and (prev < v < nxt or prev > v > nxt):
+            best, top = (i, "da" if prev < v else "dd"), v
+        prev = v
     return best
 
 

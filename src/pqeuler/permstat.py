@@ -1,12 +1,17 @@
 """Permutations, their statistics, and the permutation families.
 
 Words are in one-line notation on 1..n.  ``stat_polynomial`` sums a weight
-over a family, and ``stat_table`` lists the weight's exponent vector of every
-word of S_n, both from a depth-first walk over prefixes that prunes the
-family as each letter is appended and updates only the weighted statistics.
-The per-word kernel ``stat_tuple`` computes every statistic of one word in
-one pass; it serves only ``basic_stats`` (``pqeuler stats``), the bijection
-tests and the scan oracle ``_accumulate_scan``.
+over a family by an exact dynamic program over prefix states
+(``_accumulate``): prefixes whose futures are identical are merged, layer by
+layer, and every word is still counted once.  A state keeps only what the
+family and the weighted statistics read: the used-value mask (whose top bit
+is the running maximum), the last letter, the mask of values placed right of
+their own position (for nest) and one packed crossing count per free value
+below the position (for cros).  ``stat_table`` lists the weight's exponent
+vector of every word of S_n from a depth-first walk over prefixes, the only
+per-word path.  The per-word kernel ``stat_tuple`` computes every statistic
+of one word in one pass; it serves only ``basic_stats`` (``pqeuler stats``),
+the bijection tests and the scan oracle ``_accumulate_scan``.
 """
 
 from __future__ import annotations
@@ -462,18 +467,30 @@ def _unpack(key: int, width: int) -> tuple:
     return tuple(exps)
 
 
-def _accumulate(family: str, n: int, plan, firsts=None, keys=None) -> dict:
+def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
     """{exponent vector: count} over the family's words of size n whose first
-    letter is in ``firsts`` (default: any).  With a list as ``keys``, append
-    each word's packed key to it in lexicographic order instead, and return
-    an empty dict (for n >= 1; see ``stat_table``).
+    letter is in ``firsts`` (default: any).
 
-    A depth-first walk over prefixes, in the manner of lexicographic
-    generation with restricted prefixes (Knuth, TAOCP 4A 7.2.1.2, Algorithm
-    X).  Appending value v at position p prunes the family at once and adds
-    to a packed key only what the new letter gives the weighted statistics:
-    O(1) bit counts over the used values, resolving fmax, suc and adj at the
-    next letter or at the leaf.
+    An exact dynamic program over prefix states, layer by layer: the
+    transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
+    subset DPs of Bellman and of Held and Karp (1962).  Layer p maps the state
+    of each length-p prefix to {packed key: count}.  A state holds only what
+    the family and the weighted statistics still read, so prefixes with the
+    same future merge, and every word is still counted once:
+
+    * the used-value mask (its top bit is the running maximum, which fmax and
+      Dstar read);
+    * the last letter, for des, maj, toht, thto, thot, suc, adj and fmax and
+      for the alternating families and Dstar;
+    * the values u placed at a position > u, for nest;
+    * for cros, one count per free value v < p of the used values below v at
+      positions v+1..p, packed into one int.  Appending w at position p adds
+      1 to the count of every free v with w < v < p and clears that of w.
+
+    Appending value v at position p adds to every key of the state what the
+    new letter gives the weighted statistics, from O(1) bit counts over the
+    state; fmax, suc and adj resolve at the next letter or the last one.
+    Each layer is released as soon as the next one is built.
     """
     if n == 0:
         return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
@@ -492,6 +509,8 @@ def _accumulate(family: str, n: int, plan, firsts=None, keys=None) -> dict:
     alternating = falling or family == "Astar"
     derangement = family == "D"
     coderangement = family == "Dstar"
+    keep_last = bool(w_des or w_maj or need_between or w_thot or w_fmax
+                     or w_suc or w_adj or alternating or coderangement)
 
     full = (2 << n) - 2                  # bit v stands for the value v
     first_mask = full
@@ -499,24 +518,129 @@ def _accumulate(family: str, n: int, plan, firsts=None, keys=None) -> dict:
         first_mask = 0
         for first in firsts:
             first_mask |= 1 << first
-    prefix = [0] * (n + 1)               # values of the first k letters
+    # crossing counts: the count of value v is digit v in base 2**cw; no
+    # count exceeds n - 1.  spread[mask] has a 1 in the digit of each value
+    # in the mask.
+    cw = n.bit_length()
+    digit = (1 << cw) - 1
+    spread = [0] * (1 << n if w_cros else 1)
+    for mask in range(1, len(spread)):
+        low = mask & -mask
+        spread[mask] = spread[mask ^ low] + (1 << cw * (low.bit_length() - 1))
+
     counts: dict = {}
+    # state: (used values, last letter, values u placed at a position > u,
+    # crossing counts); fields the plan and family never read stay 0
+    layer = {(0, 0, 0, 0): {start: 1}}
+    for p in range(1, n + 1):
+        nxt: dict = {}
+        for (used, a, below, cros), keys in layer.items():
+            m = used.bit_length() - 1
+            free = full & ~used
+            if p == 1:
+                free &= first_mask
+            elif alternating:
+                # letter p falls below a in A at even p, in Astar at odd p
+                free &= (1 << a) - 1 if (p % 2 == 0) == falling else -(2 << a)
+            elif coderangement and a == m:
+                free &= (1 << a) - 1         # a left-to-right maximum must fall
+            if derangement:
+                free &= ~(1 << p)
+            elif coderangement and p == n:
+                free &= ~(1 << n)            # nor may the word end on its maximum
+            down = w_des + w_maj * (p - 1)
+            after_max = p > 1 and a == m
+            while free:
+                bv = free & -free
+                free ^= bv
+                v = bv.bit_length() - 1
+                k = 0
+                if v > p:
+                    k += w_exc_wex
+                elif v == p:
+                    k += w_fix_wex
+                if p > 1:
+                    if a > v:
+                        k += down
+                        if need_between:
+                            # values between v and a: 2-31 if already used,
+                            # 31-2 if still to come
+                            left = (used & ((1 << a) - (bv << 1))).bit_count()
+                            k += w_thto * left + w_toht * (a - v - 1 - left)
+                        if v == a - 1:
+                            k += w_adj
+                    else:
+                        if w_thot:
+                            k += w_thot * (used & (bv - (2 << a))).bit_count()
+                        if v == a + 1:
+                            k += w_suc
+                if v > m and after_max:
+                    k += w_fmax
+                if need_above:
+                    above = (used >> v).bit_count()
+                    k += w_inv * above
+                    if v >= p:
+                        k += w_nest * above
+                next_cros = cros
+                if w_cros:
+                    if v < p:
+                        shift = cw * v
+                        k += w_cros * ((cros >> shift) & digit)
+                        next_cros = (cros & ~(digit << shift)) + spread[
+                            ~used & ((1 << p) - (bv << 1))]
+                    elif v > p:
+                        k += w_cros * (used & (bv - (1 << p))).bit_count()
+                if w_nest:
+                    k += w_nest * (below >> v).bit_count()
+                if p == n:
+                    if v == n:
+                        k += w_fmax + w_suc
+                    if v == 1:
+                        k += w_adj
+                    target = counts
+                else:
+                    state = (used | bv, v if keep_last else 0,
+                             below | bv if w_nest and v < p else below,
+                             next_cros)
+                    target = nxt.get(state)
+                    if target is None:
+                        nxt[state] = {key + k: c for key, c in keys.items()}
+                        continue
+                get = target.get
+                for key, c in keys.items():
+                    key += k
+                    target[key] = get(key, 0) + c
+        layer = nxt
+    return {_unpack(key, width): count for key, count in counts.items()}
+
+
+def _walk_keys(n: int, plan) -> list:
+    """The packed key of every word of S_n (n >= 1) in lexicographic order.
+
+    A depth-first walk over prefixes, in the manner of lexicographic
+    generation (Knuth, TAOCP 4A 7.2.1.2).  Appending value v at position p
+    adds to the key only what the new letter gives the weighted statistics,
+    by the same increments as ``_accumulate``; cros reads the used values of
+    the prefix of length v where ``_accumulate`` keeps a count.
+    """
+    start, inc, _ = _packed_plan(plan, n)
+    w_des, w_maj, w_inv, w_cros, w_nest = (
+        inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
+    w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
+    w_fmax, w_suc, w_adj = inc["fmax"], inc["suc"], inc["adj"]
+    w_exc_wex = inc["exc"] + inc["wex"]
+    w_fix_wex = inc["fix"] + inc["wex"]
+    need_above = bool(w_inv or w_nest)
+    need_between = bool(w_toht or w_thto)
+
+    full = (2 << n) - 2                  # bit v stands for the value v
+    prefix = [0] * (n + 1)               # values of the first k letters
+    keys: list = []
 
     # used: values of the first p-1 letters; a: letter p-1 (0 at p = 1);
     # m: their maximum; below: values u placed at a position > u.
     def walk(p, used, a, m, key, below):
         free = full & ~used
-        if p == 1:
-            free &= first_mask
-        elif alternating:
-            # letter p falls below a in A at even p, in Astar at odd p
-            free &= (1 << a) - 1 if (p % 2 == 0) == falling else -(2 << a)
-        elif coderangement and a == m:
-            free &= (1 << a) - 1         # a left-to-right maximum must fall
-        if derangement:
-            free &= ~(1 << p)
-        elif coderangement and p == n:
-            free &= ~(1 << n)            # nor may the word end on its maximum
         down = w_des + w_maj * (p - 1)
         after_max = p > 1 and a == m
         while free:
@@ -532,8 +656,6 @@ def _accumulate(family: str, n: int, plan, firsts=None, keys=None) -> dict:
                 if a > v:
                     k += down
                     if need_between:
-                        # values between v and a: 2-31 if already used,
-                        # 31-2 if still to come
                         left = (used & ((1 << a) - (bv << 1))).bit_count()
                         k += w_thto * left + w_toht * (a - v - 1 - left)
                     if v == a - 1:
@@ -569,17 +691,14 @@ def _accumulate(family: str, n: int, plan, firsts=None, keys=None) -> dict:
                     k += w_fmax + w_suc
                 if v == 1:
                     k += w_adj
-                if keys is None:
-                    counts[k] = counts.get(k, 0) + 1
-                else:
-                    keys.append(k)
+                keys.append(k)
             else:
                 prefix[p] = used | bv
                 walk(p + 1, used | bv, v, new_max, k,
                      below | bv if v < p else below)
 
     walk(1, 0, 0, 0, start, 0)
-    return {_unpack(key, width): count for key, count in counts.items()}
+    return keys
 
 
 def stat_table(n: int, weight: dict) -> list:
@@ -593,8 +712,7 @@ def stat_table(n: int, weight: dict) -> list:
     plan = _weight_plan(weight)
     if n == 0:
         return [(0,) * len(VARS)]
-    keys: list = []
-    _accumulate("S", n, plan, keys=keys)
+    keys = _walk_keys(n, plan)
     width = _packed_plan(plan, n)[2]
     vectors = {key: _unpack(key, width) for key in set(keys)}
     return [vectors[key] for key in keys]
@@ -648,11 +766,14 @@ def default_workers() -> int:
 
 def stat_polynomial(family: str, n: int, weight: dict,
                     cap: int = DEFAULT_CAP, workers: int | None = None,
-                    parallel_threshold: int = 9) -> LaurentPoly:
-    """Sum of the weight monomial over the family.
+                    parallel_threshold: int = DEFAULT_CAP + 1) -> LaurentPoly:
+    """Sum of the weight monomial over the family, by ``_accumulate``.
 
-    Enumeration is split by first letter across processes when ``workers`` > 1
+    The sum is split by first letter across processes when ``workers`` > 1
     and n >= parallel_threshold; the result is independent of the split.
+    Each part repeats most of the dynamic program's shared layers, so on two
+    workers the split is slower than one process at every n up to
+    DEFAULT_CAP, and by default it is taken only above the cap.
     """
     _check_size(family, n, cap)
     plan = _weight_plan(weight)

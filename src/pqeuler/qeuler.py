@@ -242,7 +242,7 @@ def euler_table(nmax: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[EulerTableR
     for n, by_cf in enumerate(e_pq_upto(nmax)):
         methods = ["cf"]
         if n <= enum_cap:
-            by_enum = e_pq(n, method="enumerate")
+            by_enum = e_pq(n, method="enumerate", cap=enum_cap)
             if by_enum != by_cf:
                 raise AssertionError(f"method disagreement at n={n}")
             methods.insert(0, "enumeration")

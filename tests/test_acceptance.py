@@ -1,11 +1,14 @@
-"""The ten acceptance criteria, one test each, all at exact equality.
+"""The ten acceptance criteria, one test each, all at exact equality, and
+the enumerating checks at sizes past them.
 
-Each test prints a single pass/fail line (visible with -s; the -v test line
-mirrors it) and asserts its wall-clock budget.
+Each criterion prints a single pass/fail line (visible with -s; the -v test
+line mirrors it) and asserts its wall-clock budget.
 """
 
 import math
 import time
+
+import pytest
 
 from pqeuler import harness
 from pqeuler.algebra import LaurentPoly
@@ -141,3 +144,17 @@ def test_criterion_10_oracle_coherence():
         for n in range(7):
             assert len({fz(s) for s in family_iter("S", n)}) == math.factorial(n)
     _run(10, "enumeration oracles agree with fast paths", 60, body)
+
+
+# The checks that enumerate a family through stat_polynomial, at sizes past
+# the criteria above.
+FRONTIER = [(cid, 10) for cid in ("thm4_1", "cor_cf_A", "cor_cf_SZ")] + [
+    (cid, 12) for cid in ("thm2_1", "cor2_2", "cor2_3")] + [
+    (cid, 10) for cid in ("euler_roselle", "foata_han", "jv", "shin_zeng")]
+
+
+@pytest.mark.parametrize("cid,param", FRONTIER)
+def test_enumerating_checks_at_the_frontier(cid, param):
+    report = harness.check(cid, param)
+    assert report.passed, report.witness
+    assert report.elapsed < 30, f"{cid}@{param} took {report.elapsed:.2f}s"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqeuler import permstat
 from pqeuler.algebra import VARS, LaurentPoly
+from pqeuler.lattice import laguerre_quintuple_weights, weighted_sum
 from pqeuler.qeuler import e_pq
 from pqeuler.permstat import (
     BACKEND,
@@ -267,10 +268,12 @@ def test_field_count():
 
 
 # ---------------------------------------------------------------------------
-# the prefix walk against the scan oracle
+# the summing path, the dynamic program over prefix states of _accumulate,
+# against the scan oracle (the test names date from when that path was the
+# prefix walk, which now serves only stat_table)
 
 
-def _walk_and_scan(family, n, weight, firsts=None):
+def _dp_and_scan(family, n, weight, firsts=None):
     plan = permstat._weight_plan(weight)
     return (permstat._accumulate(family, n, plan, firsts),
             permstat._accumulate_scan(family, n, plan, firsts))
@@ -297,8 +300,8 @@ def _stat_weights():
 def test_walk_matches_scan_on_every_statistic(family, n):
     weights = _stat_weights() + [QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT]
     for weight in weights:
-        walk, scan = _walk_and_scan(family, n, weight)
-        assert walk == scan, weight
+        dp, scan = _dp_and_scan(family, n, weight)
+        assert dp == scan, weight
 
 
 _VAR_WEIGHTS = st.dictionaries(
@@ -311,8 +314,8 @@ _VAR_WEIGHTS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FAMILIES), st.integers(0, 6), _VAR_WEIGHTS)
 def test_walk_matches_scan_on_random_weights(family, n, weight):
-    walk, scan = _walk_and_scan(family, n, weight)
-    assert walk == scan
+    dp, scan = _dp_and_scan(family, n, weight)
+    assert dp == scan
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -321,11 +324,19 @@ def test_walk_split_by_first_letter_sums_to_whole(family):
     for n in range(1, 8):
         total: dict = {}
         for first in range(1, n + 1):
-            part, scan = _walk_and_scan(family, n, QUINTUPLE_WEIGHT, [first])
+            part, scan = _dp_and_scan(family, n, QUINTUPLE_WEIGHT, [first])
             assert part == scan
             for e, c in part.items():
                 total[e] = total.get(e, 0) + c
         assert total == permstat._accumulate(family, n, plan)
+
+
+def test_dp_matches_laguerre_transfer_above_the_scan():
+    # Foata-Zeilberger: the quintuple polynomial of S_9 is the weighted sum
+    # of Laguerre histories of length 9, which the transfer pass reaches
+    # without enumerating a word
+    assert stat_polynomial("S", 9, QUINTUPLE_WEIGHT, workers=1) == (
+        weighted_sum("laguerre", 9, laguerre_quintuple_weights(), method="dp"))
 
 
 def test_stat_polynomial_never_scans(monkeypatch):
@@ -343,16 +354,16 @@ def test_stat_polynomial_never_scans(monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_walk_and_scan_ignore_the_first_letter_at_n0(family):
-    walk, scan = _walk_and_scan(family, 0, QUINTUPLE_WEIGHT, [1])
-    assert walk == scan == _walk_and_scan(family, 0, QUINTUPLE_WEIGHT)[0]
+    dp, scan = _dp_and_scan(family, 0, QUINTUPLE_WEIGHT, [1])
+    assert dp == scan == _dp_and_scan(family, 0, QUINTUPLE_WEIGHT)[0]
 
 
 def test_packed_keys_hold_large_coefficients():
     # far past the digit width that the exponents of S_6 alone would need
     weight = {"x": {"inv": 10**12, "n": -10**12}, "y": {"fix": -7},
               "s": {"cros": 3, "nest": -(2**70)}}
-    walk, scan = _walk_and_scan("S", 6, weight)
-    assert walk == scan
+    dp, scan = _dp_and_scan("S", 6, weight)
+    assert dp == scan
     poly = stat_polynomial("S", 6, weight, workers=1)
     assert poly == LaurentPoly(scan)
     assert LaurentPoly.from_json(poly.to_json()) == poly

@@ -118,3 +118,11 @@ def test_euler_table():
     assert "enumeration" in rows[6].methods and "cf" in rows[6].methods
     payload = rows[4].to_json()
     assert payload["n"] == 4 and payload["E"] == "5"
+
+
+def test_euler_table_passes_its_cap_to_enumeration():
+    # 10 is past e_pq's own cap of 9
+    rows = euler_table(10, enum_cap=10)
+    assert "enumeration" in rows[10].methods
+    assert [row.methods for row in euler_table(10, enum_cap=9)][9:] == [
+        ("enumeration", "cf"), ("cf",)]
