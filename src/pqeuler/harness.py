@@ -25,15 +25,19 @@ from .contfrac import (
     preset,
 )
 from .lattice import enumerate_objects
-from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
+# the certificates call the tuple cores; csz, invol_phi and invol_psi stay
+# importable from here, where perfbench/spans.py wraps them
+from .maps import (csz, csz_word, fv, fv_star, fz, invol_phi, invol_phi_word,
+                   invol_psi, invol_psi_word)
 from .permstat import (
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
     family_contains,
     family_iter,
-    lex_rank,
+    lex_index,
     stat_polynomial,
     stat_table,
+    word_str,
 )
 from .qeuler import (
     AT_ONE,
@@ -237,22 +241,26 @@ def certify_csz(n: int):
     thto, mad) to (wex, fix, cros, nest, inv), or None if it is.
 
     Both sides read their statistics from one ``stat_table`` each, as
-    exponent vectors (x, y, p, q, s) of the two quintuple weights.
+    exponent vectors (x, y, p, q, s) of the two quintuple weights.  The
+    words are the raw tuples of ``lex_index``, so a word's rank is its loop
+    index and an image's rank one lookup; an image without one is not in
+    S_n.
     """
     linear = stat_table(n, LINEAR_QUINTUPLE_WEIGHT)
     quintuple = stat_table(n, QUINTUPLE_WEIGHT)
-    seen = bytearray(len(quintuple))
-    for rank, sigma in enumerate(family_iter("S", n)):
-        tau = csz(sigma)
-        if len(tau) != n:
-            return f"sigma={sigma}: image {tau} is not in S_{n}"
-        image = lex_rank(tau.word)
+    index = lex_index(n)
+    seen = bytearray(len(index))
+    for rank, sigma in enumerate(index):
+        tau = csz_word(sigma)
+        image = index.get(tau)
+        if image is None:
+            return f"sigma={word_str(sigma)}: image {word_str(tau)} is not in S_{n}"
         if seen[image]:
-            return f"n={n}: biword map is not injective (tau={tau})"
+            return f"n={n}: biword map is not injective (tau={word_str(tau)})"
         seen[image] = 1
         if linear[rank] != quintuple[image]:
-            return (f"sigma={sigma}: {linear[rank]} != {quintuple[image]} "
-                    f"(tau={tau})")
+            return (f"sigma={word_str(sigma)}: {linear[rank]} != "
+                    f"{quintuple[image]} (tau={word_str(tau)})")
     return None
 
 
@@ -299,7 +307,10 @@ CONTRA_SERIES_ORDER = 10
 
 
 def _check_contra(order: int):
-    euler_pq = e_pq_upto(CONTRA_SERIES_ORDER)
+    # the specialised presets are compared with the signed Euler series up
+    # to the order, and never below CONTRA_SERIES_ORDER
+    series_order = max(order, CONTRA_SERIES_ORDER)
+    euler_pq = e_pq_upto(series_order)
     for check_id, names in SPECIALIZED.items():
         at, *sides = SIGNED[check_id]
         bases = [e.substitute(at) for e in euler_pq]
@@ -313,9 +324,9 @@ def _check_contra(order: int):
                 why = _contraction_agrees(pr.s_form, order)
                 if why:
                     return f"{name}: {why}"
-            target = TruncSeries(CONTRA_SERIES_ORDER, [LaurentPoly.const(1)] + [
-                side.value(n, bases[n]) for n in range(1, CONTRA_SERIES_ORDER + 1)])
-            if pr.expand(CONTRA_SERIES_ORDER) != target:
+            target = TruncSeries(series_order, [LaurentPoly.const(1)] + [
+                side.value(n, bases[n]) for n in range(1, series_order + 1)])
+            if pr.expand(series_order) != target:
                 return f"{name}: expansion differs from signed Euler series"
     rng = random.Random(CONTRA_SEED)
     levels = order + 4
@@ -333,7 +344,8 @@ def _check_sz_linear(nmax: int):
         if why:
             break
         stats = stat_table(n, _INVOLUTION_WEIGHT)
-        why = certify_phi(n, stats) or certify_psi(n, stats)
+        index = lex_index(n)
+        why = certify_phi(n, stats, index) or certify_psi(n, stats, index)
     return why
 
 
@@ -341,52 +353,57 @@ def _check_sz_linear(nmax: int):
 _INVOLUTION_WEIGHT = {"x": {"ndes": 1}, "y": {"toht": 1}, "p": {"mad": 1}}
 
 
-def _certify_involution(invol, name: str, ranked, fixed_set: str, n: int,
-                        stats, deltas_ok):
-    """Witness that ``invol`` is not an involution of the words of length n
-    in ``ranked`` ((lex_rank, word) pairs) fixing exactly the words of
-    ``fixed_set`` and moving every other word's (ndes, toht, mad) as
-    ``deltas_ok`` allows, or None if it is.  ``stats`` is
-    stat_table(n, _INVOLUTION_WEIGHT), built here if None.
+def _certify_involution(core, name: str, domain: str, fixed_set: str, n: int,
+                        stats, index, deltas_ok):
+    """Witness that ``core`` is not an involution of the words of length n
+    in ``domain`` fixing exactly the words of ``fixed_set`` and moving every
+    other word's (ndes, toht, mad) as ``deltas_ok`` allows, or None if it
+    is.  ``stats`` is stat_table(n, _INVOLUTION_WEIGHT) and ``index`` is
+    lex_index(n), each built here if None.
 
-    The involution runs once per word: a first pass ranks every image, and
-    the second reads self-inverse from the ranks, so an image outside the
-    domain shows as a word that is not self-inverse."""
+    The involution runs once per word of the domain: a first pass ranks
+    every image through the index, and the second reads self-inverse from
+    the ranks, so an image outside the domain shows as a word that is not
+    self-inverse, and one outside S_n as a word whose image has no rank."""
     if n < 1:
         raise ValueError(f"the {name} is stated for n >= 1, got n={n}")
     if stats is None:
         stats = stat_table(n, _INVOLUTION_WEIGHT)
-    ranked = list(ranked)
-    taus = [invol(sigma) for _, sigma in ranked]
-    image = {rank: lex_rank(tau.word)
-             for (rank, _), tau in zip(ranked, taus) if len(tau) == n}
-    for (rank, sigma), tau in zip(ranked, taus):
-        if len(tau) != n:
-            return f"sigma={sigma}: image {tau} is not in S_{n}"
+    if index is None:
+        index = lex_index(n)
+    # the rank of each word's image; -1 for a word outside the domain
+    image = [index.get(core(w)) if family_contains(domain, w) else -1
+             for w in index]
+    for rank, sigma in enumerate(index):
         partner = image[rank]
-        if image.get(partner) != rank:
-            return f"n={n} sigma={sigma}: {name} not self-inverse"
-        fixed = family_contains(fixed_set, sigma.word)
+        if partner == -1:
+            continue
+        if partner is None:
+            return (f"sigma={word_str(sigma)}: image {word_str(core(sigma))} "
+                    f"is not in S_{n}")
+        if image[partner] != rank:
+            return f"n={n} sigma={word_str(sigma)}: {name} not self-inverse"
+        fixed = family_contains(fixed_set, sigma)
         if fixed != (partner == rank):
-            return f"n={n} sigma={sigma}: wrong fixed set for {name}"
+            return f"n={n} sigma={word_str(sigma)}: wrong fixed set for {name}"
         if not fixed and not deltas_ok(stats[rank], stats[partner]):
-            return f"n={n} sigma={sigma}: {name} statistic deltas"
+            return f"n={n} sigma={word_str(sigma)}: {name} statistic deltas"
     return None
 
 
-def certify_phi(n: int, stats=None):
+def certify_phi(n: int, stats=None, index=None):
     """invol_phi on S_n: fixed set Aprime_n; ndes changes by 1, toht stays."""
     return _certify_involution(
-        invol_phi, "first involution", enumerate(family_iter("S", n)),
-        "Aprime", n, stats, lambda a, b: a[1] == b[1] and abs(a[0] - b[0]) == 1)
+        invol_phi_word, "first involution", "S", "Aprime", n, stats, index,
+        lambda a, b: a[1] == b[1] and abs(a[0] - b[0]) == 1)
 
 
-def certify_psi(n: int, stats=None):
+def certify_psi(n: int, stats=None, index=None):
     """invol_psi on Dstar_n: fixed set Adoubleprime_n; ndes changes by 1,
     toht by as much, and mad stays."""
-    ranked = ((lex_rank(sigma.word), sigma) for sigma in family_iter("Dstar", n))
     return _certify_involution(
-        invol_psi, "second involution", ranked, "Adoubleprime", n, stats,
+        invol_psi_word, "second involution", "Dstar", "Adoubleprime", n,
+        stats, index,
         lambda a, b: (a[1] - b[1] == a[0] - b[0] and abs(a[0] - b[0]) == 1
                       and a[2] == b[2]))
 
@@ -404,25 +421,24 @@ def _check_mad_remark(nmax: int):
 
 
 def _check_sec7(nmax: int):
-    q_cap = min(nmax, 10)
-    q1_cap = min(nmax, 8)
     rz = rz_series(nmax)
     euler_pq = e_pq_upto(nmax)
+    at_one = [parity_formula(n) for n in range(nmax + 1)]
     for n in range(nmax + 1):
         want = euler_pq[n].substitute(AT_ONE).as_int()
         if rz.coeff(n) != want:
             return f"t^{n} of rational series: {rz.coeff(n)} != {want}"
-        if parity_formula(n) != want:
-            return f"double sum at n={n}: {parity_formula(n)} != {want}"
-    hrz = hrz_series(q_cap)
-    for n in range(q_cap + 1):
+        if at_one[n] != want:
+            return f"double sum at n={n}: {at_one[n]} != {want}"
+    hrz = hrz_series(nmax)
+    for n in range(nmax + 1):
         want = euler_pq[n].substitute(AT_Q)
         if hrz.coeff(n) != want:
             return f"t^{n} of q-rational series: {hrz.coeff(n)} != {want}"
         qp = q_parity_formula(n)
         if qp != want:
             return f"q double sum at n={n}: {qp} != {want}"
-        if n <= q1_cap and qp.substitute({"q": 1}).as_int() != parity_formula(n):
+        if qp.substitute({"q": 1}).as_int() != at_one[n]:
             return f"q double sum at q=1, n={n}, disagrees with integer double sum"
     return None
 

@@ -273,8 +273,12 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
 
     def rec(pos, h, key, coeff):
         remaining = length - pos
-        if remaining == 0:
-            acc[key] = acc.get(key, 0) + coeff
+        if remaining == 1:
+            # the last step, taken here rather than by one more call per
+            # object: a down step from height 1, or a level step at 0
+            for e, c in choices[DOWN, 1] if h else choices[LEVEL, 0]:
+                e += key
+                acc[e] = acc.get(e, 0) + coeff * c
             return
         if h + 1 <= remaining - 1:
             for e, c in choices[UP, h]:
@@ -286,7 +290,10 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
             for e, c in choices[DOWN, h]:
                 rec(pos + 1, h - 1, key + e, coeff * c)
 
-    rec(0, 0, 0, 1)
+    if length:
+        rec(0, 0, 0, 1)
+    else:
+        acc[0] = 1
     return LaurentPoly._packed({e: c for e, c in acc.items() if c}, bound)
 
 

@@ -7,6 +7,12 @@
   (wex, fix, cros, nest, inv).
 * invol_phi / invol_psi: the value-moving involutions whose fixed sets are
   the odd / even falling alternating permutations.
+
+csz, invol_phi and invol_psi each run on a core that maps a raw tuple to a
+raw tuple (csz_word, invol_phi_word, invol_psi_word); the Permutation-level
+functions wrap them.  The certificates of these three maps in ``harness``
+walk the raw words of S_n and call the cores, so they build no Permutation;
+a witness is printed from the raw word.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ from dataclasses import dataclass
 from .lattice import DOWN, LEVEL, UP, DyckDiagramme, LaguerreHistory, MotzkinPath
 from .permstat import (
     Permutation,
-    cros_k,
-    cyclic_type,
     is_coderangement,
     is_falling_alternating,
     pattern_k,
@@ -61,7 +65,7 @@ def fv_star(sigma: Permutation) -> DyckDiagramme:
     n = len(w)
     if n % 2 == 1 or not is_falling_alternating(w):
         raise ValueError(f"{sigma} is not falling alternating of even length")
-    star = Permutation(w + (n + 1,))
+    star = Permutation._trusted(w + (n + 1,))
     d = fv(star)
     return DyckDiagramme(d.path, d.xi, restricted=True)
 
@@ -69,29 +73,40 @@ def fv_star(sigma: Permutation) -> DyckDiagramme:
 def fz(sigma: Permutation) -> LaguerreHistory:
     """Laguerre history of a permutation: step type from the cyclic type of
     each value, xi from the crossing index (negated and shifted on cyclic
-    double descents)."""
+    double descents).
+
+    One loop over the values k reads the cyclic type from k's preimage and
+    image, and the crossing index from a mask of the values left of
+    position k: it counts the l < k with k <= s_l < s_k when s_k > k, and
+    the l > k with s_k < s_l < k when s_k < k.
+    """
     w = sigma.word
     n = len(w)
+    inv = [0] * (n + 1)
+    for i, v in enumerate(w, 1):
+        inv[v] = i
+    full = (2 << n) - 2               # bit v stands for the value v
+    left = 0                          # the values at positions 1..k-1
     steps = []
     xi = []
-    for k in range(1, n + 1):
-        kind = cyclic_type(sigma, k)
-        ck = cros_k(sigma, k)
-        if kind == "cyclic-valley":
-            steps.append(UP)
-            xi.append(ck)
-        elif kind == "cyclic-peak":
-            steps.append(DOWN)
-            xi.append(ck)
-        elif kind == "fixed":
+    for k, sk in enumerate(w, 1):
+        if sk == k:
             steps.append(LEVEL)
             xi.append(0)
-        elif kind == "cyclic-double-ascent":
-            steps.append(LEVEL)
+        elif sk > k:
+            ck = (left & ((1 << sk) - (1 << k))).bit_count()
+            steps.append(UP if inv[k] > k else LEVEL)   # valley / double ascent
             xi.append(ck)
-        else:  # cyclic double descent
-            steps.append(LEVEL)
-            xi.append(-(ck + 1))
+        else:
+            right = full & ~left & ~(1 << sk)
+            ck = (right & ((1 << k) - (2 << sk))).bit_count()
+            if inv[k] < k:                              # cyclic peak
+                steps.append(DOWN)
+                xi.append(ck)
+            else:                                       # double descent
+                steps.append(LEVEL)
+                xi.append(-(ck + 1))
+        left |= 1 << sk
     return LaguerreHistory(MotzkinPath(steps), xi)
 
 
@@ -99,71 +114,116 @@ def fz(sigma: Permutation) -> LaguerreHistory:
 # the biword bijection
 
 
-def csz_biwords(sigma: Permutation):
-    """The two biwords (f / f') and (g / g') of the construction.
+def _csz_rows(w):
+    """(descent bottoms as flags by value, f', g') of the construction on
+    the word w; f lists the flagged values in increasing order, g the
+    others.
 
     f' places descent tops from largest to smallest, inserting each letter
     with its right embracing number of larger letters to the left; g' places
     nondescent tops from smallest to largest, inserting each letter with its
     right embracing number of smaller letters to the right.
     """
-    w = sigma.word
     n = len(w)
-    pos = [0] * (n + 1)
-    for i, v in enumerate(w):
-        pos[v] = i
     # emb[k] counts the descents a > k > b wholly right of k (pattern 2-31)
     emb = [0] * (n + 1)
-    descent_tops = set()
-    descent_bottoms = set()
-    for i in range(n - 1):
-        a, b = w[i], w[i + 1]
+    top = [False] * (n + 1)
+    bottom = [False] * (n + 1)
+    left = 0                      # the values left of the letter a
+    a = w[0] if n else 0
+    for b in w[1:]:
         if a > b:
-            descent_tops.add(a)
-            descent_bottoms.add(b)
+            top[a] = bottom[b] = True
             for k in range(b + 1, a):
-                if pos[k] < i:
+                if left >> k & 1:
                     emb[k] += 1
-
-    f = sorted(descent_bottoms)
-    g = sorted(v for v in w if v not in descent_bottoms)
-
+        left |= 1 << a
+        a = b
     fprime: list = []
-    for a in sorted(descent_tops, reverse=True):
-        fprime.insert(emb[a], a)
-
+    for v in range(n, 0, -1):
+        if top[v]:
+            fprime.insert(emb[v], v)
     gprime: list = []
-    for b in sorted(v for v in w if v not in descent_tops):
-        gprime.insert(len(gprime) - emb[b], b)
+    for v in range(1, n + 1):
+        if not top[v]:
+            gprime.insert(len(gprime) - emb[v], v)
+    return bottom, fprime, gprime
 
-    return Biword(tuple(f), tuple(fprime)), Biword(tuple(g), tuple(gprime))
+
+def csz_word(w: tuple) -> tuple:
+    """csz on a raw word: the concatenated biword read as a function
+    bottom -> top."""
+    bottom, fprime, gprime = _csz_rows(w)
+    tau = [0] * len(w)
+    f_bottoms, g_bottoms = iter(fprime), iter(gprime)
+    for v in range(1, len(w) + 1):
+        tau[(next(f_bottoms) if bottom[v] else next(g_bottoms)) - 1] = v
+    return tuple(tau)
+
+
+def csz_biwords(sigma: Permutation):
+    """The two biwords (f / f') and (g / g') of the construction."""
+    bottom, fprime, gprime = _csz_rows(sigma.word)
+    values = range(1, sigma.n + 1)
+    return (Biword(tuple(v for v in values if bottom[v]), tuple(fprime)),
+            Biword(tuple(v for v in values if not bottom[v]), tuple(gprime)))
 
 
 def csz(sigma: Permutation) -> Permutation:
     """Read the concatenated biword as a function bottom -> top."""
-    fw, gw = csz_biwords(sigma)
-    n = sigma.n
-    tau = [0] * n
-    for top, bottom in zip(fw.top + gw.top, fw.bottom + gw.bottom):
-        tau[bottom - 1] = top
-    return Permutation(tau)
+    return Permutation._trusted(csz_word(sigma.word))
 
 
 # ---------------------------------------------------------------------------
 # involutions
 
 
-def _largest_movable(w, left, right):
-    """(0-based index, "da" or "dd") of the largest double ascent or double
-    descent of w with the given boundary values, or None."""
-    best, top = None, 0
-    prev = left
-    for i, v in enumerate(w):
-        nxt = w[i + 1] if i + 1 < len(w) else right
+def _largest_movable(w, right):
+    """0-based index of the largest double ascent or double descent of w
+    between the boundary values 0 and ``right``, or -1."""
+    best, top = -1, 0
+    prev = 0
+    for i, (v, nxt) in enumerate(zip(w, w[1:] + (right,))):
         if v > top and (prev < v < nxt or prev > v > nxt):
-            best, top = (i, "da" if prev < v else "dd"), v
+            best, top = i, v
         prev = v
     return best
+
+
+def invol_phi_word(w: tuple) -> tuple:
+    """invol_phi on a raw word of S_n."""
+    m = _largest_movable(w, 0)
+    if m < 0:
+        return w
+    v = w[m]
+    n = len(w)
+    if m == 0 or w[m - 1] < v:        # double ascent
+        j = m + 1
+        while j < n and w[j] > v:
+            j += 1
+        return w[:m] + w[m + 1:j] + (v,) + w[j:]
+    j = m - 1
+    while j >= 0 and w[j] > v:
+        j -= 1
+    return w[:j + 1] + (v,) + w[j + 1:m] + w[m + 1:]
+
+
+def invol_psi_word(w: tuple) -> tuple:
+    """invol_psi on a raw word, which must be a coderangement."""
+    n = len(w)
+    m = _largest_movable(w, n + 1)
+    if m < 0:
+        return w
+    v = w[m]
+    if m == 0 or w[m - 1] < v:        # double ascent
+        j = m - 1
+        while j >= 0 and w[j] < v:
+            j -= 1
+        return w[:j + 1] + (v,) + w[j + 1:m] + w[m + 1:]
+    j = m + 1
+    while j < n and w[j] < v:
+        j += 1
+    return w[:m] + w[m + 1:j] + (v,) + w[j:]
 
 
 def invol_phi(sigma: Permutation) -> Permutation:
@@ -171,20 +231,7 @@ def invol_phi(sigma: Permutation) -> Permutation:
     double ascent forward past the next smaller letter, or the largest double
     descent back behind the previous smaller letter.  Fixed points are the
     falling alternating permutations of odd length."""
-    w = list(sigma.word)
-    n = len(w)
-    found = _largest_movable(w, 0, 0)
-    if found is None:
-        return sigma
-    m, kind = found
-    v = w[m]
-    if kind == "da":
-        j = next((j for j in range(m + 1, n) if w[j] < v), n)
-        new = w[:m] + w[m + 1:j] + [v] + w[j:]
-    else:
-        j = next((j for j in range(m - 1, -1, -1) if w[j] < v), -1)
-        new = w[:j + 1] + [v] + w[j + 1:m] + w[m + 1:]
-    return Permutation(new)
+    return Permutation._trusted(invol_phi_word(sigma.word))
 
 
 def invol_psi(sigma: Permutation) -> Permutation:
@@ -192,19 +239,6 @@ def invol_psi(sigma: Permutation) -> Permutation:
     ascent moves back behind the previous LARGER letter, the largest double
     descent forward past the next larger letter.  Fixed points are the falling
     alternating permutations of even length."""
-    w = list(sigma.word)
-    n = len(w)
-    if not is_coderangement(w):
+    if not is_coderangement(sigma.word):
         raise ValueError(f"{sigma} is not a coderangement")
-    found = _largest_movable(w, 0, n + 1)
-    if found is None:
-        return sigma
-    m, kind = found
-    v = w[m]
-    if kind == "da":
-        j = next(j for j in range(m - 1, -1, -1) if w[j] > v)
-        new = w[:j + 1] + [v] + w[j + 1:m] + w[m + 1:]
-    else:
-        j = next((j for j in range(m + 1, n) if w[j] > v), n)
-        new = w[:m] + w[m + 1:j] + [v] + w[j:]
-    return Permutation(new)
+    return Permutation._trusted(invol_psi_word(sigma.word))

@@ -57,6 +57,14 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {word}")
         self.word = word
 
+    @classmethod
+    def _trusted(cls, word: tuple) -> "Permutation":
+        """The permutation of a tuple the package has just built as one,
+        without the check."""
+        sigma = object.__new__(cls)
+        sigma.word = word
+        return sigma
+
     @property
     def n(self) -> int:
         return len(self.word)
@@ -68,7 +76,7 @@ class Permutation:
         inv = [0] * self.n
         for i, v in enumerate(self.word, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.word == other.word
@@ -90,12 +98,18 @@ class Permutation:
         return cls(int(ch) for ch in text)
 
     def __str__(self):
-        if self.n <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
+        return word_str(self.word)
 
     def __repr__(self):
         return f"Permutation({self})"
+
+
+def word_str(word) -> str:
+    """One-line notation: the letters run together while all are digits,
+    else comma-separated."""
+    if all(0 <= v <= 9 for v in word):
+        return "".join(map(str, word))
+    return ",".join(map(str, word))
 
 
 def stat_tuple(word):
@@ -384,7 +398,7 @@ def iter_family_words(family: str, n: int, cap: int = DEFAULT_CAP):
 
 def family_iter(family: str, n: int, cap: int = DEFAULT_CAP):
     for word in iter_family_words(family, n, cap):
-        yield Permutation(word)
+        yield Permutation._trusted(word)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +717,7 @@ def _walk_keys(n: int, plan) -> list:
 
 def stat_table(n: int, weight: dict) -> list:
     """The weight's exponent vector of every word of S_n, indexed by the
-    word's ``lex_rank``, from one prefix walk.
+    word's lexicographic rank (as in ``lex_index``), from one prefix walk.
 
     The walk visits S_n in lexicographic order, so the i-th key it leaves is
     that of the word of rank i.  Equal keys share one unpacked vector.
@@ -718,19 +732,15 @@ def stat_table(n: int, weight: dict) -> list:
     return [vectors[key] for key in keys]
 
 
-def lex_rank(word) -> int:
-    """Index of a word of S_n among all of S_n in lexicographic order.
+def lex_index(n: int) -> dict:
+    """{word: rank} over S_n, in lexicographic order, as raw tuples.
 
-    Horner's rule over its Lehmer code (Lehmer, 1960): the code's i-th digit
-    counts the values below word[i] still free, read off a bit mask of the
-    values already placed.
+    Iterating over it gives the words in rank order, and the rank of any
+    tuple is one lookup; a tuple that is not a word of S_n has none.
     """
-    n = len(word)
-    rank = used = 0
-    for i, v in enumerate(word):
-        rank = rank * (n - i) + v - 1 - (used & ((1 << v) - 1)).bit_count()
-        used |= 1 << v
-    return rank
+    _check_size("S", n, DEFAULT_CAP)
+    return {word: rank for rank, word in
+            enumerate(itertools.permutations(range(1, n + 1)))}
 
 
 def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:

@@ -76,7 +76,7 @@ def test_criterion_04_signed_identities():
 
 def test_criterion_05_biword_bijection():
     def body():
-        report = harness.check("thm3_2", 8)
+        report = harness.check("thm3_2", 9)
         assert report.passed, report.witness
         assert str(csz(Permutation.parse("412796583"))) == "249385716"
     _run(5, "biword bijection transport", 120, body)
@@ -91,7 +91,7 @@ def test_criterion_06_contraction_pipeline():
 
 def test_criterion_07_involutions():
     def body():
-        report = harness.check("sz_linear", 8)
+        report = harness.check("sz_linear", 9)
         assert report.passed, report.witness
     _run(7, "sign-reversing involutions", 60, body)
 

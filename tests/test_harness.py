@@ -4,8 +4,14 @@ import json
 import pytest
 
 from pqeuler import harness, permstat
+from pqeuler.algebra import LaurentPoly
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
-from pqeuler.permstat import Permutation, basic_stats, family_iter
+from pqeuler.permstat import (
+    Permutation,
+    basic_stats,
+    iter_family_words,
+    word_str,
+)
 
 
 @pytest.mark.parametrize("cid", harness.CHECK_IDS)
@@ -38,11 +44,11 @@ def test_per_word_checks_never_call_the_kernel(monkeypatch):
 
 
 def test_thm3_2_fails_when_two_csz_images_are_swapped(monkeypatch):
-    real = harness.csz
-    a, b = Permutation((1, 2, 3, 4)), Permutation((1, 2, 4, 3))
+    real = harness.csz_word
+    a, b = (1, 2, 3, 4), (1, 2, 4, 3)
     swapped = {a: real(b), b: real(a)}
-    monkeypatch.setattr(harness, "csz",
-                        lambda sigma: swapped.get(sigma) or real(sigma))
+    monkeypatch.setattr(harness, "csz_word",
+                        lambda w: swapped.get(w) or real(w))
     report = harness.check("thm3_2", 5)
     assert not report.passed
     assert report.witness.startswith("sigma=1234:")
@@ -51,14 +57,14 @@ def test_thm3_2_fails_when_two_csz_images_are_swapped(monkeypatch):
 def _plant_phi_partner_swap(monkeypatch):
     # swap the partners of two moved words of equal ndes: still an
     # involution with the same fixed set, but ndes no longer changes by 1
-    real = harness.invol_phi
-    moved = [s for s in family_iter("S", 4) if real(s) != s]
+    real = harness.invol_phi_word
+    moved = [w for w in iter_family_words("S", 4) if real(w) != w]
     a, b = next((s, t) for s in moved for t in moved
                 if t not in (s, real(s))
                 and basic_stats(s).ndes == basic_stats(t).ndes)
     fake = {a: b, b: a, real(a): real(b), real(b): real(a)}
-    monkeypatch.setattr(harness, "invol_phi",
-                        lambda sigma: fake.get(sigma) or real(sigma))
+    monkeypatch.setattr(harness, "invol_phi_word",
+                        lambda w: fake.get(w) or real(w))
 
 
 def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
@@ -71,13 +77,32 @@ def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
 def test_sz_linear_fails_when_invol_psi_leaves_the_coderangements(monkeypatch):
     # the first moved coderangement of length 4 goes to 1234, which is not
     # one: its image has no image, so psi is not self-inverse there
-    real = harness.invol_psi
-    first = next(s for s in family_iter("Dstar", 4) if real(s) != s)
-    monkeypatch.setattr(harness, "invol_psi",
-                        lambda sigma: Permutation((1, 2, 3, 4)) if sigma == first
-                        else real(sigma))
+    real = harness.invol_psi_word
+    first = next(w for w in iter_family_words("Dstar", 4) if real(w) != w)
+    monkeypatch.setattr(harness, "invol_psi_word",
+                        lambda w: (1, 2, 3, 4) if w == first else real(w))
     report = harness.check("sz_linear", 4)
-    assert report.witness == f"n=4 sigma={first}: second involution not self-inverse"
+    assert report.witness == (f"n=4 sigma={word_str(first)}: "
+                              "second involution not self-inverse")
+
+
+# certificate, the core it calls, the domain its size-4 run walks
+NOT_A_PERMUTATION = [(harness.certify_csz, "csz_word", "S"),
+                     (harness.certify_phi, "invol_phi_word", "S"),
+                     (harness.certify_psi, "invol_psi_word", "Dstar")]
+
+
+@pytest.mark.parametrize("certify,core,domain", NOT_A_PERMUTATION,
+                         ids=[core for _, core, _ in NOT_A_PERMUTATION])
+def test_certificate_reports_an_image_outside_s_n(certify, core, domain,
+                                                  monkeypatch):
+    # the third word of the domain goes to 1224, which no word of S_4 is
+    real = getattr(harness, core)
+    planted = list(iter_family_words(domain, 4))[2]
+    monkeypatch.setattr(harness, core,
+                        lambda w: (1, 2, 2, 4) if w == planted else real(w))
+    assert certify(4) == (f"sigma={word_str(planted)}: image 1224 "
+                          "is not in S_4")
 
 
 def test_certify_fz_fails_when_two_images_collide(monkeypatch):
@@ -124,6 +149,30 @@ def test_contra_targets_follow_the_signed_table(cid, half, monkeypatch):
     name = harness.SPECIALIZED[cid][half - 1]
     report = harness.check("contra", 2)
     assert report.witness == f"{name}: expansion differs from signed Euler series"
+
+
+def test_contra_compares_the_presets_past_order_ten(monkeypatch):
+    # E_11(p,q) off by 1: only jv-tangent's comparison up to the order sees it
+    real = harness.e_pq_upto
+
+    def planted(nmax):
+        values = real(nmax)
+        values[11] = values[11] + LaurentPoly.const(1)
+        return values
+
+    monkeypatch.setattr(harness, "e_pq_upto", planted)
+    report = harness.check("contra", 12)
+    assert report.witness == "jv-tangent: expansion differs from signed Euler series"
+
+
+def test_sec7_checks_the_q_double_sum_past_ten(monkeypatch):
+    real = harness.q_parity_formula
+    monkeypatch.setattr(harness, "q_parity_formula",
+                        lambda n: real(n) + LaurentPoly.const(1) if n == 12
+                        else real(n))
+    report = harness.check("sec7", 12)
+    assert not report.passed
+    assert report.witness.startswith("q double sum at n=12: ")
 
 
 SERIES_IDS = list(harness.SERIES)

@@ -119,6 +119,20 @@ def test_dp_equals_enumeration_small():
             assert dp == brute, (kind, length)
 
 
+def test_dp_equals_enumeration_with_integer_coefficients():
+    # every step weight, the last step's included, has terms with
+    # coefficients other than 1
+    three, five = LaurentPoly.const(3), LaurentPoly.const(5)
+    spec = abc_weights(a=lambda h: LaurentPoly.const(h + 2),
+                       b=lambda h: LaurentPoly.var("q") + three,
+                       c=lambda h: LaurentPoly.var("q", 1, coeff=-h) + five)
+    for kind, step in (("motzkin", 1), ("dyck", 2)):
+        for length in range(0, 9, step):
+            dp = weighted_sum(kind, length, spec, method="dp")
+            brute = weighted_sum(kind, length, spec, method="enumerate")
+            assert dp == brute, (kind, length)
+
+
 def test_abc_weights_count_paths():
     one = LaurentPoly.const(1)
     spec = abc_weights(a=lambda h: one, b=lambda h: one, c=lambda h: one)

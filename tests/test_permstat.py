@@ -25,7 +25,7 @@ from pqeuler.permstat import (
     inv_parts,
     is_coderangement,
     iter_family_words,
-    lex_rank,
+    lex_index,
     nest_k,
     pattern_k,
     stat_polynomial,
@@ -207,6 +207,8 @@ def test_permutation_parse_and_str():
     assert str(long) == "10,1,2,3,4,5,6,7,8,9"
     with pytest.raises(ValueError):
         Permutation.parse("221")
+    with pytest.raises(ValueError):
+        Permutation((1, 2, 2))
 
 
 def test_inverse():
@@ -404,5 +406,8 @@ def test_stat_table_matches_stat_tuple(n):
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_lex_rank_is_the_index_in_permutations(n):
+    index = lex_index(n)
+    assert list(index) == list(itertools.permutations(range(1, n + 1)))
     for i, w in enumerate(itertools.permutations(range(1, n + 1))):
-        assert lex_rank(w) == i
+        assert index[w] == i
+    assert (0,) + tuple(range(2, n + 1)) not in index   # 1 replaced by 0
