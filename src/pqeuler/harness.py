@@ -32,6 +32,8 @@ from .maps import (csz, csz_word, fv, fv_star, fz, invol_phi, invol_phi_word,
 from .permstat import (
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
+    WORD_CAP,
+    _check_size,
     family_contains,
     family_iter,
     lex_index,
@@ -233,6 +235,7 @@ def certify_fv_star(n: int):
 
 
 def certify_fz(n: int):
+    _check_size("S", n, WORD_CAP)
     return _certify_onto(fz, "S", n, "laguerre", n)
 
 
@@ -265,6 +268,7 @@ def certify_csz(n: int):
 
 
 def _check_thm3_2(nmax: int):
+    _check_size("S", nmax, WORD_CAP)
     for n in range(1, nmax + 1):
         why = certify_csz(n)
         if why:
@@ -339,6 +343,7 @@ def _check_contra(order: int):
 
 
 def _check_sz_linear(nmax: int):
+    _check_size("S", nmax, WORD_CAP)
     why = _check_signed("sz_linear", nmax)
     for n in range(1, nmax + 1):
         if why:

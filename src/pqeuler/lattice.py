@@ -121,6 +121,15 @@ class LaguerreHistory:
         self.path = path
         self.xi = xi
 
+    @classmethod
+    def _trusted(cls, path: MotzkinPath, xi: tuple) -> "LaguerreHistory":
+        """The history of a path and xi tuple the package has just built as
+        one, without the check."""
+        history = object.__new__(cls)
+        history.path = path
+        history.xi = xi
+        return history
+
     def __eq__(self, other):
         return (isinstance(other, LaguerreHistory)
                 and self.path == other.path and self.xi == other.xi)

@@ -78,7 +78,9 @@ def fz(sigma: Permutation) -> LaguerreHistory:
     One loop over the values k reads the cyclic type from k's preimage and
     image, and the crossing index from a mask of the values left of
     position k: it counts the l < k with k <= s_l < s_k when s_k > k, and
-    the l > k with s_k < s_l < k when s_k < k.
+    the l > k with s_k < s_l < k when s_k < k.  The history is built without
+    checking xi against its ranges: ``certify_fz`` compares every image with
+    the enumerated histories instead.
     """
     w = sigma.word
     n = len(w)
@@ -107,7 +109,7 @@ def fz(sigma: Permutation) -> LaguerreHistory:
                 steps.append(LEVEL)
                 xi.append(-(ck + 1))
         left |= 1 << sk
-    return LaguerreHistory(MotzkinPath(steps), xi)
+    return LaguerreHistory._trusted(MotzkinPath(steps), tuple(xi))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ family and the weighted statistics read: the used-value mask (whose top bit
 is the running maximum), the last letter, the mask of values placed right of
 their own position (for nest) and one packed crossing count per free value
 below the position (for cros).  ``stat_table`` lists the weight's exponent
-vector of every word of S_n from a depth-first walk over prefixes, the only
-per-word path.  The per-word kernel ``stat_tuple`` computes every statistic
-of one word in one pass; it serves only ``basic_stats`` (``pqeuler stats``),
-the bijection tests and the scan oracle ``_accumulate_scan``.
+vector of every word of S_n from the same program: the word's lexicographic
+rank is one more digit of its key, so no two words merge.  The per-word
+kernel ``stat_tuple`` computes every statistic of one word in one pass; it
+serves only ``basic_stats`` (``pqeuler stats``), the bijection tests and the
+scan oracle ``_accumulate_scan``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 
 WORKERS_ENV = "PQEULER_WORKERS"
 DEFAULT_CAP = 11
+# the routines that hold every word of S_n at once stop one size lower
+WORD_CAP = 10
 
 
 class EnumerationCapError(ValueError):
@@ -434,16 +437,17 @@ def _weight_plan(weight: dict):
     return tuple(plan)
 
 
-# The statistics the prefix walk updates.  The other three are linear in
-# them: n is a constant, ndes = n - des and mad = des + toht + 2 thto.
-_WALK_STATS = ("exc", "wex", "fix", "des", "maj", "inv", "cros", "nest",
-               "toht", "thto", "thot", "fmax", "suc", "adj")
+# The statistics ``_accumulate`` updates letter by letter.  The other three
+# are linear in them: n is a constant, ndes = n - des and
+# mad = des + toht + 2 thto.
+_LETTER_STATS = ("exc", "wex", "fix", "des", "maj", "inv", "cros", "nest",
+                 "toht", "thto", "thot", "fmax", "suc", "adj")
 _DERIVED = {"n": ({}, 1), "ndes": ({"des": -1}, 1),
             "mad": ({"des": 1, "toht": 1, "thto": 2}, 0)}
 
 
 def _packed_plan(plan, n: int):
-    """The plan over words of size n as (start key, {walk statistic: key
+    """The plan over words of size n as (start key, {letter statistic: key
     increment}, digit width).
 
     A key packs the exponent vector into one int: the exponent of VARS[i] is
@@ -451,7 +455,7 @@ def _packed_plan(plan, n: int):
     is chosen to hold every exponent a word of size n can reach, and no digit
     ever carries into the next.
     """
-    coeffs = [dict.fromkeys(_WALK_STATS, 0) for _ in VARS]
+    coeffs = [dict.fromkeys(_LETTER_STATS, 0) for _ in VARS]
     consts = [0] * len(VARS)
     for i, entries in enumerate(plan):
         for si, c in entries:
@@ -465,7 +469,7 @@ def _packed_plan(plan, n: int):
     width = (2 * bound + 1).bit_length()
     start = sum(k << (width * i) for i, k in enumerate(consts))
     incs = {stat: sum(cs[stat] << (width * i) for i, cs in enumerate(coeffs))
-            for stat in _WALK_STATS}
+            for stat in _LETTER_STATS}
     return start, incs, width
 
 
@@ -481,9 +485,12 @@ def _unpack(key: int, width: int) -> tuple:
     return tuple(exps)
 
 
-def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
+def _accumulate(family: str, n: int, plan, firsts=None,
+                ranked: bool = False):
     """{exponent vector: count} over the family's words of size n whose first
-    letter is in ``firsts`` (default: any).
+    letter is in ``firsts`` (default: any); with ``ranked``, the list of the
+    exponent vectors of the words of S_n by lexicographic rank instead (None
+    for a word left out).
 
     An exact dynamic program over prefix states, layer by layer: the
     transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
@@ -505,12 +512,20 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
     new letter gives the weighted statistics, from O(1) bit counts over the
     state; fmax, suc and adj resolve at the next letter or the last one.
     Each layer is released as soon as the next one is built.
+
+    A word's rank adds up letter by letter as well: appending v at position
+    p adds (n - p)! for each unused value below v.  With ``ranked``, that
+    sum is one more digit of the key, above the exponent digits, so every
+    word keeps a key of its own, and the result is read back by rank.  A
+    ranked layer holds a key per prefix; each of its states is released as
+    soon as it is read.
     """
     if n == 0:
         return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
     if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
         return {}
     start, inc, width = _packed_plan(plan, n)
+    top = width * len(VARS)              # the rank digit starts here
     w_des, w_maj, w_inv, w_cros, w_nest = (
         inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
     w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
@@ -543,12 +558,17 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
         spread[mask] = spread[mask ^ low] + (1 << cw * (low.bit_length() - 1))
 
     counts: dict = {}
+    finals: list = []                    # with ranked: the words' keys
     # state: (used values, last letter, values u placed at a position > u,
     # crossing counts); fields the plan and family never read stay 0
     layer = {(0, 0, 0, 0): {start: 1}}
     for p in range(1, n + 1):
         nxt: dict = {}
-        for (used, a, below, cros), keys in layer.items():
+        w_rank = math.factorial(n - p) << top
+        # a ranked layer holds one key per prefix: free it state by state
+        states = ((layer.popitem() for _ in range(len(layer))) if ranked
+                  else layer.items())
+        for (used, a, below, cros), keys in states:
             m = used.bit_length() - 1
             free = full & ~used
             if p == 1:
@@ -569,6 +589,9 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
                 free ^= bv
                 v = bv.bit_length() - 1
                 k = 0
+                if ranked:
+                    # the unused values below v
+                    k += w_rank * (~used & (bv - 2)).bit_count()
                 if v > p:
                     k += w_exc_wex
                 elif v == p:
@@ -611,6 +634,9 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
                         k += w_fmax + w_suc
                     if v == 1:
                         k += w_adj
+                    if ranked:
+                        finals.extend([key + k for key in keys])
+                        continue
                     target = counts
                 else:
                     state = (used | bv, v if keep_last else 0,
@@ -625,111 +651,35 @@ def _accumulate(family: str, n: int, plan, firsts=None) -> dict:
                     key += k
                     target[key] = get(key, 0) + c
         layer = nxt
-    return {_unpack(key, width): count for key, count in counts.items()}
-
-
-def _walk_keys(n: int, plan) -> list:
-    """The packed key of every word of S_n (n >= 1) in lexicographic order.
-
-    A depth-first walk over prefixes, in the manner of lexicographic
-    generation (Knuth, TAOCP 4A 7.2.1.2).  Appending value v at position p
-    adds to the key only what the new letter gives the weighted statistics,
-    by the same increments as ``_accumulate``; cros reads the used values of
-    the prefix of length v where ``_accumulate`` keeps a count.
-    """
-    start, inc, _ = _packed_plan(plan, n)
-    w_des, w_maj, w_inv, w_cros, w_nest = (
-        inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
-    w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
-    w_fmax, w_suc, w_adj = inc["fmax"], inc["suc"], inc["adj"]
-    w_exc_wex = inc["exc"] + inc["wex"]
-    w_fix_wex = inc["fix"] + inc["wex"]
-    need_above = bool(w_inv or w_nest)
-    need_between = bool(w_toht or w_thto)
-
-    full = (2 << n) - 2                  # bit v stands for the value v
-    prefix = [0] * (n + 1)               # values of the first k letters
-    keys: list = []
-
-    # used: values of the first p-1 letters; a: letter p-1 (0 at p = 1);
-    # m: their maximum; below: values u placed at a position > u.
-    def walk(p, used, a, m, key, below):
-        free = full & ~used
-        down = w_des + w_maj * (p - 1)
-        after_max = p > 1 and a == m
-        while free:
-            bv = free & -free
-            free ^= bv
-            v = bv.bit_length() - 1
-            k = key
-            if v > p:
-                k += w_exc_wex
-            elif v == p:
-                k += w_fix_wex
-            if p > 1:
-                if a > v:
-                    k += down
-                    if need_between:
-                        left = (used & ((1 << a) - (bv << 1))).bit_count()
-                        k += w_thto * left + w_toht * (a - v - 1 - left)
-                    if v == a - 1:
-                        k += w_adj
-                else:
-                    if w_thot:
-                        k += w_thot * (used & (bv - (2 << a))).bit_count()
-                    if v == a + 1:
-                        k += w_suc
-            if v > m:
-                if after_max:
-                    k += w_fmax
-                new_max = v
-            else:
-                new_max = m
-            if need_above:
-                above = (used >> v).bit_count()
-                k += w_inv * above
-                if v >= p:
-                    k += w_nest * above
-            if w_cros:
-                if v > p:
-                    k += w_cros * (used & (bv - (1 << p))).bit_count()
-                elif v < p - 1:
-                    # values below v at positions v+1..p-1
-                    low = bv - 1
-                    k += w_cros * ((used & low).bit_count()
-                                   - (prefix[v] & low).bit_count())
-            if w_nest:
-                k += w_nest * (below >> v).bit_count()
-            if p == n:
-                if v == n:
-                    k += w_fmax + w_suc
-                if v == 1:
-                    k += w_adj
-                keys.append(k)
-            else:
-                prefix[p] = used | bv
-                walk(p + 1, used | bv, v, new_max, k,
-                     below | bv if v < p else below)
-
-    walk(1, 0, 0, 0, start, 0)
-    return keys
+    if not ranked:
+        return {_unpack(key, width): count for key, count in counts.items()}
+    # the exponent digits are balanced and sum to less than half the rank
+    # digit's unit in size, so rounding off below ``top`` leaves the rank
+    half = 1 << (top - 1)
+    table = [None] * math.factorial(n)
+    vectors: dict = {}
+    for key in finals:
+        rank = (key + half) >> top
+        low = key - (rank << top)
+        vector = vectors.get(low)
+        if vector is None:
+            vector = vectors[low] = _unpack(low, width)
+        table[rank] = vector
+    return table
 
 
 def stat_table(n: int, weight: dict) -> list:
     """The weight's exponent vector of every word of S_n, indexed by the
-    word's lexicographic rank (as in ``lex_index``), from one prefix walk.
+    word's lexicographic rank (as in ``lex_index``).
 
-    The walk visits S_n in lexicographic order, so the i-th key it leaves is
-    that of the word of rank i.  Equal keys share one unpacked vector.
+    ``_accumulate`` over S_n with the rank digit gives every word a key of
+    its own, which is read back by rank.  Equal vectors share one tuple.
     """
-    _check_size("S", n, DEFAULT_CAP)
+    _check_size("S", n, WORD_CAP)
     plan = _weight_plan(weight)
     if n == 0:
         return [(0,) * len(VARS)]
-    keys = _walk_keys(n, plan)
-    width = _packed_plan(plan, n)[2]
-    vectors = {key: _unpack(key, width) for key in set(keys)}
-    return [vectors[key] for key in keys]
+    return _accumulate("S", n, plan, ranked=True)
 
 
 def lex_index(n: int) -> dict:
@@ -738,7 +688,7 @@ def lex_index(n: int) -> dict:
     Iterating over it gives the words in rank order, and the rank of any
     tuple is one lookup; a tuple that is not a word of S_n has none.
     """
-    _check_size("S", n, DEFAULT_CAP)
+    _check_size("S", n, WORD_CAP)
     return {word: rank for rank, word in
             enumerate(itertools.permutations(range(1, n + 1)))}
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -29,6 +30,31 @@ def test_per_word_checks_pass_through_8(cid):
     for param in (0, 8):
         report = harness.check(cid, param)
         assert report.passed, report.witness
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: harness.check("thm3_2", n),
+    lambda n: harness.check("sz_linear", n),
+    harness.certify_fz,
+], ids=["thm3_2", "sz_linear", "certify_fz"])
+def test_per_word_checks_stop_at_the_word_cap_before_any_size(run):
+    # a check that ran n = 1..10 first would take minutes
+    start = time.perf_counter()
+    with pytest.raises(permstat.EnumerationCapError):
+        run(permstat.WORD_CAP + 1)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm3_2", "--n"],
+    ["verify", "sz_linear", "--n"],
+    ["bij", "fz", "--verify", "--n"],
+], ids=" ".join)
+def test_cli_per_word_check_above_the_word_cap_exits_2(argv, capsys):
+    assert main(argv + [str(permstat.WORD_CAP + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds cap" in captured.err
 
 
 def test_per_word_checks_never_call_the_kernel(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from pqeuler.permstat import (
     Permutation,
     QUINTUPLE_WEIGHT,
     STAT_FIELDS,
+    WORD_CAP,
     basic_stats,
     cros_k,
     cyclic_type,
@@ -271,8 +273,8 @@ def test_field_count():
 
 # ---------------------------------------------------------------------------
 # the summing path, the dynamic program over prefix states of _accumulate,
-# against the scan oracle (the test names date from when that path was the
-# prefix walk, which now serves only stat_table)
+# against the scan oracle (the test names date from when that path was a
+# depth-first walk over prefixes)
 
 
 def _dp_and_scan(family, n, weight, firsts=None):
@@ -386,14 +388,17 @@ def test_unknown_weight_variable_is_rejected(weight):
 
 
 # ---------------------------------------------------------------------------
-# the per-word table from the walk against the per-word kernel
+# the per-word table, from _accumulate with the rank digit, against the
+# per-word kernel
 
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_stat_table_matches_stat_tuple(n):
     words = list(itertools.permutations(range(1, n + 1)))
     kernel = [stat_tuple(w) for w in words]
-    weights = [{"x": {stat: 1}} for stat in STAT_FIELDS]
+    # _stat_weights has coefficients -2 and -1, so exponent digits below the
+    # rank digit go negative
+    weights = [{"x": {stat: 1}} for stat in STAT_FIELDS] + _stat_weights()
     for weight in weights + [QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT]:
         table = stat_table(n, weight)
         assert len(table) == len(words)
@@ -411,3 +416,13 @@ def test_lex_rank_is_the_index_in_permutations(n):
     for i, w in enumerate(itertools.permutations(range(1, n + 1))):
         assert index[w] == i
     assert (0,) + tuple(range(2, n + 1)) not in index   # 1 replaced by 0
+
+
+@pytest.mark.parametrize("build", [lex_index,
+                                   lambda n: stat_table(n, QUINTUPLE_WEIGHT)])
+def test_word_tables_stop_at_the_word_cap(build):
+    assert len(build(3)) == 6
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match=str(WORD_CAP)):
+        build(WORD_CAP + 1)
+    assert time.perf_counter() - start < 1
