@@ -88,11 +88,12 @@ class CheckReport:
 
 def _signed(family: str, n: int, sign_stat: str, q_stat: str | None,
             sign: LaurentPoly) -> LaurentPoly:
-    """Sum of sign^sign_stat * q^q_stat over the family."""
+    """Sum of sign^sign_stat * q^q_stat over the family, with the sign
+    folded into the sum letter by letter."""
     weight = {"x": {sign_stat: 1}}
     if q_stat:
         weight["q"] = {q_stat: 1}
-    return stat_polynomial(family, n, weight).substitute({"x": sign})
+    return stat_polynomial(family, n, weight, x=sign)
 
 
 ODD, EVEN = 1, 0

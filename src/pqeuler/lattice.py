@@ -95,6 +95,17 @@ class DyckDiagramme:
         self.xi = xi
         self.restricted = restricted
 
+    @classmethod
+    def _trusted(cls, path: MotzkinPath, xi: tuple,
+                 restricted: bool) -> "DyckDiagramme":
+        """The diagramme of a Dyck path and xi tuple the package has just
+        built as one, without the check."""
+        diagramme = object.__new__(cls)
+        diagramme.path = path
+        diagramme.xi = xi
+        diagramme.restricted = restricted
+        return diagramme
+
     def __eq__(self, other):
         return (isinstance(other, DyckDiagramme)
                 and self.path == other.path and self.xi == other.xi
@@ -223,14 +234,15 @@ def enumerate_objects(kind: str, length: int, cap: int = DEFAULT_LENGTH_CAP):
         elif kind == "dyck":
             yield path
         else:
+            # each xi is drawn from its ranges, so the objects skip the check
             heights = path.heights()
             ranges = [_xi_range(kind, s, h) for s, h in zip(steps, heights)]
+            restricted = kind == "restricted_diagramme"
             for xi in itertools.product(*ranges):
                 if kind == "laguerre":
-                    yield LaguerreHistory(path, xi)
+                    yield LaguerreHistory._trusted(path, xi)
                 else:
-                    yield DyckDiagramme(path, xi,
-                                        restricted=(kind == "restricted_diagramme"))
+                    yield DyckDiagramme._trusted(path, xi, restricted)
 
 
 def weighted_sum(kind: str, length: int, spec: WeightSpec,

@@ -9,7 +9,9 @@ is the running maximum), the last letter, the mask of values placed right of
 their own position (for nest) and one packed crossing count per free value
 below the position (for cros).  ``stat_table`` lists the weight's exponent
 vector of every word of S_n from the same program: the word's lexicographic
-rank is one more digit of its key, so no two words merge.  The per-word
+rank is one more digit of its key, so no two words merge.  A signed sum
+evaluates x at a unit monomial inside the same program, letter by letter,
+so its keys carry no x digit.  The per-word
 kernel ``stat_tuple`` computes every statistic of one word in one pass; it
 serves only ``basic_stats`` (``pqeuler stats``), the bijection tests and the
 scan oracle ``_accumulate_scan``.
@@ -486,11 +488,12 @@ def _unpack(key: int, width: int) -> tuple:
 
 
 def _accumulate(family: str, n: int, plan, firsts=None,
-                ranked: bool = False):
+                ranked: bool = False, sign: int | None = None):
     """{exponent vector: count} over the family's words of size n whose first
     letter is in ``firsts`` (default: any); with ``ranked``, the list of the
     exponent vectors of the words of S_n by lexicographic rank instead (None
-    for a word left out).
+    for a word left out).  With ``sign`` (1 or -1), x is evaluated at it:
+    the vectors' x entries are 0 and each count is signed.
 
     An exact dynamic program over prefix states, layer by layer: the
     transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
@@ -513,12 +516,21 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     state; fmax, suc and adj resolve at the next letter or the last one.
     Each layer is released as soon as the next one is built.
 
+    With ``sign``, the x digit is folded in at each letter: evaluating x is a
+    ring homomorphism, so it commutes with the sum.  The x digit of a key
+    increment (the lowest, balanced) is cleared, and when it is odd and
+    ``sign`` is -1 the counts change sign; the start key likewise.  Keys then
+    never differ in x alone, so fewer of them stay apart, and a count that
+    cancels to 0 is dropped at the end.  ``_fold`` moves the rest of x's
+    value into the other variables' weights beforehand.
+
     A word's rank adds up letter by letter as well: appending v at position
     p adds (n - p)! for each unused value below v.  With ``ranked``, that
     sum is one more digit of the key, above the exponent digits, so every
-    word keeps a key of its own, and the result is read back by rank.  A
-    ranked layer holds a key per prefix; each of its states is released as
-    soon as it is read.
+    word keeps a key of its own, and the result is read back by rank.
+    Ranked keys never merge, so a ranked state holds the list of its
+    prefixes' keys rather than a map of counts, and each state is released
+    as soon as it is read.
     """
     if n == 0:
         return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
@@ -526,6 +538,15 @@ def _accumulate(family: str, n: int, plan, firsts=None,
         return {}
     start, inc, width = _packed_plan(plan, n)
     top = width * len(VARS)              # the rank digit starts here
+    # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
+    x_half = 1 << (width - 1)
+    x_mask = (1 << width) - 1
+    odd = 1 if sign == -1 else 0         # what an odd x digit flips
+    start_count = 1
+    if sign is not None:
+        x_digit = ((start + x_half) & x_mask) - x_half
+        start -= x_digit
+        start_count = -1 if x_digit & odd else 1
     w_des, w_maj, w_inv, w_cros, w_nest = (
         inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
     w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
@@ -561,7 +582,7 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     finals: list = []                    # with ranked: the words' keys
     # state: (used values, last letter, values u placed at a position > u,
     # crossing counts); fields the plan and family never read stay 0
-    layer = {(0, 0, 0, 0): {start: 1}}
+    layer = {(0, 0, 0, 0): [start] if ranked else {start: start_count}}
     for p in range(1, n + 1):
         nxt: dict = {}
         w_rank = math.factorial(n - p) << top
@@ -634,25 +655,40 @@ def _accumulate(family: str, n: int, plan, firsts=None,
                         k += w_fmax + w_suc
                     if v == 1:
                         k += w_adj
-                    if ranked:
-                        finals.extend([key + k for key in keys])
-                        continue
-                    target = counts
+                flip = False
+                if sign is not None:
+                    x_digit = ((k + x_half) & x_mask) - x_half
+                    k -= x_digit
+                    flip = x_digit & odd
+                if p == n:
+                    target = finals if ranked else counts
                 else:
                     state = (used | bv, v if keep_last else 0,
                              below | bv if w_nest and v < p else below,
                              next_cros)
                     target = nxt.get(state)
                     if target is None:
-                        nxt[state] = {key + k: c for key, c in keys.items()}
+                        nxt[state] = (
+                            [key + k for key in keys] if ranked else
+                            {key + k: -c for key, c in keys.items()} if flip
+                            else {key + k: c for key, c in keys.items()})
                         continue
+                if ranked:
+                    target.extend([key + k for key in keys])
+                    continue
                 get = target.get
-                for key, c in keys.items():
-                    key += k
-                    target[key] = get(key, 0) + c
+                if flip:
+                    for key, c in keys.items():
+                        key += k
+                        target[key] = get(key, 0) - c
+                else:
+                    for key, c in keys.items():
+                        key += k
+                        target[key] = get(key, 0) + c
         layer = nxt
     if not ranked:
-        return {_unpack(key, width): count for key, count in counts.items()}
+        return {_unpack(key, width): count
+                for key, count in counts.items() if count}
     # the exponent digits are balanced and sum to less than half the rank
     # digit's unit in size, so rounding off below ``top`` leaves the rank
     half = 1 << (top - 1)
@@ -708,9 +744,22 @@ def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
     return acc
 
 
+def _fold(plan, x):
+    """(plan, sign) for evaluating x at the unit monomial ``x`` = sign *
+    y^a p^b q^c s^d: each other variable's weight gains its exponent times
+    x's weight, and ``_accumulate`` folds in the sign at each letter."""
+    if isinstance(x, LaurentPoly) and x.is_unit_monomial():
+        ((exps, sign),) = x.sorted_terms()
+        if not exps[0]:
+            return tuple(entries + tuple((si, c * e) for si, c in plan[0])
+                         if i and e else entries
+                         for i, (entries, e) in enumerate(zip(plan, exps))), sign
+    raise ValueError(f"x must be +/- a monomial in y, p, q and s, got {x!r}")
+
+
 def _accumulate_task(args):
-    family, n, plan, firsts = args
-    return _accumulate(family, n, plan, firsts)
+    family, n, plan, firsts, sign = args
+    return _accumulate(family, n, plan, firsts, sign=sign)
 
 
 def default_workers() -> int:
@@ -726,27 +775,39 @@ def default_workers() -> int:
 
 def stat_polynomial(family: str, n: int, weight: dict,
                     cap: int = DEFAULT_CAP, workers: int | None = None,
-                    parallel_threshold: int = DEFAULT_CAP + 1) -> LaurentPoly:
+                    parallel_threshold: int = DEFAULT_CAP + 1,
+                    x=None) -> LaurentPoly:
     """Sum of the weight monomial over the family, by ``_accumulate``.
 
-    The sum is split by first letter across processes when ``workers`` > 1
-    and n >= parallel_threshold; the result is independent of the split.
-    Each part repeats most of the dynamic program's shared layers, so on two
-    workers the split is slower than one process at every n up to
-    DEFAULT_CAP, and by default it is taken only above the cap.
+    With ``x``, a unit monomial +/- y^a p^b q^c s^d as a LaurentPoly, the
+    sum is taken with x evaluated at it, letter by letter inside the dynamic
+    program: the same polynomial as ``.substitute({"x": x})`` of the plain
+    sum.  Any other ``x`` raises ValueError.
+
+    When ``workers`` > 1 and n >= parallel_threshold, the first letters are
+    dealt round-robin into one chunk per worker, and each chunk is summed in
+    a process of its own; the result is independent of the split.  Each
+    chunk still repeats the layers the chunks share, so by default the split
+    is taken only above the cap.  Fewer than two chunks run in one process.
     """
     _check_size(family, n, cap)
     plan = _weight_plan(weight)
+    sign = None
+    if x is not None:
+        plan, sign = _fold(plan, x)
     workers = default_workers() if workers is None else workers
+    chunks = []
     if workers > 1 and n >= parallel_threshold:
-        chunks = [(family, n, plan, [first]) for first in range(1, n + 1)]
+        chunks = [(family, n, plan, range(i, n + 1, workers), sign)
+                  for i in range(1, min(workers, n) + 1)]
+    if len(chunks) > 1:
         acc: dict = {}
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_accumulate_task, chunks):
                 for e, c in part.items():
                     acc[e] = acc.get(e, 0) + c
     else:
-        acc = _accumulate(family, n, plan)
+        acc = _accumulate(family, n, plan, sign=sign)
     return LaurentPoly(acc)
 
 

@@ -166,6 +166,20 @@ def test_signed_check_fails_when_a_side_flips_its_lead(cid, half, monkeypatch):
     assert str(side) in report.witness
 
 
+@pytest.mark.parametrize("cid,half", SIDES, ids=map(_side_id, SIDES))
+def test_signed_sums_fold_the_sign_into_the_dp(cid, half):
+    # the folded sum against the sum with an x digit, substituted after
+    side = harness.SIGNED[cid][half]
+    weight = {"x": {side.sign_stat: 1}}
+    if side.q_stat:
+        weight["q"] = {side.q_stat: 1}
+    for family in filter(None, (side.family, side.fixed)):
+        for n in range(0, 10):
+            plain = permstat.stat_polynomial(family, n, weight, workers=1)
+            assert side.sum(n, family) == plain.substitute({"x": side.x}), (
+                family, n)
+
+
 CONTRA_SIDES = [side for side in SIDES if side[0] in ("jv", "shin_zeng")]
 
 

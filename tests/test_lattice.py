@@ -8,6 +8,7 @@ from pqeuler.lattice import (
     LaguerreHistory,
     MotzkinPath,
     UP,
+    _check_xi,
     abc_weights,
     diagramme_pq_weights,
     dyck_path,
@@ -55,6 +56,16 @@ def test_diagramme_counts_are_euler_numbers():
         assert count == e_pq(2 * n + 1, "cf").substitute({"p": 1, "q": 1}).as_int()
         rcount = sum(1 for _ in enumerate_objects("restricted_diagramme", 2 * n))
         assert rcount == e_pq(2 * n, "cf").substitute({"p": 1, "q": 1}).as_int()
+
+
+@pytest.mark.parametrize("kind", ["diagramme", "restricted_diagramme",
+                                  "laguerre"])
+def test_enumerated_objects_pass_the_constructor_check(kind):
+    # enumerate_objects builds its objects without the check
+    for length in range(0, 7, 1 if kind == "laguerre" else 2):
+        for obj in enumerate_objects(kind, length):
+            _check_xi(kind, obj.path, obj.xi)
+            assert obj == _object(kind, obj.path, obj.xi)
 
 
 # the xi range of every (kind, step) as (lowest, highest) at height h

@@ -35,6 +35,8 @@ from pqeuler.permstat import (
     stat_tuple,
 )
 
+MINUS_INV_Q = LaurentPoly.var("q", -1, coeff=-1)
+
 # ---------------------------------------------------------------------------
 # independent oracles, written directly from the definitions
 
@@ -225,15 +227,23 @@ def test_quintuple_polynomial_s2():
 
 
 def test_stat_polynomial_parallel_matches_serial():
-    poly1 = stat_polynomial("S", 5, QUINTUPLE_WEIGHT, workers=1)
-    poly4 = stat_polynomial("S", 5, QUINTUPLE_WEIGHT, workers=4,
-                            parallel_threshold=4)
-    assert poly1 == poly4
+    # one chunk per worker, the first letters dealt round-robin; at n = 0
+    # and 1 there are fewer than two chunks, and no pool starts
     for family in FAMILIES:
-        serial = stat_polynomial(family, 7, QUINTUPLE_WEIGHT, workers=1)
-        pooled = stat_polynomial(family, 7, QUINTUPLE_WEIGHT, workers=2,
-                                 parallel_threshold=7)
-        assert pooled == serial, family
+        for n in range(0, 8):
+            serial = stat_polynomial(family, n, QUINTUPLE_WEIGHT, workers=1)
+            for workers in (2, 3, 5):
+                pooled = stat_polynomial(family, n, QUINTUPLE_WEIGHT,
+                                         workers=workers, parallel_threshold=0)
+                assert pooled == serial, (family, n, workers)
+    folded = stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=1, x=MINUS_INV_Q)
+    assert stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=3,
+                           parallel_threshold=7, x=MINUS_INV_Q) == folded
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_pool_at_the_smallest_sizes(n):
+    assert stat_polynomial("S", n, {}, workers=2, parallel_threshold=0) == 1
 
 
 @given(st.permutations(list(range(1, 8))))
@@ -354,6 +364,37 @@ def test_stat_polynomial_never_scans(monkeypatch):
             stat_polynomial(family, 6, weight, workers=1)
         family_size(family, 6)
     e_pq(6)
+
+
+# x evaluated inside the dynamic program, against the scan substituted after
+FOLDED_X = [LaurentPoly.const(-1), MINUS_INV_Q, LaurentPoly.var("q"),
+            LaurentPoly.monomial(-1, p=1, q=2), LaurentPoly.var("y")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FOLDED_X), st.sampled_from(["S", "D", "Dstar", "A"]),
+       st.integers(0, 6), _VAR_WEIGHTS)
+def test_folded_x_matches_the_substituted_scan(x, family, n, weight):
+    scan = permstat._accumulate_scan(family, n, permstat._weight_plan(weight))
+    folded = stat_polynomial(family, n, weight, workers=1, x=x)
+    assert folded == LaurentPoly(scan).substitute({"x": x})
+
+
+def test_folded_x_at_every_statistic():
+    for x in FOLDED_X:
+        for weight in _stat_weights():
+            plain = stat_polynomial("S", 6, weight, workers=1)
+            assert stat_polynomial("S", 6, weight, workers=1, x=x) == (
+                plain.substitute({"x": x})), (x, weight)
+
+
+@pytest.mark.parametrize("x", [LaurentPoly(), LaurentPoly.const(2),
+                               LaurentPoly.var("q") + LaurentPoly.const(1),
+                               LaurentPoly.var("x", 2),
+                               LaurentPoly.monomial(-1, x=1, q=1), -1, "-1"])
+def test_folding_a_non_unit_x_is_rejected(x):
+    with pytest.raises(ValueError, match="monomial in y, p, q and s"):
+        stat_polynomial("S", 3, QUINTUPLE_WEIGHT, x=x)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
