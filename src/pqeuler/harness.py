@@ -172,17 +172,16 @@ def _check_signed(check_id: str, nmax: int):
 
 
 def _sum_over_s(weight: dict):
-    return lambda n, cap: stat_polynomial("S", n, weight, cap=cap)
+    return lambda n: stat_polynomial("S", n, weight)
 
 
 # check id -> (preset giving t^n at odd n, preset giving it at even n, the
-# enumerated side as a call (n, cap)).  The calls look their enumerators up
-# here when they run, not when the table is built.
+# enumerated side as a call on n).  The calls look their enumerators up here
+# when they run, not when the table is built.
 SERIES = {
-    "thm2_1": ("tangent-pq", "secant-pq", lambda n, cap: e_pq(n, cap=cap)),
-    "cor2_2": ("tangent-q", "secant-q", lambda n, cap: e_q(n, cap=cap)),
-    "cor2_3": ("tangent-qstar", "secant-qstar",
-               lambda n, cap: e_star_q(n, cap=cap)),
+    "thm2_1": ("tangent-pq", "secant-pq", lambda n: e_pq(n)),
+    "cor2_2": ("tangent-q", "secant-q", lambda n: e_q(n)),
+    "cor2_3": ("tangent-qstar", "secant-qstar", lambda n: e_star_q(n)),
     "thm4_1": ("thm4.1", "thm4.1", _sum_over_s(QUINTUPLE_WEIGHT)),
     "cor_cf_A": ("cf-A", "cf-A", _sum_over_s(
         {"x": {"wex": 1}, "y": {"fix": 1}, "q": {"cros": 1}})),
@@ -198,7 +197,7 @@ def _check_series(check_id: str, order: int):
     for n in range(order + 1):
         name = odd if n % 2 else even
         got = series[name].coeff(n)
-        want = enumerated(n, order)
+        want = enumerated(n)
         if got != want:
             return f"t^{n} of {name}: {got} != {want}"
     return None

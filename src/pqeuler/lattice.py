@@ -221,11 +221,11 @@ def _iter_paths(length: int, allow_level: bool):
     yield from rec([], 0, length)
 
 
-def enumerate_objects(kind: str, length: int, cap: int = DEFAULT_LENGTH_CAP):
+def enumerate_objects(kind: str, length: int):
     """Stream every object of the kind exactly once, deterministic order."""
     _check_kind_length(kind, length)
-    if length > cap:
-        raise ValueError(f"length {length} exceeds cap {cap}")
+    if length > DEFAULT_LENGTH_CAP:
+        raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
     allow_level = kind in ("motzkin", "laguerre")
     for steps in _iter_paths(length, allow_level):
         path = MotzkinPath(steps)
@@ -246,7 +246,7 @@ def enumerate_objects(kind: str, length: int, cap: int = DEFAULT_LENGTH_CAP):
 
 
 def weighted_sum(kind: str, length: int, spec: WeightSpec,
-                 method: str = "dp", cap: int = DEFAULT_LENGTH_CAP) -> LaurentPoly:
+                 method: str = "dp") -> LaurentPoly:
     """Sum of object weights over all objects of the kind and length.
 
     method "enumerate" walks every object (using the valuation for xi-kinds);
@@ -261,8 +261,8 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
         level = _required(spec.level, LEVEL) if allow_level else None
         return transfer(_required(spec.up, UP), level,
                         _required(spec.down, DOWN), length, length)[length]
-    if length > cap:
-        raise ValueError(f"length {length} exceeds cap {cap}")
+    if length > DEFAULT_LENGTH_CAP:
+        raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
     xi_kind = kind in ("diagramme", "restricted_diagramme", "laguerre")
     if xi_kind and spec.valuation is None:
         raise ValueError("xi-kind enumeration needs a valuation")

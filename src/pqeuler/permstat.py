@@ -3,7 +3,10 @@
 Words are in one-line notation on 1..n.  ``stat_polynomial`` sums a weight
 over a family by an exact dynamic program over prefix states
 (``_accumulate``): prefixes whose futures are identical are merged, layer by
-layer, and every word is still counted once.  A state keeps only what the
+layer, and every word is still counted once.  The program alone judges its
+size: a layer may hold at most ``DP_MAX_STATES`` states and
+``DP_MAX_ENTRIES`` (state, key) entries, checked as the layer grows, and a
+larger call raises ``EnumerationCapError``.  A state keeps only what the
 family and the weighted statistics read: the used-value mask (whose top bit
 is the running maximum), the last letter, the mask of values placed right of
 their own position (for nest) and one packed crossing count per free value
@@ -36,13 +39,22 @@ STAT_FIELDS = (
 STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 
 WORKERS_ENV = "PQEULER_WORKERS"
+# the routines that visit every word of a family stop above DEFAULT_CAP, and
+# those that hold every word of S_n at once one size lower
 DEFAULT_CAP = 11
-# the routines that hold every word of S_n at once stop one size lower
 WORD_CAP = 10
+# What one layer of ``_accumulate`` may hold.  The widest layer of S_12 with
+# the quintuple weight holds 48,182 states and 4,247,842 entries (683 MB in
+# all).  Entries alone are not enough: where each state holds one key, the
+# states are the cost.
+DP_MAX_STATES = 200_000
+DP_MAX_ENTRIES = 5_000_000
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured cap."""
+    """Raised when an exhaustive enumeration would exceed a size bound: the
+    count cap of a routine that visits every object, or what one layer of
+    the prefix-state dynamic program may hold."""
 
 
 StatRecord = make_dataclass(
@@ -379,19 +391,23 @@ def family_contains(family: str, word) -> bool:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _check_size(family: str, n: int, cap: int) -> None:
+def _check_family(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def _check_size(family: str, n: int, cap: int) -> None:
+    _check_family(family, n)
     if n > cap:
         raise EnumerationCapError(
             f"enumeration too large: n={n} exceeds cap {cap}")
 
 
-def iter_family_words(family: str, n: int, cap: int = DEFAULT_CAP):
+def iter_family_words(family: str, n: int):
     """Words of the family in lexicographic order (raw tuples)."""
-    _check_size(family, n, cap)
+    _check_size(family, n, DEFAULT_CAP)
     if n == 0:
         if family in ("S", "A", "Astar"):
             yield ()
@@ -401,8 +417,8 @@ def iter_family_words(family: str, n: int, cap: int = DEFAULT_CAP):
             yield word
 
 
-def family_iter(family: str, n: int, cap: int = DEFAULT_CAP):
-    for word in iter_family_words(family, n, cap):
+def family_iter(family: str, n: int):
+    for word in iter_family_words(family, n):
         yield Permutation._trusted(word)
 
 
@@ -487,6 +503,13 @@ def _unpack(key: int, width: int) -> tuple:
     return tuple(exps)
 
 
+def _too_large(family: str, n: int, p: int, name: str, bound: int,
+               what: str) -> EnumerationCapError:
+    return EnumerationCapError(
+        f"enumeration too large: layer {p} of the dynamic program over "
+        f"{family}_{n} would hold more than {name} = {bound} {what}")
+
+
 def _accumulate(family: str, n: int, plan, firsts=None,
                 ranked: bool = False, sign: int | None = None):
     """{exponent vector: count} over the family's words of size n whose first
@@ -516,6 +539,17 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     state; fmax, suc and adj resolve at the next letter or the last one.
     Each layer is released as soon as the next one is built.
 
+    The program bounds what it holds.  A layer that would hold more than
+    ``DP_MAX_STATES`` states or ``DP_MAX_ENTRIES`` (state, key) entries
+    raises ``EnumerationCapError`` while it is being built: states are
+    counted as they are made, and entries after each source state, by the
+    size of each target before and after the merge.  In every family the
+    prefixes of length 2 take every pair of values, so layer 2 holds at
+    least n(n-1)/2 states, and an n whose pairs outnumber the state bound is
+    refused before any work: a state's masks have n bits, so the first
+    layers of a huge n are slow and large.  The cros table ``spread`` grows
+    by one doubling per layer, so that it never outgrows the layers.
+
     With ``sign``, the x digit is folded in at each letter: evaluating x is a
     ring homomorphism, so it commutes with the sum.  The x digit of a key
     increment (the lowest, balanced) is cleared, and when it is odd and
@@ -536,6 +570,8 @@ def _accumulate(family: str, n: int, plan, firsts=None,
         return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
     if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
         return {}
+    if math.comb(n, 2) > DP_MAX_STATES:
+        raise _too_large(family, n, 2, "DP_MAX_STATES", DP_MAX_STATES, "states")
     start, inc, width = _packed_plan(plan, n)
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
@@ -570,13 +606,10 @@ def _accumulate(family: str, n: int, plan, firsts=None,
             first_mask |= 1 << first
     # crossing counts: the count of value v is digit v in base 2**cw; no
     # count exceeds n - 1.  spread[mask] has a 1 in the digit of each value
-    # in the mask.
+    # in the mask; layer p reads it for masks of the values below p.
     cw = n.bit_length()
     digit = (1 << cw) - 1
-    spread = [0] * (1 << n if w_cros else 1)
-    for mask in range(1, len(spread)):
-        low = mask & -mask
-        spread[mask] = spread[mask ^ low] + (1 << cw * (low.bit_length() - 1))
+    spread = [0]
 
     counts: dict = {}
     finals: list = []                    # with ranked: the words' keys
@@ -585,6 +618,10 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     layer = {(0, 0, 0, 0): [start] if ranked else {start: start_count}}
     for p in range(1, n + 1):
         nxt: dict = {}
+        held = 0                         # the (state, key) entries of nxt
+        if w_cros:
+            unit = 1 << cw * (p - 1)
+            spread += [s + unit for s in spread]
         w_rank = math.factorial(n - p) << top
         # a ranked layer holds one key per prefix: free it state by state
         states = ((layer.popitem() for _ in range(len(layer))) if ranked
@@ -672,10 +709,16 @@ def _accumulate(family: str, n: int, plan, firsts=None,
                             [key + k for key in keys] if ranked else
                             {key + k: -c for key, c in keys.items()} if flip
                             else {key + k: c for key, c in keys.items()})
+                        held += len(keys)
+                        if len(nxt) > DP_MAX_STATES:
+                            raise _too_large(family, n, p, "DP_MAX_STATES",
+                                             DP_MAX_STATES, "states")
                         continue
                 if ranked:
                     target.extend([key + k for key in keys])
+                    held += len(keys)
                     continue
+                before = len(target)
                 get = target.get
                 if flip:
                     for key, c in keys.items():
@@ -685,6 +728,10 @@ def _accumulate(family: str, n: int, plan, firsts=None,
                     for key, c in keys.items():
                         key += k
                         target[key] = get(key, 0) + c
+                held += len(target) - before
+            if held > DP_MAX_ENTRIES:
+                raise _too_large(family, n, p, "DP_MAX_ENTRIES",
+                                 DP_MAX_ENTRIES, "(state, key) entries")
         layer = nxt
     if not ranked:
         return {_unpack(key, width): count
@@ -735,7 +782,7 @@ def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
     the empty word has none and always counts), each weighed through
     ``stat_tuple``."""
     acc: dict = {}
-    for word in iter_family_words(family, n, cap=n):
+    for word in iter_family_words(family, n):
         if n and firsts is not None and word[0] not in firsts:
             continue
         st = stat_tuple(word)
@@ -774,30 +821,33 @@ def default_workers() -> int:
 
 
 def stat_polynomial(family: str, n: int, weight: dict,
-                    cap: int = DEFAULT_CAP, workers: int | None = None,
-                    parallel_threshold: int = DEFAULT_CAP + 1,
+                    workers: int | None = None,
+                    parallel_threshold: int | None = None,
                     x=None) -> LaurentPoly:
-    """Sum of the weight monomial over the family, by ``_accumulate``.
+    """Sum of the weight monomial over the family, by ``_accumulate``, which
+    raises ``EnumerationCapError`` when a layer outgrows its bounds.
 
     With ``x``, a unit monomial +/- y^a p^b q^c s^d as a LaurentPoly, the
     sum is taken with x evaluated at it, letter by letter inside the dynamic
     program: the same polynomial as ``.substitute({"x": x})`` of the plain
     sum.  Any other ``x`` raises ValueError.
 
-    When ``workers`` > 1 and n >= parallel_threshold, the first letters are
-    dealt round-robin into one chunk per worker, and each chunk is summed in
-    a process of its own; the result is independent of the split.  Each
-    chunk still repeats the layers the chunks share, so by default the split
-    is taken only above the cap.  Fewer than two chunks run in one process.
+    Only a caller that passes ``parallel_threshold`` gets the pool: when
+    ``workers`` > 1 and n >= parallel_threshold, the first letters are dealt
+    round-robin into one chunk per worker, and each chunk is summed in a
+    process of its own; the result is independent of the split.  Each chunk
+    still repeats the layers the chunks share, so by default every call runs
+    in one process.  Fewer than two chunks run in one process too.
     """
-    _check_size(family, n, cap)
+    _check_family(family, n)
     plan = _weight_plan(weight)
     sign = None
     if x is not None:
         plan, sign = _fold(plan, x)
     workers = default_workers() if workers is None else workers
     chunks = []
-    if workers > 1 and n >= parallel_threshold:
+    if (workers > 1 and parallel_threshold is not None
+            and n >= parallel_threshold):
         chunks = [(family, n, plan, range(i, n + 1, workers), sign)
                   for i in range(1, min(workers, n) + 1)]
     if len(chunks) > 1:
@@ -809,9 +859,3 @@ def stat_polynomial(family: str, n: int, weight: dict,
     else:
         acc = _accumulate(family, n, plan, sign=sign)
     return LaurentPoly(acc)
-
-
-def family_size(family: str, n: int, cap: int = DEFAULT_CAP) -> int:
-    if family == "S":
-        return math.factorial(n)
-    return stat_polynomial(family, n, {}, cap).as_int()

@@ -26,10 +26,12 @@ from .algebra import (
 from .contfrac import preset
 from .permstat import stat_polynomial
 
-DEFAULT_ENUM_CAP = 9
+# euler_table cross-checks its rows by enumeration up to this n; the rows
+# above it rest on the continued fraction alone
+TABLE_ENUM_MAX = 9
 
 
-def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
+def e_pq(n: int, method: str = "enumerate") -> LaurentPoly:
     """(p,q)-Euler number: the (31-2, companion-pattern) enumerator of falling
     alternating permutations (2-13 for odd n, 2-31 for even n)."""
     if n < 0:
@@ -39,7 +41,7 @@ def e_pq(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> Laur
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
     companion = "thot" if n % 2 else "thto"
-    return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}}, cap)
+    return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}})
 
 
 def e_pq_upto(nmax: int) -> list[LaurentPoly]:
@@ -58,16 +60,16 @@ AT_QSTAR = {"p": LaurentPoly.var("q", 2)}
 AT_ONE = {"p": 1, "q": 1}
 
 
-def e_q(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
-    return e_pq(n, method, cap).substitute(AT_Q)
+def e_q(n: int, method: str = "enumerate") -> LaurentPoly:
+    return e_pq(n, method).substitute(AT_Q)
 
 
-def e_star_q(n: int, method: str = "enumerate", cap: int = DEFAULT_ENUM_CAP) -> LaurentPoly:
-    return e_pq(n, method, cap).substitute(AT_QSTAR)
+def e_star_q(n: int, method: str = "enumerate") -> LaurentPoly:
+    return e_pq(n, method).substitute(AT_QSTAR)
 
 
-def e_int(n: int, method: str = "cf", cap: int = DEFAULT_ENUM_CAP) -> int:
-    return e_pq(n, method, cap).substitute(AT_ONE).as_int()
+def e_int(n: int, method: str = "cf") -> int:
+    return e_pq(n, method).substitute(AT_ONE).as_int()
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +235,17 @@ class EulerTableRow:
                 "methods": list(self.methods)}
 
 
-def euler_table(nmax: int, enum_cap: int = DEFAULT_ENUM_CAP) -> list[EulerTableRow]:
+def euler_table(nmax: int) -> list[EulerTableRow]:
     """Rows 0..nmax; every value cross-checked between the methods available
-    at that n (enumeration up to the cap, continued fraction everywhere)."""
+    at that n (enumeration up to TABLE_ENUM_MAX, continued fraction
+    everywhere)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     rows = []
     for n, by_cf in enumerate(e_pq_upto(nmax)):
         methods = ["cf"]
-        if n <= enum_cap:
-            by_enum = e_pq(n, method="enumerate", cap=enum_cap)
+        if n <= TABLE_ENUM_MAX:
+            by_enum = e_pq(n, method="enumerate")
             if by_enum != by_cf:
                 raise AssertionError(f"method disagreement at n={n}")
             methods.insert(0, "enumeration")

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from pqeuler import harness
+from pqeuler import harness, permstat
 from pqeuler.algebra import LaurentPoly
 from pqeuler.contfrac import preset
 from pqeuler.lattice import (
@@ -150,7 +150,9 @@ def test_criterion_10_oracle_coherence():
 # the criteria above.
 FRONTIER = [(cid, 10) for cid in ("thm4_1", "cor_cf_A", "cor_cf_SZ")] + [
     (cid, 12) for cid in ("thm2_1", "cor2_2", "cor2_3")] + [
-    (cid, 10) for cid in ("euler_roselle", "foata_han", "jv", "shin_zeng")]
+    (cid, 10) for cid in ("euler_roselle", "foata_han", "jv", "shin_zeng")] + [
+    (cid, 13) for cid in ("jv", "shin_zeng", "euler_roselle")] + [
+    (cid, 12) for cid in ("foata_han", "mad_remark", "equidist_remark")]
 
 
 @pytest.mark.parametrize("cid,param", FRONTIER)
@@ -158,3 +160,13 @@ def test_enumerating_checks_at_the_frontier(cid, param):
     report = harness.check(cid, param)
     assert report.passed, report.witness
     assert report.elapsed < 30, f"{cid}@{param} took {report.elapsed:.2f}s"
+
+
+def test_thm4_1_at_12_in_one_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("stat_polynomial started a process pool")
+
+    monkeypatch.setattr(permstat, "ProcessPoolExecutor", no_pool)
+    report = harness.check("thm4_1", 12)
+    assert report.passed, report.witness
+    assert report.elapsed < 60, f"thm4_1@12 took {report.elapsed:.2f}s"

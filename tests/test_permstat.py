@@ -1,4 +1,8 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -22,7 +26,6 @@ from pqeuler.permstat import (
     cyclic_type,
     default_workers,
     family_iter,
-    family_size,
     inv_k,
     inv_parts,
     is_coderangement,
@@ -174,13 +177,17 @@ def test_coderangements_n4():
                    "4213", "4231", "4312", "4321"}
 
 
+def _size(family, n):
+    return stat_polynomial(family, n, {}).as_int()
+
+
 def test_family_sizes():
-    assert family_size("S", 5) == 120
-    assert family_size("D", 4) == 9
-    assert [family_size("A", n) for n in range(7)] == [1, 1, 1, 2, 5, 16, 61]
-    assert family_size("Aprime", 4) == 0
-    assert family_size("Adoubleprime", 4) == 5
-    assert family_size("Astar", 4) == 5
+    assert _size("S", 5) == 120
+    assert _size("D", 4) == 9
+    assert [_size("A", n) for n in range(7)] == [1, 1, 1, 2, 5, 16, 61]
+    assert _size("Aprime", 4) == 0
+    assert _size("Adoubleprime", 4) == 5
+    assert _size("Astar", 4) == 5
 
 
 def test_empty_word_families():
@@ -191,8 +198,10 @@ def test_empty_word_families():
 def test_cap_errors():
     with pytest.raises(EnumerationCapError):
         list(iter_family_words("S", 12))
-    with pytest.raises(EnumerationCapError):
-        stat_polynomial("S", 12, QUINTUPLE_WEIGHT)
+    # the dynamic program has no cap on n, only on what a layer holds:
+    # S_n's second layer holds n(n-1)/2 states
+    with pytest.raises(EnumerationCapError, match="layer 2 .* DP_MAX_STATES"):
+        stat_polynomial("S", 700, {})
     with pytest.raises(EnumerationCapError):
         stat_table(12, QUINTUPLE_WEIGHT)
 
@@ -244,6 +253,94 @@ def test_stat_polynomial_parallel_matches_serial():
 @pytest.mark.parametrize("n", [0, 1])
 def test_pool_at_the_smallest_sizes(n):
     assert stat_polynomial("S", n, {}, workers=2, parallel_threshold=0) == 1
+
+
+def test_the_pool_is_taken_only_when_asked(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("stat_polynomial started a process pool")
+
+    monkeypatch.setattr(permstat, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("PQEULER_WORKERS", "2")
+    poly = stat_polynomial("S", 12, {"x": {"wex": 1}})
+    assert poly.substitute({"x": 1}).as_int() == math.factorial(12)
+
+
+# (a call, the states and the (state, key) entries of its widest layer):
+# S_n with no weight has one state and one key per used set; with inv, the
+# prefixes on a used set of size p take every inv from 0 to p(p-1)/2; a
+# ranked layer holds one key per prefix
+LAYER_SIZES = [
+    (lambda: stat_polynomial("S", 8, {}), math.comb(8, 4), math.comb(8, 4)),
+    (lambda: stat_polynomial("S", 6, {"s": {"inv": 1}}),
+     math.comb(6, 3), math.comb(6, 4) * 7),
+    (lambda: stat_table(5, {}), math.comb(5, 2), math.factorial(5)),
+]
+
+
+@pytest.mark.parametrize("call,states,entries", LAYER_SIZES)
+def test_dp_holds_a_layer_at_its_bounds_and_not_past_them(
+        monkeypatch, call, states, entries):
+    monkeypatch.setattr(permstat, "DP_MAX_STATES", states)
+    monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", entries)
+    call()
+    for name, bound in (("DP_MAX_STATES", states), ("DP_MAX_ENTRIES", entries)):
+        with monkeypatch.context() as m:
+            m.setattr(permstat, name, bound - 1)
+            with pytest.raises(EnumerationCapError,
+                               match=f"{name} = {bound - 1} "):
+                call()
+
+
+# Each oversize call runs in a child process, so that one which neither
+# fails nor stops is killed rather than waited for.
+OVERSIZE_SECONDS = 10
+_SRC = os.path.dirname(os.path.dirname(permstat.__file__))
+_OVERSIZE_CALL = """
+import sys
+from pqeuler import permstat
+if {before_any_layer}:
+    # the first thing _accumulate computes for a size
+    permstat._packed_plan = lambda *args: sys.exit(4)
+try:
+    permstat.stat_polynomial({family!r}, {n!r}, {weight!r})
+except permstat.EnumerationCapError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def _child(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], env=env, text=True,
+                          capture_output=True, timeout=3 * OVERSIZE_SECONDS)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("family,n,weight", [
+    ("S", 60, {}),
+    ("A", 40, {"p": {"thto": 1}, "q": {"toht": 1}}),
+    ("S", 26, {"q": {"cros": 1}}),
+    ("S", 10**6, {}),
+    ("D", 20000, {}),
+])
+def test_oversize_dp_fails_fast(family, n, weight):
+    proc, elapsed = _child("-c", _OVERSIZE_CALL.format(
+        family=family, n=n, weight=weight,
+        before_any_layer=math.comb(n, 2) > permstat.DP_MAX_STATES))
+    assert proc.returncode == 3, proc.stderr
+    assert "enumeration too large" in proc.stdout
+    assert elapsed < OVERSIZE_SECONDS, f"{family}_{n} took {elapsed:.2f}s"
+
+
+def test_cli_oversize_table_exits_2_naming_the_bound():
+    proc, elapsed = _child("-m", "pqeuler.cli", "table", "--family", "S",
+                           "--n", "60", "--weight", "q=cros")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"DP_MAX_STATES = {permstat.DP_MAX_STATES} states" in proc.stderr
+    assert elapsed < OVERSIZE_SECONDS, f"took {elapsed:.2f}s"
 
 
 @given(st.permutations(list(range(1, 8))))
@@ -362,7 +459,7 @@ def test_stat_polynomial_never_scans(monkeypatch):
     for family in FAMILIES:
         for weight in (QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT):
             stat_polynomial(family, 6, weight, workers=1)
-        family_size(family, 6)
+        _size(family, 6)
     e_pq(6)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from pqeuler import qeuler
+from pqeuler import permstat, qeuler
 from pqeuler.algebra import LaurentPoly
 from pqeuler.permstat import EnumerationCapError, stat_polynomial
 from pqeuler.qeuler import (
@@ -58,8 +58,9 @@ def test_specializations_consistent():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
-        e_pq(10, method="enumerate")
+    # no cap on n: A_40's fourth layer outgrows the dynamic program's bound
+    with pytest.raises(EnumerationCapError, match="DP_MAX_STATES"):
+        e_pq(40, method="enumerate")
     with pytest.raises(ValueError):
         e_pq(3, method="magic")
 
@@ -120,9 +121,11 @@ def test_euler_table():
     assert payload["n"] == 4 and payload["E"] == "5"
 
 
-def test_euler_table_passes_its_cap_to_enumeration():
-    # 10 is past e_pq's own cap of 9
-    rows = euler_table(10, enum_cap=10)
-    assert "enumeration" in rows[10].methods
-    assert [row.methods for row in euler_table(10, enum_cap=9)][9:] == [
+def test_euler_table_passes_its_cap_to_enumeration(monkeypatch):
+    assert [row.methods for row in euler_table(10)][9:] == [
         ("enumeration", "cf"), ("cf",)]
+    # a row the dynamic program cannot hold fails the table, and is never
+    # passed off as checked by the continued fraction alone
+    monkeypatch.setattr(permstat, "DP_MAX_STATES", 20)
+    with pytest.raises(EnumerationCapError, match="DP_MAX_STATES = 20 "):
+        euler_table(qeuler.TABLE_ENUM_MAX)
