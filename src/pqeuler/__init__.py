@@ -20,10 +20,9 @@ from .contfrac import (
     contract_odd,
     preset,
 )
-from .harness import CheckReport, CHECK_IDS, check, check_all
+from .harness import CheckReport, CHECK_IDS, check
 from .lattice import (
-    DyckDiagramme,
-    LaguerreHistory,
+    History,
     MotzkinPath,
     WeightSpec,
     enumerate_objects,

@@ -2,8 +2,12 @@
 
 Every check compares two independently computed sides at exact equality and
 reports the lexicographically first witness on failure.  A check with
-parameter n verifies all sizes 1..n (so the zero cases of the wrong parity
-are always exercised).
+parameter n verifies every size up to n, so the zero cases of the wrong
+parity are always exercised: 0..n where n is a series order (the rows of
+``SERIES``, ``contra`` and ``sec7``), 1..n for the others.  The rows of
+``SIGNED`` and ``SERIES`` enumerate from n down and compare from the
+smallest size up, so a size too large for the dynamic program is refused
+before the work below it, and a witness is still the smallest failing size.
 """
 
 from __future__ import annotations
@@ -155,18 +159,20 @@ SIGNED = {
 
 def _check_signed(check_id: str, nmax: int):
     at, *sides = SIGNED[check_id]
+    # from nmax down, so an oversize nmax is refused before the work below it
+    sums = {n: [(side.sum(n), side.fixed and side.sum(n, side.fixed))
+                for side in sides] for n in range(nmax, 0, -1)}
     if at is None:
-        bases = [None] + [stat_polynomial("Astar", n, {"q": {"inv": 1}})
-                          for n in range(1, nmax + 1)]
+        bases = {n: stat_polynomial("Astar", n, {"q": {"inv": 1}})
+                 for n in range(nmax, 0, -1)}
     else:
         bases = [e.substitute(at) for e in e_pq_upto(nmax)]
     for n in range(1, nmax + 1):
-        for side in sides:
-            got = side.sum(n)
+        for side, (got, fixed) in zip(sides, sums[n]):
             want = side.value(n, bases[n])
             if got != want:
                 return f"n={n} {side}: {got} != {want}"
-            if side.fixed and side.sum(n, side.fixed) != got:
+            if side.fixed and fixed != got:
                 return f"n={n} {side} differs from the sum over {side.fixed}"
     return None
 
@@ -192,12 +198,14 @@ SERIES = {
 
 def _check_series(check_id: str, order: int):
     odd, even, enumerated = SERIES[check_id]
+    # from the order down, as in _check_signed
+    wants = {n: enumerated(n) for n in range(order, -1, -1)}
     series = {name: preset(name).expand(order)
               for name in dict.fromkeys((odd, even))}
     for n in range(order + 1):
         name = odd if n % 2 else even
         got = series[name].coeff(n)
-        want = enumerated(n)
+        want = wants[n]
         if got != want:
             return f"t^{n} of {name}: {got} != {want}"
     return None
@@ -504,8 +512,3 @@ def check(check_id: str, param: int | None = None) -> CheckReport:
     elapsed = time.perf_counter() - start
     status = "pass" if witness is None else "fail"
     return CheckReport(check_id, param, status, elapsed, witness)
-
-
-def check_all(params: dict | None = None) -> list[CheckReport]:
-    params = params or {}
-    return [check(cid, params.get(cid)) for cid in CHECK_IDS]

@@ -1,4 +1,9 @@
-"""Motzkin and Dyck paths, Dyck path diagrammes, Laguerre histories.
+"""Motzkin and Dyck paths, and the histories built on them.
+
+A history is a path with a choice sequence xi: a Dyck path diagramme (plain
+or restricted) or a Laguerre history.  One class, ``History``, holds all
+three; its kind decides the path and the range of each xi, and ``KINDS``
+says for every kind whether it allows level steps and whether it carries xi.
 
 Weighted sums come in two independent flavours: direct enumeration of the
 objects (the oracle) and a transfer computation over (position, height) with
@@ -20,7 +25,15 @@ UP, LEVEL, DOWN = "U", "L", "D"
 _DELTA = {UP: 1, LEVEL: 0, DOWN: -1}
 
 
-KINDS = ("motzkin", "dyck", "diagramme", "restricted_diagramme", "laguerre")
+# kind -> (level steps allowed, carries a choice sequence xi); a kind with
+# no level steps has objects of even length only
+KINDS = {
+    "motzkin": (True, False),
+    "dyck": (False, False),
+    "diagramme": (False, True),
+    "restricted_diagramme": (False, True),
+    "laguerre": (True, True),
+}
 
 DEFAULT_LENGTH_CAP = 14
 
@@ -71,82 +84,44 @@ class MotzkinPath:
         return f"MotzkinPath({self})"
 
 
-def dyck_path(steps) -> MotzkinPath:
-    path = MotzkinPath(steps)
-    if not path.is_dyck():
-        raise ValueError("Dyck path may not contain level steps")
-    return path
+class History:
+    """A path with a choice sequence xi: a Dyck path diagramme or a Laguerre
+    history, as its kind says.  xi_k ranges over, for a step at height h:
 
-
-class DyckDiagramme:
-    """Dyck path of length 2n with a choice sequence xi, 0 <= xi_k <= h_k.
-
-    In the restricted form every down step additionally has xi_k < h_k.
+    * "diagramme" (a Dyck path): 0..h;
+    * "restricted_diagramme" (a Dyck path): 0..h, and 0..h-1 on down steps;
+    * "laguerre" (a Motzkin path): 0..h up, -h..h level, 0..h-1 down.
     """
 
-    __slots__ = ("path", "xi", "restricted")
+    __slots__ = ("kind", "path", "xi")
 
-    def __init__(self, path: MotzkinPath, xi, restricted: bool = False):
-        if not path.is_dyck():
-            raise ValueError("diagramme needs a Dyck path")
+    def __init__(self, kind: str, path: MotzkinPath, xi):
+        if kind not in KINDS or not KINDS[kind][1]:
+            raise ValueError(f"{kind!r} is not a kind of history")
+        if not KINDS[kind][0] and not path.is_dyck():
+            raise ValueError(f"a {kind} needs a Dyck path")
         xi = tuple(xi)
-        _check_xi("restricted_diagramme" if restricted else "diagramme", path, xi)
-        self.path = path
-        self.xi = xi
-        self.restricted = restricted
-
-    @classmethod
-    def _trusted(cls, path: MotzkinPath, xi: tuple,
-                 restricted: bool) -> "DyckDiagramme":
-        """The diagramme of a Dyck path and xi tuple the package has just
-        built as one, without the check."""
-        diagramme = object.__new__(cls)
-        diagramme.path = path
-        diagramme.xi = xi
-        diagramme.restricted = restricted
-        return diagramme
-
-    def __eq__(self, other):
-        return (isinstance(other, DyckDiagramme)
-                and self.path == other.path and self.xi == other.xi
-                and self.restricted == other.restricted)
-
-    def __hash__(self):
-        return hash((self.path, self.xi, self.restricted))
-
-    def __str__(self):
-        return f"{self.path} xi={list(self.xi)}"
-
-    __repr__ = __str__
-
-
-class LaguerreHistory:
-    """Motzkin path with a choice sequence xi; the ranges per step are
-    0..h (up), -h..h (level), 0..h-1 (down)."""
-
-    __slots__ = ("path", "xi")
-
-    def __init__(self, path: MotzkinPath, xi):
-        xi = tuple(xi)
-        _check_xi("laguerre", path, xi)
+        _check_xi(kind, path, xi)
+        self.kind = kind
         self.path = path
         self.xi = xi
 
     @classmethod
-    def _trusted(cls, path: MotzkinPath, xi: tuple) -> "LaguerreHistory":
+    def _trusted(cls, kind: str, path: MotzkinPath, xi: tuple) -> "History":
         """The history of a path and xi tuple the package has just built as
-        one, without the check."""
+        one of the kind, without the check."""
         history = object.__new__(cls)
+        history.kind = kind
         history.path = path
         history.xi = xi
         return history
 
     def __eq__(self, other):
-        return (isinstance(other, LaguerreHistory)
+        return (isinstance(other, History) and self.kind == other.kind
                 and self.path == other.path and self.xi == other.xi)
 
     def __hash__(self):
-        return hash((self.path, self.xi))
+        return hash((self.kind, self.path, self.xi))
 
     def __str__(self):
         return f"{self.path} xi={list(self.xi)}"
@@ -193,7 +168,7 @@ def _check_kind_length(kind: str, length: int) -> None:
         raise ValueError(f"unknown kind {kind!r}")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if kind in ("dyck", "diagramme", "restricted_diagramme") and length % 2:
+    if not KINDS[kind][0] and length % 2:
         raise ValueError(f"{kind} objects have even length")
 
 
@@ -226,23 +201,16 @@ def enumerate_objects(kind: str, length: int):
     _check_kind_length(kind, length)
     if length > DEFAULT_LENGTH_CAP:
         raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
-    allow_level = kind in ("motzkin", "laguerre")
+    allow_level, has_xi = KINDS[kind]
     for steps in _iter_paths(length, allow_level):
         path = MotzkinPath(steps)
-        if kind == "motzkin":
+        if not has_xi:
             yield path
-        elif kind == "dyck":
-            yield path
-        else:
-            # each xi is drawn from its ranges, so the objects skip the check
-            heights = path.heights()
-            ranges = [_xi_range(kind, s, h) for s, h in zip(steps, heights)]
-            restricted = kind == "restricted_diagramme"
-            for xi in itertools.product(*ranges):
-                if kind == "laguerre":
-                    yield LaguerreHistory._trusted(path, xi)
-                else:
-                    yield DyckDiagramme._trusted(path, xi, restricted)
+            continue
+        # each xi is drawn from its ranges, so the histories skip the check
+        ranges = [_xi_range(kind, s, h) for s, h in zip(steps, path.heights())]
+        for xi in itertools.product(*ranges):
+            yield History._trusted(kind, path, xi)
 
 
 def weighted_sum(kind: str, length: int, spec: WeightSpec,
@@ -256,15 +224,14 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     if method not in ("dp", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     _check_kind_length(kind, length)
-    allow_level = kind in ("motzkin", "laguerre")
+    allow_level, has_xi = KINDS[kind]
     if method == "dp":
         level = _required(spec.level, LEVEL) if allow_level else None
         return transfer(_required(spec.up, UP), level,
                         _required(spec.down, DOWN), length, length)[length]
     if length > DEFAULT_LENGTH_CAP:
         raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
-    xi_kind = kind in ("diagramme", "restricted_diagramme", "laguerre")
-    if xi_kind and spec.valuation is None:
+    if has_xi and spec.valuation is None:
         raise ValueError("xi-kind enumeration needs a valuation")
 
     # the branches of every step an object of this length can take, built
@@ -280,7 +247,7 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     for step, top in reach.items():
         for h in range(1 if step == DOWN else 0, top + 1):
             polys = ([spec.valuation(step, h, xi)
-                      for xi in _xi_range(kind, step, h)] if xi_kind
+                      for xi in _xi_range(kind, step, h)] if has_xi
                      else [step_fns[step](h)])
             branches = []
             for poly in polys:
@@ -393,11 +360,6 @@ def transfer(up: Callable[[int], LaurentPoly],
 
 # ---------------------------------------------------------------------------
 # the standard weightings
-
-
-def abc_weights(a=None, b=None, c=None) -> WeightSpec:
-    """Plain Motzkin/Dyck weighting from height-indexed coefficients."""
-    return WeightSpec(up=a, level=b, down=c)
 
 
 def diagramme_pq_weights() -> WeightSpec:

@@ -8,9 +8,11 @@
 * invol_phi / invol_psi: the value-moving involutions whose fixed sets are
   the odd / even falling alternating permutations.
 
-csz, invol_phi and invol_psi each run on a core that maps a raw tuple to a
-raw tuple (csz_word, invol_phi_word, invol_psi_word); the Permutation-level
-functions wrap them.  The certificates of these three maps in ``harness``
+fv, fv_star and fz each return a ``lattice.History`` of the matching kind
+("diagramme", "restricted_diagramme", "laguerre").  csz, invol_phi and
+invol_psi each run on a core that maps a raw tuple to a raw tuple
+(csz_word, invol_phi_word, invol_psi_word); the Permutation-level functions
+wrap them.  The certificates of these three maps in ``harness``
 walk the raw words of S_n and call the cores, so they build no Permutation;
 a witness is printed from the raw word.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import DOWN, LEVEL, UP, DyckDiagramme, LaguerreHistory, MotzkinPath
+from .lattice import DOWN, LEVEL, UP, History, MotzkinPath
 from .permstat import (
     Permutation,
     is_coderangement,
@@ -41,7 +43,7 @@ class Biword:
         return f"({t} / {b})"
 
 
-def fv(sigma: Permutation) -> DyckDiagramme:
+def fv(sigma: Permutation) -> History:
     """Dyck path diagramme of a falling alternating permutation of odd length:
     value k steps up iff its position is even, with xi_k its left embracing
     number."""
@@ -55,10 +57,10 @@ def fv(sigma: Permutation) -> DyckDiagramme:
         pos = w.index(k) + 1
         steps.append(UP if pos % 2 == 0 else DOWN)
         xi.append(pattern_k(sigma, k, "31-2"))
-    return DyckDiagramme(MotzkinPath(steps), xi, restricted=False)
+    return History("diagramme", MotzkinPath(steps), xi)
 
 
-def fv_star(sigma: Permutation) -> DyckDiagramme:
+def fv_star(sigma: Permutation) -> History:
     """Restricted diagramme of an even falling alternating permutation,
     via appending the new maximum and applying fv."""
     w = sigma.word
@@ -67,10 +69,10 @@ def fv_star(sigma: Permutation) -> DyckDiagramme:
         raise ValueError(f"{sigma} is not falling alternating of even length")
     star = Permutation._trusted(w + (n + 1,))
     d = fv(star)
-    return DyckDiagramme(d.path, d.xi, restricted=True)
+    return History("restricted_diagramme", d.path, d.xi)
 
 
-def fz(sigma: Permutation) -> LaguerreHistory:
+def fz(sigma: Permutation) -> History:
     """Laguerre history of a permutation: step type from the cyclic type of
     each value, xi from the crossing index (negated and shifted on cyclic
     double descents).
@@ -109,7 +111,7 @@ def fz(sigma: Permutation) -> LaguerreHistory:
                 steps.append(LEVEL)
                 xi.append(-(ck + 1))
         left |= 1 << sk
-    return LaguerreHistory._trusted(MotzkinPath(steps), tuple(xi))
+    return History._trusted("laguerre", MotzkinPath(steps), tuple(xi))
 
 
 # ---------------------------------------------------------------------------

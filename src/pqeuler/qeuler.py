@@ -1,11 +1,11 @@
 """Euler numbers and all their q- and (p,q)-refinements.
 
-Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (by enumeration and by
-continued fraction, the latter for every n up to a bound at once through
-``e_pq_upto``), the exponential generating function of the
-(excedance, fixed point) distribution as n!-scaled integer polynomials, and
-the closed summation formulas (the rational series, the parity-independent
-double sum, and their q-analogues).
+Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (``e_pq``, ``e_q`` and
+``e_star_q`` by enumeration; ``e_pq_upto`` by continued fraction for every n
+up to a bound at once, and ``e_int`` from it), the exponential generating
+function of the (excedance, fixed point) distribution as n!-scaled integer
+polynomials, and the closed summation formulas (the rational series, the
+parity-independent double sum, and their q-analogues).
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from .permstat import stat_polynomial
 TABLE_ENUM_MAX = 9
 
 
-def e_pq(n: int, method: str = "enumerate") -> LaurentPoly:
-    """(p,q)-Euler number: the (31-2, companion-pattern) enumerator of falling
-    alternating permutations (2-13 for odd n, 2-31 for even n)."""
+def e_pq(n: int) -> LaurentPoly:
+    """(p,q)-Euler number by enumeration: the (31-2, companion-pattern)
+    enumerator of falling alternating permutations (2-13 for odd n, 2-31 for
+    even n).  ``e_pq_upto`` gives the same by continued fraction."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if method == "cf":
-        return e_pq_upto(n)[n]
-    if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
     companion = "thot" if n % 2 else "thto"
     return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}})
 
@@ -60,16 +57,17 @@ AT_QSTAR = {"p": LaurentPoly.var("q", 2)}
 AT_ONE = {"p": 1, "q": 1}
 
 
-def e_q(n: int, method: str = "enumerate") -> LaurentPoly:
-    return e_pq(n, method).substitute(AT_Q)
+def e_q(n: int) -> LaurentPoly:
+    return e_pq(n).substitute(AT_Q)
 
 
-def e_star_q(n: int, method: str = "enumerate") -> LaurentPoly:
-    return e_pq(n, method).substitute(AT_QSTAR)
+def e_star_q(n: int) -> LaurentPoly:
+    return e_pq(n).substitute(AT_QSTAR)
 
 
-def e_int(n: int, method: str = "cf") -> int:
-    return e_pq(n, method).substitute(AT_ONE).as_int()
+def e_int(n: int) -> int:
+    """E_n by continued fraction."""
+    return e_pq_upto(n)[n].substitute(AT_ONE).as_int()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def euler_table(nmax: int) -> list[EulerTableRow]:
     for n, by_cf in enumerate(e_pq_upto(nmax)):
         methods = ["cf"]
         if n <= TABLE_ENUM_MAX:
-            by_enum = e_pq(n, method="enumerate")
+            by_enum = e_pq(n)
             if by_enum != by_cf:
                 raise AssertionError(f"method disagreement at n={n}")
             methods.insert(0, "enumeration")

@@ -14,7 +14,7 @@ from pqeuler import harness, permstat
 from pqeuler.algebra import LaurentPoly
 from pqeuler.contfrac import preset
 from pqeuler.lattice import (
-    abc_weights,
+    WeightSpec,
     diagramme_pq_weights,
     enumerate_objects,
     laguerre_quintuple_weights,
@@ -23,7 +23,7 @@ from pqeuler.lattice import (
 )
 from pqeuler.maps import csz, fv, fv_star, fz
 from pqeuler.permstat import Permutation, family_iter, stat_polynomial
-from pqeuler.qeuler import e_int, e_pq, egf_exc_fix
+from pqeuler.qeuler import AT_ONE, e_int, e_pq, e_pq_upto, egf_exc_fix
 
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385]
 
@@ -43,8 +43,8 @@ def _run(num, desc, budget, body):
 def test_criterion_01_integer_euler_numbers():
     def body():
         for n in range(9):
-            assert e_int(n, method="cf") == EULER[n]
-            assert e_int(n, method="enumerate") == EULER[n]
+            assert e_int(n) == EULER[n]
+            assert e_pq(n).substitute(AT_ONE).as_int() == EULER[n]
     _run(1, "integer Euler numbers both ways", 5, body)
 
 
@@ -52,10 +52,11 @@ def test_criterion_02_pq_euler_cf_vs_enumeration():
     def body():
         report = harness.check("thm2_1", 9)
         assert report.passed, report.witness
-        assert str(e_pq(3, "cf")) == "p + q"
-        assert str(e_pq(4, "cf")) == "p^2 + 2*p*q + q^2 + 1"
-        assert str(e_pq(5, "cf")) == ("p^4 + 3*p^3*q + 4*p^2*q^2 + p^2 "
-                                      "+ 3*p*q^3 + 2*p*q + q^4 + q^2")
+        by_cf = e_pq_upto(5)
+        assert str(by_cf[3]) == "p + q"
+        assert str(by_cf[4]) == "p^2 + 2*p*q + q^2 + 1"
+        assert str(by_cf[5]) == ("p^4 + 3*p^3*q + 4*p^2*q^2 + p^2 "
+                                 "+ 3*p*q^3 + 2*p*q + q^4 + q^2")
     _run(2, "(p,q)-Euler continued fractions", 30, body)
 
 
@@ -124,10 +125,9 @@ def test_criterion_10_oracle_coherence():
     def body():
         one = LaurentPoly.const(1)
         specs = [
-            ("motzkin", abc_weights(a=lambda h: one, b=lambda h: one,
-                                    c=lambda h: one), 1),
-            ("dyck", abc_weights(a=lambda h: one, b=None,
-                                 c=lambda h: one), 2),
+            ("motzkin", WeightSpec(up=lambda h: one, level=lambda h: one,
+                                   down=lambda h: one), 1),
+            ("dyck", WeightSpec(up=lambda h: one, down=lambda h: one), 2),
             ("diagramme", diagramme_pq_weights(), 2),
             ("restricted_diagramme", restricted_diagramme_pq_weights(), 2),
             ("laguerre", laguerre_quintuple_weights(), 1),

@@ -19,7 +19,7 @@ from pqeuler.algebra import (
     rising_factorial,
     unpack,
 )
-from pqeuler.qeuler import e_pq
+from pqeuler.qeuler import e_pq_upto
 
 exponents = st.integers(min_value=-3, max_value=4)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -109,18 +109,18 @@ def test_products_never_carry_between_digits():
         top.substitute({"q": LaurentPoly.var("x")})
     # the lattice enumeration oracle adds packed keys; it checks its bound
     # before the walk
-    spec = lattice.abc_weights(a=lambda h: LaurentPoly.var("x", half),
-                               c=lambda h: LaurentPoly.var("x", half))
+    spec = lattice.WeightSpec(up=lambda h: LaurentPoly.var("x", half),
+                              down=lambda h: LaurentPoly.var("x", half))
     with pytest.raises(OverflowError):
         lattice.weighted_sum("dyck", 2, spec, method="enumerate")
 
 
 def test_json_and_str_output_fixed():
-    poly = e_pq(5, "cf")
+    poly = e_pq_upto(5)[5]
     assert str(poly) == ("p^4 + 3*p^3*q + 4*p^2*q^2 + p^2 "
                          "+ 3*p*q^3 + 2*p*q + q^4 + q^2")
-    assert e_pq(3, "cf").to_json() == [{"e": [0, 0, 0, 1, 0], "c": "1"},
-                                       {"e": [0, 0, 1, 0, 0], "c": "1"}]
+    assert e_pq_upto(3)[3].to_json() == [{"e": [0, 0, 0, 1, 0], "c": "1"},
+                                         {"e": [0, 0, 1, 0, 0], "c": "1"}]
     assert LaurentPoly.from_json(json.loads(json.dumps(poly.to_json()))) == poly
     neg = LaurentPoly.monomial(-2, x=-1, s=3) + LaurentPoly.var("q", -4)
     assert neg.to_json() == [{"e": [-1, 0, 0, 0, 3], "c": "-2"},

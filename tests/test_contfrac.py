@@ -17,7 +17,7 @@ from pqeuler.contfrac import (
     expand_s,
     preset,
 )
-from pqeuler.lattice import abc_weights, weighted_sum
+from pqeuler.lattice import WeightSpec, weighted_sum
 from pqeuler.permstat import QUINTUPLE_WEIGHT, stat_polynomial
 
 
@@ -39,7 +39,7 @@ def test_j_fraction_matches_path_dp():
     # oracles: enumeration of Motzkin paths with the same weights, and the
     # evaluation by convergents
     jf = preset("thm4.1").fraction
-    spec = abc_weights(a=jf.ac, b=jf.b, c=lambda h: LaurentPoly.const(1))
+    spec = WeightSpec(up=jf.ac, level=jf.b, down=lambda h: LaurentPoly.const(1))
     for n in range(7):
         want = weighted_sum("motzkin", n, spec, method="enumerate")
         assert preset("thm4.1").expand(n).coeff(n) == want
@@ -48,8 +48,8 @@ def test_j_fraction_matches_path_dp():
 
 def test_s_fraction_matches_dyck_dp():
     sf = preset("secant-pq").fraction
-    spec = abc_weights(a=lambda h: sf.c(h + 1),
-                       b=None, c=lambda h: LaurentPoly.const(1))
+    spec = WeightSpec(up=lambda h: sf.c(h + 1),
+                      down=lambda h: LaurentPoly.const(1))
     for n in range(5):
         want = weighted_sum("dyck", 2 * n, spec, method="enumerate")
         assert preset("secant-pq").expand(2 * n).coeff(2 * n) == want

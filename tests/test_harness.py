@@ -230,6 +230,79 @@ def test_series_check_fails_on_a_planted_preset(cid, monkeypatch):
     assert f" of {planted}: " in report.witness
 
 
+@pytest.mark.parametrize("cid", SERIES_IDS)
+def test_series_check_enumerates_from_the_order_down(cid, monkeypatch):
+    odd, even, enumerated = harness.SERIES[cid]
+    sizes = []
+
+    def recording(n):
+        sizes.append(n)
+        return enumerated(n)
+
+    monkeypatch.setitem(harness.SERIES, cid, (odd, even, recording))
+    assert harness.check(cid, 5).passed
+    assert sizes == [5, 4, 3, 2, 1, 0]
+
+
+def test_series_check_names_the_smallest_failing_order(monkeypatch):
+    odd, even, enumerated = harness.SERIES["thm2_1"]
+
+    def planted(n):
+        return enumerated(n) + LaurentPoly.const(1) if n in (3, 5) else enumerated(n)
+
+    monkeypatch.setitem(harness.SERIES, "thm2_1", (odd, even, planted))
+    report = harness.check("thm2_1", 6)
+    assert report.witness.startswith("t^3 of tangent-pq: ")
+
+
+@pytest.mark.parametrize("cid", list(harness.SIGNED))
+def test_signed_check_sums_from_the_largest_n_down(cid, monkeypatch):
+    real = harness.stat_polynomial
+    calls = []
+
+    def recording(family, n, *args, **kwargs):
+        calls.append((family, n))
+        return real(family, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "stat_polynomial", recording)
+    assert harness.check(cid, 5).passed
+    assert calls[0][1] == 5
+    for family in {family for family, _ in calls}:
+        sizes = [n for f, n in calls if f == family]
+        assert sizes == sorted(sizes, reverse=True), family
+
+
+def test_signed_check_names_the_smallest_failing_n(monkeypatch):
+    real = harness.stat_polynomial
+
+    def planted(family, n, *args, **kwargs):
+        value = real(family, n, *args, **kwargs)
+        return value + LaurentPoly.const(1) if family == "S" and n in (3, 5) else value
+
+    monkeypatch.setattr(harness, "stat_polynomial", planted)
+    report = harness.check("euler_roselle", 6)
+    assert report.witness.startswith("n=3 sum over S ")
+
+
+def test_cli_oversize_order_exits_2_before_the_sizes_below(monkeypatch, capsys):
+    # S_8 with the quintuple weight outgrows a lowered entry bound; the
+    # check must not sum S_0..S_7 first
+    real = harness.stat_polynomial
+    sizes = []
+
+    def recording(family, n, *args, **kwargs):
+        sizes.append(n)
+        return real(family, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "stat_polynomial", recording)
+    monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", 1000)
+    assert main(["verify", "thm4_1", "--order", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DP_MAX_ENTRIES" in captured.err
+    assert sizes == [8]
+
+
 # the hand-written sign of each side before the table, as a factor of base_n
 # at n of the side's parity
 _M1, _MQ, _MIQ = harness.MINUS_ONE, harness.MINUS_Q, harness.MINUS_INV_Q
@@ -281,8 +354,8 @@ def test_jv_example_values():
     from pqeuler.algebra import LaurentPoly
     from pqeuler.harness import MINUS_ONE, _signed
     lhs = _signed("S", 5, "wex", "cros", MINUS_ONE)
-    from pqeuler.qeuler import e_q
-    assert lhs == MINUS_ONE ** 3 * e_q(5, "cf")
+    from pqeuler.qeuler import AT_Q, e_pq_upto
+    assert lhs == MINUS_ONE ** 3 * e_pq_upto(5)[5].substitute(AT_Q)
     assert _signed("S", 4, "wex", "cros", MINUS_ONE) == LaurentPoly()
 
 
@@ -345,6 +418,16 @@ def test_cli_bij(capsys):
     assert "249385716" in out and "biword" in out
     assert main(["bij", "phi", "123"]) == 0
     assert capsys.readouterr().out.strip() == "132"
+
+
+@pytest.mark.parametrize("name,perm,want", [
+    ("fv", "5472613", "UUDUDD xi=[0, 0, 2, 0, 0, 1]"),
+    ("fv-star", "524163", "UUUDDD xi=[0, 0, 2, 1, 0, 0]"),
+    ("fz", "412796583", "ULLLULDLD xi=[0, -1, -1, 1, 1, 0, 0, 0, 0]"),
+], ids=["fv", "fv-star", "fz"])
+def test_cli_bij_prints_the_history(name, perm, want, capsys):
+    assert main(["bij", name, perm]) == 0
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_cli_bij_verify(capsys):

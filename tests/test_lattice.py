@@ -4,21 +4,19 @@ from pqeuler.algebra import LaurentPoly
 from pqeuler.lattice import (
     DOWN,
     LEVEL,
-    DyckDiagramme,
-    LaguerreHistory,
+    History,
     MotzkinPath,
     UP,
+    WeightSpec,
     _check_xi,
-    abc_weights,
     diagramme_pq_weights,
-    dyck_path,
     enumerate_objects,
     laguerre_quintuple_weights,
     restricted_diagramme_pq_weights,
     transfer,
     weighted_sum,
 )
-from pqeuler.qeuler import e_pq
+from pqeuler.qeuler import e_pq_upto
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51]
 CATALAN = [1, 1, 2, 5, 14, 42]
@@ -33,8 +31,6 @@ def test_path_validation():
         MotzkinPath("UU")
     with pytest.raises(ValueError):
         MotzkinPath("UX")
-    with pytest.raises(ValueError):
-        dyck_path("ULD")
 
 
 def test_heights_are_starting_ordinates():
@@ -51,11 +47,12 @@ def test_object_counts():
 
 
 def test_diagramme_counts_are_euler_numbers():
+    euler = [e.substitute({"p": 1, "q": 1}).as_int() for e in e_pq_upto(9)]
     for n in range(5):
         count = sum(1 for _ in enumerate_objects("diagramme", 2 * n))
-        assert count == e_pq(2 * n + 1, "cf").substitute({"p": 1, "q": 1}).as_int()
+        assert count == euler[2 * n + 1]
         rcount = sum(1 for _ in enumerate_objects("restricted_diagramme", 2 * n))
-        assert rcount == e_pq(2 * n, "cf").substitute({"p": 1, "q": 1}).as_int()
+        assert rcount == euler[2 * n]
 
 
 @pytest.mark.parametrize("kind", ["diagramme", "restricted_diagramme",
@@ -65,7 +62,7 @@ def test_enumerated_objects_pass_the_constructor_check(kind):
     for length in range(0, 7, 1 if kind == "laguerre" else 2):
         for obj in enumerate_objects(kind, length):
             _check_xi(kind, obj.path, obj.xi)
-            assert obj == _object(kind, obj.path, obj.xi)
+            assert obj == History(kind, obj.path, obj.xi)
 
 
 # the xi range of every (kind, step) as (lowest, highest) at height h
@@ -80,23 +77,23 @@ XI_BOUNDS = {
 }
 
 
-def _object(kind, path, xi):
-    if kind == "laguerre":
-        return LaguerreHistory(path, xi)
-    return DyckDiagramme(path, xi, restricted=(kind == "restricted_diagramme"))
-
-
 def test_xi_validation():
-    path = dyck_path("UD")
-    DyckDiagramme(path, [0, 0])
-    DyckDiagramme(path, [0, 1])  # down step at height 1 allows xi <= 1
+    path = MotzkinPath("UD")
+    History("diagramme", path, [0, 0])
+    History("diagramme", path, [0, 1])  # down step at height 1 allows xi <= 1
     with pytest.raises(ValueError):
-        DyckDiagramme(path, [1, 0])  # up step at height 0 forces xi = 0
+        History("diagramme", path, [1, 0])  # up step at height 0 forces xi = 0
     with pytest.raises(ValueError):
-        DyckDiagramme(path, [0, 1], restricted=True)  # down needs xi < h
+        History("restricted_diagramme", path, [0, 1])  # down needs xi < h
     with pytest.raises(ValueError):
-        LaguerreHistory(MotzkinPath("L"), [1])
-    LaguerreHistory(MotzkinPath("ULD"), [0, -1, 0])
+        History("laguerre", MotzkinPath("L"), [1])
+    History("laguerre", MotzkinPath("ULD"), [0, -1, 0])
+    with pytest.raises(ValueError, match="Dyck path"):
+        History("diagramme", MotzkinPath("ULD"), [0, 0, 0])
+    # paths without xi, and unknown kinds, are not histories
+    for kind in ("motzkin", "dyck", "histoire"):
+        with pytest.raises(ValueError, match="not a kind of history"):
+            History(kind, path, [0, 0])
     # both ends of every (kind, step) range, at heights 0 to 2
     seen = set()
     for kind, steps in (("diagramme", "UUDD"), ("restricted_diagramme", "UUDD"),
@@ -109,10 +106,10 @@ def test_xi_validation():
                 xi = [0] * len(path)
                 xi[i] = x
                 if ok:
-                    _object(kind, path, xi)
+                    History(kind, path, xi)
                 else:
                     with pytest.raises(ValueError, match="xi out of range"):
-                        _object(kind, path, xi)
+                        History(kind, path, xi)
     assert seen == set(XI_BOUNDS)
 
 
@@ -134,9 +131,9 @@ def test_dp_equals_enumeration_with_integer_coefficients():
     # every step weight, the last step's included, has terms with
     # coefficients other than 1
     three, five = LaurentPoly.const(3), LaurentPoly.const(5)
-    spec = abc_weights(a=lambda h: LaurentPoly.const(h + 2),
-                       b=lambda h: LaurentPoly.var("q") + three,
-                       c=lambda h: LaurentPoly.var("q", 1, coeff=-h) + five)
+    spec = WeightSpec(up=lambda h: LaurentPoly.const(h + 2),
+                      level=lambda h: LaurentPoly.var("q") + three,
+                      down=lambda h: LaurentPoly.var("q", 1, coeff=-h) + five)
     for kind, step in (("motzkin", 1), ("dyck", 2)):
         for length in range(0, 9, step):
             dp = weighted_sum(kind, length, spec, method="dp")
@@ -144,9 +141,9 @@ def test_dp_equals_enumeration_with_integer_coefficients():
             assert dp == brute, (kind, length)
 
 
-def test_abc_weights_count_paths():
+def test_unit_weights_count_paths():
     one = LaurentPoly.const(1)
-    spec = abc_weights(a=lambda h: one, b=lambda h: one, c=lambda h: one)
+    spec = WeightSpec(up=lambda h: one, level=lambda h: one, down=lambda h: one)
     for n, want in enumerate(MOTZKIN):
         assert weighted_sum("motzkin", n, spec).as_int() == want
     for n, want in enumerate(CATALAN):
@@ -154,12 +151,13 @@ def test_abc_weights_count_paths():
 
 
 def test_diagramme_weights_give_pq_euler():
+    euler_pq = e_pq_upto(9)
     for n in range(5):
         total = weighted_sum("diagramme", 2 * n, diagramme_pq_weights())
-        assert total == e_pq(2 * n + 1, "cf")
+        assert total == euler_pq[2 * n + 1]
         rtotal = weighted_sum("restricted_diagramme", 2 * n,
                               restricted_diagramme_pq_weights())
-        assert rtotal == e_pq(2 * n, "cf")
+        assert rtotal == euler_pq[2 * n]
 
 
 def test_enumeration_cap():
@@ -197,7 +195,7 @@ def test_transfer_rejects_negative_sizes():
         transfer(lambda h: one, None, None, 3, -1)
     with pytest.raises(ValueError, match="max_height"):
         transfer(lambda h: one, None, None, -1, 3)
-    spec = abc_weights(lambda h: one, lambda h: one, lambda h: one)
+    spec = WeightSpec(lambda h: one, lambda h: one, lambda h: one)
     for method in ("dp", "enumerate"):
         with pytest.raises(ValueError, match="nonnegative"):
             weighted_sum("motzkin", -1, spec, method=method)
@@ -206,6 +204,7 @@ def test_transfer_rejects_negative_sizes():
 def test_dp_rejects_missing_weight():
     one = LaurentPoly.const(1)
     with pytest.raises(ValueError, match="L weight"):
-        weighted_sum("motzkin", 3, abc_weights(a=lambda h: one, c=lambda h: one))
-    assert weighted_sum("dyck", 4, abc_weights(a=lambda h: one,
-                                               c=lambda h: one)).as_int() == 2
+        weighted_sum("motzkin", 3, WeightSpec(up=lambda h: one,
+                                              down=lambda h: one))
+    assert weighted_sum("dyck", 4, WeightSpec(up=lambda h: one,
+                                              down=lambda h: one)).as_int() == 2

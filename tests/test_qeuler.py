@@ -22,8 +22,8 @@ EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
 
 def test_integer_sequence():
     for n in range(9):
-        assert e_int(n, method="cf") == EULER[n]
-        assert e_int(n, method="enumerate") == EULER[n]
+        assert e_int(n) == EULER[n]
+        assert e_pq(n).substitute(qeuler.AT_ONE).as_int() == EULER[n]
 
 
 def test_printed_polynomials():
@@ -34,35 +34,32 @@ def test_printed_polynomials():
 
 
 def test_cf_and_enumeration_agree():
+    by_cf = e_pq_upto(8)
     for n in range(9):
-        assert e_pq(n, "cf") == e_pq(n, "enumerate")
+        assert e_pq(n) == by_cf[n]
 
 
 def test_e_pq_upto_matches_enumeration():
     table = e_pq_upto(8)
     assert len(table) == 9
     for n, poly in enumerate(table):
-        assert poly == e_pq(n, "enumerate")
-        assert poly == e_pq(n, "cf")
+        assert poly == e_pq(n)
     assert e_pq_upto(0) == [LaurentPoly.const(1)]
     with pytest.raises(ValueError):
         e_pq_upto(-1)
 
 
 def test_specializations_consistent():
-    for n in range(8):
-        full = e_pq(n, "cf")
-        assert e_q(n, "cf") == full.substitute({"p": 1})
-        assert e_star_q(n, "cf") == full.substitute({"p": LaurentPoly.var("q", 2)})
-        assert e_q(n, "cf").substitute({"q": 1}).as_int() == EULER[n]
+    for n, full in enumerate(e_pq_upto(7)):
+        assert e_q(n) == full.substitute({"p": 1})
+        assert e_star_q(n) == full.substitute({"p": LaurentPoly.var("q", 2)})
+        assert e_q(n).substitute({"q": 1}).as_int() == EULER[n]
 
 
 def test_enumeration_cap():
     # no cap on n: A_40's fourth layer outgrows the dynamic program's bound
     with pytest.raises(EnumerationCapError, match="DP_MAX_STATES"):
-        e_pq(40, method="enumerate")
-    with pytest.raises(ValueError):
-        e_pq(3, method="magic")
+        e_pq(40)
 
 
 def test_egf_low_coefficients():
@@ -94,14 +91,14 @@ def test_parity_formula():
 
 def test_hrz_series():
     series = hrz_series(8)
-    for n in range(9):
-        assert series.coeff(n) == e_q(n, "cf")
+    for n, full in enumerate(e_pq_upto(8)):
+        assert series.coeff(n) == full.substitute(qeuler.AT_Q)
 
 
 def test_q_parity_formula():
-    for n in range(9):
+    for n, full in enumerate(e_pq_upto(8)):
         got = q_parity_formula(n)
-        assert got == e_q(n, "cf")
+        assert got == full.substitute(qeuler.AT_Q)
         assert got.substitute({"q": 1}).as_int() == parity_formula(n)
 
 
@@ -115,7 +112,7 @@ def test_q_parity_formula_must_clear(monkeypatch):
 def test_euler_table():
     rows = euler_table(6)
     assert [row.e for row in rows] == EULER[:7]
-    assert rows[5].e_q == e_q(5, "cf")
+    assert rows[5].e_q == e_pq_upto(5)[5].substitute(qeuler.AT_Q)
     assert "enumeration" in rows[6].methods and "cf" in rows[6].methods
     payload = rows[4].to_json()
     assert payload["n"] == 4 and payload["E"] == "5"
