@@ -23,7 +23,7 @@ from .permstat import (
 )
 from .qeuler import euler_table
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -42,7 +42,11 @@ def parse_weight(text: str) -> dict:
             term = term.strip()
             if "*" in term:
                 coeff_text, stat = (p.strip() for p in term.split("*", 1))
-                coeff = int(coeff_text)
+                try:
+                    coeff = int(coeff_text)
+                except ValueError:
+                    raise UsageError(f"bad coefficient in term {term!r} of "
+                                     f"weight clause {clause!r}") from None
             else:
                 coeff, stat = 1, term
             if stat not in STAT_FIELDS:
@@ -135,8 +139,11 @@ def _cmd_export(args) -> int:
     if args.out == "-":
         print(payload)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}")
     return 0
 
@@ -196,10 +203,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse signals usage problems with code 2
         return exc.code if isinstance(exc.code, int) else 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

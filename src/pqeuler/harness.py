@@ -4,9 +4,10 @@ Every check compares two independently computed sides at exact equality and
 reports the lexicographically first witness on failure.  A check with
 parameter n verifies every size up to n, so the zero cases of the wrong
 parity are always exercised: 0..n where n is a series order (the rows of
-``SERIES``, ``contra`` and ``sec7``), 1..n for the others.  The rows of
-``SIGNED`` and ``SERIES`` enumerate from n down and compare from the
-smallest size up, so a size too large for the dynamic program is refused
+``SERIES``, ``contra`` and ``sec7``), 1..n for the others.  Every check that
+sums over a family by the dynamic program (the rows of ``SIGNED`` and
+``SERIES``, and ``equidist_remark``) enumerates from n down and compares
+from the smallest size up, so a size too large for the program is refused
 before the work below it, and a witness is still the smallest failing size.
 """
 
@@ -90,16 +91,6 @@ class CheckReport:
         return line
 
 
-def _signed(family: str, n: int, sign_stat: str, q_stat: str | None,
-            sign: LaurentPoly) -> LaurentPoly:
-    """Sum of sign^sign_stat * q^q_stat over the family, with the sign
-    folded into the sum letter by letter."""
-    weight = {"x": {sign_stat: 1}}
-    if q_stat:
-        weight["q"] = {q_stat: 1}
-    return stat_polynomial(family, n, weight, x=sign)
-
-
 ODD, EVEN = 1, 0
 
 
@@ -121,8 +112,10 @@ class Side:
     fixed: str | None = None
 
     def sum(self, n: int, family: str | None = None) -> LaurentPoly:
-        return _signed(family or self.family, n, self.sign_stat, self.q_stat,
-                       self.x)
+        weight = {"x": {self.sign_stat: 1}}
+        if self.q_stat:
+            weight["q"] = {self.q_stat: 1}
+        return stat_polynomial(family or self.family, n, weight, x=self.x)
 
     def value(self, n: int, base: LaurentPoly) -> LaurentPoly:
         if n % 2 != self.parity:
@@ -134,9 +127,9 @@ class Side:
         return f"sum over {self.family} of ({self.x})^{self.sign_stat}{q_part}"
 
 
-# check id -> (base, tangent side, secant side).  base_n is E_n(p,q) by
-# continued fraction under the given substitution, or, for None, the sum of
-# q^inv over Astar_n by enumeration.
+# check id -> (base, *sides).  base_n is E_n(p,q) by continued fraction
+# under the given substitution, or, for None, the sum of q^inv over Astar_n
+# by enumeration.
 SIGNED = {
     "euler_roselle": (AT_ONE, Side("S", "exc", None, MINUS_ONE, ODD, MINUS_ONE),
                       Side("D", "exc", None, MINUS_ONE, EVEN, MINUS_ONE)),
@@ -150,6 +143,10 @@ SIGNED = {
                              "Aprime"),
                   Side("Dstar", "ndes", "toht", MINUS_INV_Q, EVEN, MINUS_INV_Q,
                        fixed="Adoubleprime")),
+    # the linear model's coderangement sum, and shin_zeng's secant side
+    "mad_remark": (AT_QSTAR, Side("Dstar", "ndes", "mad", MINUS_ONE, EVEN,
+                                  MINUS_Q, fixed="Adoubleprime"),
+                   Side("D", "exc", "inv", MINUS_ONE, EVEN, MINUS_Q)),
 }
 
 
@@ -421,18 +418,6 @@ def certify_psi(n: int, stats=None, index=None):
                       and a[2] == b[2]))
 
 
-def _check_mad_remark(nmax: int):
-    for n in range(1, nmax + 1):
-        dstar = _signed("Dstar", n, "ndes", "mad", MINUS_ONE)
-        fixed = _signed("Adoubleprime", n, "ndes", "mad", MINUS_ONE)
-        if dstar != fixed:
-            return f"n={n}: MAD sum over coderangements {dstar} != {fixed}"
-        via_inv = _signed("D", n, "exc", "inv", MINUS_ONE)
-        if dstar != via_inv:
-            return f"n={n}: MAD sum {dstar} != derangement inv sum {via_inv}"
-    return None
-
-
 def _check_sec7(nmax: int):
     rz = rz_series(nmax)
     euler_pq = e_pq_upto(nmax)
@@ -461,9 +446,11 @@ _EQUIDIST_PAIRS = (("suc", "ndes"), ("fmax", "ndes"), ("fix", "wex"))
 
 
 def _check_equidist_remark(nmax: int):
+    # from nmax down, as in _check_signed
+    dists = {n: [stat_polynomial("S", n, {"x": {a: 1}, "y": {b: 1}})
+                 for a, b in _EQUIDIST_PAIRS] for n in range(nmax, 0, -1)}
     for n in range(1, nmax + 1):
-        first, *rest = (stat_polynomial("S", n, {"x": {a: 1}, "y": {b: 1}})
-                        for a, b in _EQUIDIST_PAIRS)
+        first, *rest = dists[n]
         for pair, dist in zip(_EQUIDIST_PAIRS[1:], rest):
             if dist != first:
                 return (f"n={n}: {pair} distribution {dist} != "
@@ -491,7 +478,7 @@ CHECKS = {
     "cor_cf_SZ": (partial(_check_series, "cor_cf_SZ"), SERIES_DEFAULT),
     "contra": (_check_contra, 12),
     "sz_linear": (_check_sz_linear, PERM_DEFAULT),
-    "mad_remark": (_check_mad_remark, PERM_DEFAULT),
+    "mad_remark": (partial(_check_signed, "mad_remark"), PERM_DEFAULT),
     "sec7": (_check_sec7, 12),
     "equidist_remark": (_check_equidist_remark, PERM_DEFAULT),
 }

@@ -216,42 +216,11 @@ def basic_stats(sigma) -> StatRecord:
 
 
 # ---------------------------------------------------------------------------
-# per-index statistics (k is a 1-based position or a value, per each
-# statistic's own definition)
+# the embracing numbers of a value, which ``fv`` reads
 
 
 def _word(sigma):
     return sigma.word if isinstance(sigma, Permutation) else tuple(sigma)
-
-
-def cros_k(sigma, k: int) -> int:
-    """Crossing index anchored at k: l < k <= s_l < s_k or s_k < s_l < k < l."""
-    w = _word(sigma)
-    n = len(w)
-    sk = w[k - 1]
-    count = 0
-    for l in range(1, n + 1):
-        sl = w[l - 1]
-        if l < k <= sl < sk:
-            count += 1
-        elif sk < sl < k < l:
-            count += 1
-    return count
-
-
-def nest_k(sigma, k: int) -> int:
-    """Nesting index anchored at k: l < k <= s_k < s_l or s_l < s_k < k < l."""
-    w = _word(sigma)
-    n = len(w)
-    sk = w[k - 1]
-    count = 0
-    for l in range(1, n + 1):
-        sl = w[l - 1]
-        if l < k <= sk < sl:
-            count += 1
-        elif sl < sk < k < l:
-            count += 1
-    return count
 
 
 def pattern_k(sigma, k: int, which: str) -> int:
@@ -279,52 +248,6 @@ def pattern_k(sigma, k: int, which: str) -> int:
         else:
             raise ValueError(f"unknown pattern {which!r}")
     return count
-
-
-def inv_parts(sigma, k: int):
-    """Sizes of the four inversion classes anchored at k (positions for the
-    first three, value for the fourth)."""
-    w = _word(sigma)
-    n = len(w)
-    parts = [0, 0, 0, 0]
-    for i in range(1, n + 1):
-        si = w[i - 1]
-        for j in range(i + 1, n + 1):
-            sj = w[j - 1]
-            if si <= sj:
-                continue
-            if j <= sj:
-                if k == j:
-                    parts[0] += 1
-            elif sj <= i:
-                if k == i:
-                    if si < i:
-                        parts[1] += 1
-                    else:
-                        parts[2] += 1
-            elif i < sj:  # i < s_j < j
-                if k == sj:
-                    parts[3] += 1
-    return tuple(parts)
-
-
-def inv_k(sigma, k: int) -> int:
-    return sum(inv_parts(sigma, k))
-
-
-def cyclic_type(sigma, k: int) -> str:
-    w = _word(sigma)
-    sk = w[k - 1]
-    if sk == k:
-        return "fixed"
-    ik = w.index(k) + 1
-    if ik > k < sk:
-        return "cyclic-valley"
-    if ik < k > sk:
-        return "cyclic-peak"
-    if ik < k < sk:
-        return "cyclic-double-ascent"
-    return "cyclic-double-descent"
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +466,12 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     ``DP_MAX_STATES`` states or ``DP_MAX_ENTRIES`` (state, key) entries
     raises ``EnumerationCapError`` while it is being built: states are
     counted as they are made, and entries after each source state, by the
-    size of each target before and after the merge.  In every family the
-    prefixes of length 2 take every pair of values, so layer 2 holds at
-    least n(n-1)/2 states, and an n whose pairs outnumber the state bound is
-    refused before any work: a state's masks have n bits, so the first
-    layers of a huge n are slow and large.  The cros table ``spread`` grows
-    by one doubling per layer, so that it never outgrows the layers.
+    size of each target before and after the merge.  In every family, for
+    2 <= p < n, the prefixes of length p take every set of p values, so
+    layer p holds at least C(n, p) states, one per used set.  An n with
+    C(n, n // 2) > ``DP_MAX_STATES`` is therefore refused before any work,
+    and no n the program could hold is.  The cros table ``spread`` grows by
+    one doubling per layer, so that it never outgrows the layers.
 
     With ``sign``, the x digit is folded in at each letter: evaluating x is a
     ring homomorphism, so it commutes with the sum.  The x digit of a key
@@ -570,8 +493,15 @@ def _accumulate(family: str, n: int, plan, firsts=None,
         return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
     if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
         return {}
-    if math.comb(n, 2) > DP_MAX_STATES:
-        raise _too_large(family, n, 2, "DP_MAX_STATES", DP_MAX_STATES, "states")
+    # the least size from 4 on (so 2 <= size // 2 < size) whose layer
+    # size // 2 outgrows the state bound; C(n, n // 2) grows with n, so
+    # every n from it on is refused without computing its binomial
+    least = 4
+    while math.comb(least, least // 2) <= DP_MAX_STATES:
+        least += 1
+    if n >= least:
+        raise _too_large(family, n, n // 2, "DP_MAX_STATES", DP_MAX_STATES,
+                         "states")
     start, inc, width = _packed_plan(plan, n)
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half

@@ -144,8 +144,13 @@ SIDES = [(cid, half) for cid in harness.SIGNED for half in (1, 2)]
 
 
 def _side_id(side):
+    # by parity (tangent odd, secant even) where a row's sides differ in it,
+    # else by family: both sides of mad_remark are even
     cid, half = side
-    return f"{cid}-{('tangent', 'secant')[half - 1]}"
+    sides = harness.SIGNED[cid][1:]
+    if len({s.parity for s in sides}) < len(sides):
+        return f"{cid}-{sides[half - 1].family}"
+    return f"{cid}-{('secant', 'tangent')[sides[half - 1].parity]}"
 
 
 def _flip_lead(monkeypatch, cid, half):
@@ -317,6 +322,8 @@ HAND_WRITTEN = {
     ("shin_zeng", 2): lambda n: _MQ ** (n // 2),
     ("sz_linear", 1): lambda n: _M1 ** ((n + 1) // 2),
     ("sz_linear", 2): lambda n: _MIQ ** (n // 2),
+    ("mad_remark", 1): lambda n: _MQ ** (n // 2),
+    ("mad_remark", 2): lambda n: _MQ ** (n // 2),
 }
 
 
@@ -326,9 +333,8 @@ def test_signed_sides_match_the_hand_written_formulas():
     assert sorted(HAND_WRITTEN) == sorted(SIDES)
     for (cid, half), sign in HAND_WRITTEN.items():
         side = harness.SIGNED[cid][half]
-        parity = 1 if half == 1 else 0
         for n in range(1, 13):
-            want = sign(n) * base if n % 2 == parity else LaurentPoly()
+            want = sign(n) * base if n % 2 == side.parity else LaurentPoly()
             assert side.value(n, base) == want, (cid, half, n)
 
 
@@ -338,6 +344,37 @@ def test_equidist_remark_fails_on_a_pair_of_another_distribution(monkeypatch):
     report = harness.check("equidist_remark", 5)
     assert not report.passed
     assert "('des', 'fix') distribution" in report.witness
+
+
+def test_equidist_remark_names_the_smallest_failing_n(monkeypatch):
+    real = harness.stat_polynomial
+
+    def planted(family, n, weight, *args, **kwargs):
+        value = real(family, n, weight, *args, **kwargs)
+        if "fmax" in weight["x"] and n in (3, 5):
+            return value + LaurentPoly.const(1)
+        return value
+
+    monkeypatch.setattr(harness, "stat_polynomial", planted)
+    report = harness.check("equidist_remark", 6)
+    assert report.witness.startswith("n=3: ('fmax', 'ndes') distribution ")
+
+
+@pytest.mark.parametrize("cid", ["mad_remark", "equidist_remark"])
+def test_oversize_check_is_refused_before_the_sizes_below(cid, monkeypatch):
+    # with 60 states a layer, S_8 and up are refused at once (C(8, 4) = 70)
+    real = harness.stat_polynomial
+    sizes = []
+
+    def recording(family, n, *args, **kwargs):
+        sizes.append(n)
+        return real(family, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "stat_polynomial", recording)
+    monkeypatch.setattr(permstat, "DP_MAX_STATES", 60)
+    with pytest.raises(permstat.EnumerationCapError, match="DP_MAX_STATES = 60 "):
+        harness.check(cid, 9)
+    assert sizes == [9]
 
 
 def test_check_report_shape():
@@ -352,16 +389,17 @@ def test_check_report_shape():
 def test_jv_example_values():
     # the odd case at n=5 equals -(2 + 5q + 5q^2 + 3q^3 + q^4)
     from pqeuler.algebra import LaurentPoly
-    from pqeuler.harness import MINUS_ONE, _signed
-    lhs = _signed("S", 5, "wex", "cros", MINUS_ONE)
+    from pqeuler.harness import MINUS_ONE
+    side = harness.SIGNED["jv"][1]  # sum over S of (-1)^wex q^cros
+    lhs = side.sum(5)
     from pqeuler.qeuler import AT_Q, e_pq_upto
     assert lhs == MINUS_ONE ** 3 * e_pq_upto(5)[5].substitute(AT_Q)
-    assert _signed("S", 4, "wex", "cros", MINUS_ONE) == LaurentPoly()
+    assert side.sum(4) == LaurentPoly()
 
 
 def test_euler_roselle_single_derangement():
-    from pqeuler.harness import MINUS_ONE, _signed
-    assert _signed("D", 2, "exc", None, MINUS_ONE).as_int() == -1
+    # sum over D of (-1)^exc
+    assert harness.SIGNED["euler_roselle"][2].sum(2).as_int() == -1
 
 
 def test_unknown_check():
@@ -453,6 +491,16 @@ def test_cli_export(tmp_path, capsys):
     assert rows[4]["E"] == "5"
 
 
+@pytest.mark.parametrize("where", ["missing dir", "a dir"])
+def test_cli_export_to_an_unwritable_path_is_a_usage_error(where, tmp_path, capsys):
+    # exit 1 would say a verification failed
+    out = tmp_path / "missing" / "t.json" if where == "missing dir" else tmp_path
+    assert main(["export", "--n", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 def test_cli_usage_errors(capsys):
     assert main(["bogus"]) == 2
     assert main(["verify", "not-a-check"]) == 2
@@ -492,6 +540,14 @@ def test_cli_unknown_weight_variable_is_a_usage_error(weight, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown weight variable" in captured.err
+
+
+def test_cli_bad_weight_coefficient_names_its_clause(capsys):
+    argv = ["table", "--family", "S", "--n", "3", "--weight", "y=fix,x=a*wex"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'a*wex'" in captured.err and "'x=a*wex'" in captured.err
 
 
 def test_cli_repeated_weight_variable_is_a_usage_error(capsys):

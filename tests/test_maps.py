@@ -20,14 +20,14 @@ from pqeuler.maps import (
 from pqeuler.permstat import (
     Permutation,
     basic_stats,
-    cros_k,
-    cyclic_type,
     family_contains,
     family_iter,
     is_coderangement,
     iter_family_words,
     pattern_k,
 )
+
+from per_index import cros_k, cyclic_type
 
 
 def test_csz_worked_example():

@@ -22,21 +22,18 @@ from pqeuler.permstat import (
     STAT_FIELDS,
     WORD_CAP,
     basic_stats,
-    cros_k,
-    cyclic_type,
     default_workers,
     family_iter,
-    inv_k,
-    inv_parts,
     is_coderangement,
     iter_family_words,
     lex_index,
-    nest_k,
     pattern_k,
     stat_polynomial,
     stat_table,
     stat_tuple,
 )
+
+from per_index import cros_k, cyclic_type, inv_k, inv_parts, nest_k
 
 MINUS_INV_Q = LaurentPoly.var("q", -1, coeff=-1)
 
@@ -199,8 +196,8 @@ def test_cap_errors():
     with pytest.raises(EnumerationCapError):
         list(iter_family_words("S", 12))
     # the dynamic program has no cap on n, only on what a layer holds:
-    # S_n's second layer holds n(n-1)/2 states
-    with pytest.raises(EnumerationCapError, match="layer 2 .* DP_MAX_STATES"):
+    # S_n's layer n // 2 holds C(n, n // 2) states
+    with pytest.raises(EnumerationCapError, match="layer 350 .* DP_MAX_STATES"):
         stat_polynomial("S", 700, {})
     with pytest.raises(EnumerationCapError):
         stat_table(12, QUINTUPLE_WEIGHT)
@@ -277,6 +274,33 @@ LAYER_SIZES = [
 ]
 
 
+def test_dp_refuses_the_first_n_past_the_state_bound_before_any_work(
+        monkeypatch):
+    # C(8, 4) = 70 states fit; C(9, 4) = 126 do not
+    monkeypatch.setattr(permstat, "DP_MAX_STATES", math.comb(8, 4))
+    assert stat_polynomial("S", 8, {}).as_int() == math.factorial(8)
+
+    def no_work(*args):
+        raise AssertionError("the dynamic program started on S_9")
+
+    monkeypatch.setattr(permstat, "_packed_plan", no_work)
+    with pytest.raises(EnumerationCapError, match="layer 4 .* DP_MAX_STATES = 70 "):
+        stat_polynomial("S", 9, {})
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_state_guard_refuses_nothing_the_dp_would_hold(family, monkeypatch):
+    # with no weight a state holds one key, so a layer's entries are its
+    # states: an entry bound one below C(n, n // 2) must trip in the
+    # program itself, with the state guard out of the way
+    sizes = [n for n in range(4, 11) if _size(family, n)]
+    monkeypatch.setattr(permstat, "DP_MAX_STATES", 10**9)
+    for n in sizes:
+        monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", math.comb(n, n // 2) - 1)
+        with pytest.raises(EnumerationCapError, match="DP_MAX_ENTRIES"):
+            stat_polynomial(family, n, {})
+
+
 @pytest.mark.parametrize("call,states,entries", LAYER_SIZES)
 def test_dp_holds_a_layer_at_its_bounds_and_not_past_them(
         monkeypatch, call, states, entries):
@@ -318,17 +342,27 @@ def _child(*args):
     return proc, time.perf_counter() - start
 
 
+def _refused_before_any_layer(n):
+    """C(n, n // 2) > DP_MAX_STATES, read from C(m, m // 2) at m <= 64: it
+    grows with m, and C(64, 32) is far past the bound, so the binomial of a
+    huge n is never computed."""
+    m = min(n, 64)
+    return n >= 4 and math.comb(m, m // 2) > permstat.DP_MAX_STATES
+
+
 @pytest.mark.parametrize("family,n,weight", [
     ("S", 60, {}),
     ("A", 40, {"p": {"thto": 1}, "q": {"toht": 1}}),
     ("S", 26, {"q": {"cros": 1}}),
     ("S", 10**6, {}),
     ("D", 20000, {}),
+    ("S", 632, {"q": {"cros": 1}}),
+    ("S", 21, {}),
 ])
 def test_oversize_dp_fails_fast(family, n, weight):
     proc, elapsed = _child("-c", _OVERSIZE_CALL.format(
         family=family, n=n, weight=weight,
-        before_any_layer=math.comb(n, 2) > permstat.DP_MAX_STATES))
+        before_any_layer=_refused_before_any_layer(n)))
     assert proc.returncode == 3, proc.stderr
     assert "enumeration too large" in proc.stdout
     assert elapsed < OVERSIZE_SECONDS, f"{family}_{n} took {elapsed:.2f}s"
