@@ -3,12 +3,14 @@ presets for every continued fraction used by the library.
 
 The fast path reads a fraction as weighted lattice paths (Flajolet) and gets
 every coefficient up to the order from one forward pass of
-``lattice.transfer``: a J-fraction directly, an S-fraction in t^2 as Dyck
-paths, an S-fraction in t through its even contraction.
-``expand_by_convergents`` evaluates the fraction bottom-up with series
-reciprocals, as displayed; it is the independent oracle for checks and tests
-and never runs on the fast path.  A path of length N never climbs above
-ceil(N/2), so depth ceil(N/2)+1 suffices (tested, not assumed).
+``lattice.transfer``: ``expand_j`` is the one expansion routine.  A fraction
+in t^2 alone is a J-fraction whose level weights are 0, and an S-fraction in
+t is expanded through its even contraction.  A path of length at most N
+never climbs above N/2, so no depth is needed: a fraction ends only where
+its own coefficients vanish.  ``expand_by_convergents`` evaluates the
+fraction bottom-up with series reciprocals, as displayed, from the tail 1 at
+a depth; it is the independent oracle for checks and tests, never runs on
+the fast path, and holds the only depth.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from typing import Callable
 
 from .algebra import LaurentPoly, TruncSeries, bracket, pq_bracket, q_bracket
 from .lattice import transfer
-
-
-def _depth_for(order: int) -> int:
-    return (order + 1) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -41,62 +39,46 @@ class JFraction:
 
 @dataclass(frozen=True)
 class SFraction:
-    """1 / (1 - c_1 u / (1 - c_2 u / ...)) with u = t^power (power 1 or 2)."""
+    """1 / (1 - c_1 t / (1 - c_2 t / ...))."""
 
     c: Callable[[int], LaurentPoly]
-    power: int = 1
 
     def expand(self, order: int) -> TruncSeries:
         return expand_s(self, order)
 
 
-def _s_levels(sf: SFraction, order: int, depth: int | None) -> int:
-    return depth if depth is not None else order // sf.power + 1
-
-
-def expand_j(jf: JFraction, order: int, depth: int | None = None) -> TruncSeries:
+def expand_j(jf: JFraction, order: int) -> TruncSeries:
     """Paths with up weight ac_h, level weight b_h and down weight 1, summed
     per length by the transfer pass."""
-    depth = depth if depth is not None else _depth_for(order)
-    return TruncSeries(order, transfer(jf.ac, jf.b, None, depth, order))
+    return TruncSeries(order, transfer(jf.ac, jf.b, None, order))
 
 
-def expand_s(sf: SFraction, order: int, depth: int | None = None) -> TruncSeries:
-    """Power 2: Dyck paths with up weight c_(h+1).  Power 1: the even
-    contraction of the fraction cut to its first ``levels`` terms."""
-    levels = _s_levels(sf, order, depth)
-    if sf.power == 2:
-        return TruncSeries(order, transfer(lambda h: sf.c(h + 1), None, None,
-                                           levels, order))
-    if sf.power != 1:
-        raise ValueError("S-fractions have power 1 or 2")
-    cut = SFraction(c=lambda k: sf.c(k) if k <= levels else _ZERO)
-    return expand_j(contract_even(cut), order)
+def expand_s(sf: SFraction, order: int) -> TruncSeries:
+    """The even contraction; up to order N its paths read only c_1..c_N."""
+    return expand_j(contract_even(sf), order)
 
 
 def expand_by_convergents(fraction: JFraction | SFraction, order: int,
                           depth: int | None = None) -> TruncSeries:
     """The oracle for checks and tests: evaluate the fraction bottom-up with
     series reciprocals, exactly as displayed, from the tail 1 at the given
-    depth."""
+    depth (by default one that the paths of length ``order`` never reach)."""
     one = TruncSeries.one(order)
     f = one
     if isinstance(fraction, JFraction):
-        depth = depth if depth is not None else _depth_for(order)
+        depth = depth if depth is not None else (order + 1) // 2 + 1
         for h in range(depth - 1, -1, -1):
             f = (one - TruncSeries.const(fraction.b(h), order).shift(1)
                  - f.scale(fraction.ac(h)).shift(2)).recip()
         return f
-    for k in range(_s_levels(fraction, order, depth), 0, -1):
-        f = (one - f.scale(fraction.c(k)).shift(fraction.power)).recip()
+    for k in range(depth if depth is not None else order + 1, 0, -1):
+        f = (one - f.scale(fraction.c(k)).shift(1)).recip()
     return f
 
 
 def contract_even(sf: SFraction) -> JFraction:
-    """Even contraction of a power-1 S-fraction:
+    """Even contraction of an S-fraction:
     b_0 = c_1, b_h = c_2h + c_(2h+1), ac_h = c_(2h+1) c_(2h+2)."""
-    if sf.power != 1:
-        raise ValueError("contraction applies to power-1 S-fractions")
     c = sf.c
 
     def b(h):
@@ -112,8 +94,6 @@ def contract_odd(sf: SFraction):
     """Odd contraction: the whole fraction equals 1 + c_1 t J where J has
     b_h = c_(2h+1) + c_(2h+2) and ac_h = c_(2h+2) c_(2h+3).  Returns the
     affine prefix coefficient c_1 together with J."""
-    if sf.power != 1:
-        raise ValueError("contraction applies to power-1 S-fractions")
     c = sf.c
 
     def b(h):
@@ -136,9 +116,9 @@ def expand_odd_contraction(c1: LaurentPoly, jf: JFraction, order: int) -> TruncS
 @dataclass(frozen=True)
 class Preset:
     name: str
-    fraction: JFraction | SFraction
+    fraction: JFraction
     t_prefix: int = 0          # multiply the expansion by t^t_prefix
-    s_form: SFraction | None = None  # equivalent S-fraction form, when one exists
+    s_form: JFraction | SFraction | None = None  # an equivalent form, when one exists
 
     def expand(self, order: int) -> TruncSeries:
         series = self.fraction.expand(order)
@@ -155,39 +135,44 @@ def _qpow(k: int) -> LaurentPoly:
     return LaurentPoly.var("q", k)
 
 
+def _zero(h: int) -> LaurentPoly:
+    return _ZERO
+
+
+# The tangent and secant fractions are in t^2 alone (Thm 2.1, Cor 2.2 and
+# 2.3): 1 / (1 - c_1 t^2 / (1 - c_2 t^2 / ...)) is the J-fraction with every
+# level weight 0 and ac_h = c_(h+1).
+
+
 def _tangent_pq() -> Preset:
-    return Preset("tangent-pq",
-                  SFraction(c=lambda k: pq_bracket(k) * pq_bracket(k + 1), power=2),
-                  t_prefix=1)
+    return Preset("tangent-pq", JFraction(
+        b=_zero, ac=lambda h: pq_bracket(h + 1) * pq_bracket(h + 2)), t_prefix=1)
 
 
 def _secant_pq() -> Preset:
-    return Preset("secant-pq",
-                  SFraction(c=lambda k: pq_bracket(k) * pq_bracket(k), power=2))
+    return Preset("secant-pq", JFraction(
+        b=_zero, ac=lambda h: pq_bracket(h + 1) * pq_bracket(h + 1)))
 
 
 def _tangent_q() -> Preset:
-    return Preset("tangent-q",
-                  SFraction(c=lambda k: q_bracket(k) * q_bracket(k + 1), power=2),
-                  t_prefix=1)
+    return Preset("tangent-q", JFraction(
+        b=_zero, ac=lambda h: q_bracket(h + 1) * q_bracket(h + 2)), t_prefix=1)
 
 
 def _secant_q() -> Preset:
-    return Preset("secant-q",
-                  SFraction(c=lambda k: q_bracket(k) * q_bracket(k), power=2))
+    return Preset("secant-q", JFraction(
+        b=_zero, ac=lambda h: q_bracket(h + 1) * q_bracket(h + 1)))
 
 
 def _tangent_qstar() -> Preset:
-    return Preset("tangent-qstar",
-                  SFraction(c=lambda k: _qpow(2 * k - 1) * q_bracket(k) * q_bracket(k + 1),
-                            power=2),
-                  t_prefix=1)
+    return Preset("tangent-qstar", JFraction(
+        b=_zero, ac=lambda h: _qpow(2 * h + 1) * q_bracket(h + 1) * q_bracket(h + 2)),
+        t_prefix=1)
 
 
 def _secant_qstar() -> Preset:
-    return Preset("secant-qstar",
-                  SFraction(c=lambda k: _qpow(2 * (k - 1)) * q_bracket(k) ** 2,
-                            power=2))
+    return Preset("secant-qstar", JFraction(
+        b=_zero, ac=lambda h: _qpow(2 * h) * q_bracket(h + 1) ** 2))
 
 
 def _thm41() -> Preset:
@@ -244,17 +229,17 @@ def _jv_tangent() -> Preset:
         i = (k + 1) // 2
         return -q_bracket(i) if k % 2 else q_bracket(i)
 
-    return Preset(base.name, base.fraction, s_form=SFraction(c=c, power=1))
+    return Preset(base.name, base.fraction, s_form=SFraction(c=c))
 
 
 def _jv_secant() -> Preset:
     base = _cf_a(x_val=_MINUS_INV_Q, y_val=LaurentPoly(), name="jv-secant")
 
-    # all b_h vanish, so this is already an S-fraction in t^2
-    def c(h):
-        return _qpow(-1) * q_bracket(h) ** 2 * (-1)
+    # all b_h vanish, so this is already a fraction in t^2
+    def ac(h):
+        return _qpow(-1) * q_bracket(h + 1) ** 2 * (-1)
 
-    return Preset(base.name, base.fraction, s_form=SFraction(c=c, power=2))
+    return Preset(base.name, base.fraction, s_form=JFraction(b=_zero, ac=ac))
 
 
 def _sz_tangent() -> Preset:
@@ -266,16 +251,16 @@ def _sz_tangent() -> Preset:
         mono = _qpow(i - 1) * q_bracket(i)
         return mono if k % 2 else -mono
 
-    return Preset(base.name, base.fraction, s_form=SFraction(c=c, power=1))
+    return Preset(base.name, base.fraction, s_form=SFraction(c=c))
 
 
 def _sz_secant() -> Preset:
     base = _cf_sz(x_val=_MINUS_ONE, y_val=LaurentPoly(), name="sz-secant")
 
-    def c(h):
-        return -(_qpow(2 * h - 1) * q_bracket(h) ** 2)
+    def ac(h):
+        return -(_qpow(2 * h + 1) * q_bracket(h + 1) ** 2)
 
-    return Preset(base.name, base.fraction, s_form=SFraction(c=c, power=2))
+    return Preset(base.name, base.fraction, s_form=JFraction(b=_zero, ac=ac))
 
 
 _PRESET_BUILDERS = {

@@ -4,7 +4,8 @@ Every check compares two independently computed sides at exact equality and
 reports the lexicographically first witness on failure.  A check with
 parameter n verifies every size up to n, so the zero cases of the wrong
 parity are always exercised: 0..n where n is a series order (the rows of
-``SERIES``, ``contra`` and ``sec7``), 1..n for the others.  Every check that
+``SERIES``, ``contra`` and ``sec7``), 1..n for the others, which refuse
+n = 0 rather than pass with nothing checked.  Every check that
 sums over a family by the dynamic program (the rows of ``SIGNED`` and
 ``SERIES``, and ``equidist_remark``) enumerates from n down and compares
 from the smallest size up, so a size too large for the program is refused
@@ -289,7 +290,7 @@ def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
             poly = sum((LaurentPoly.var("q", d, coeff=rng.randint(-3, 3))
                         for d in range(3)), LaurentPoly())
         polys.append(poly)
-    return SFraction(c=lambda k, _p=tuple(polys): _p[k - 1], power=1)
+    return SFraction(c=lambda k, _p=tuple(polys): _p[k - 1])
 
 
 def _contraction_agrees(sf: SFraction, order: int):
@@ -326,10 +327,11 @@ def _check_contra(order: int):
         for name, side in zip(names, sides):
             pr = preset(name)
             j_series = pr.expand(order)
-            s_series = expand_s(pr.s_form, order)
+            is_s = isinstance(pr.s_form, SFraction)
+            s_series = (expand_s if is_s else expand_j)(pr.s_form, order)
             if j_series != s_series:
                 return f"{name}: level form disagrees with contracted form"
-            if pr.s_form.power == 1:
+            if is_s:
                 why = _contraction_agrees(pr.s_form, order)
                 if why:
                     return f"{name}: {why}"
@@ -464,23 +466,24 @@ def _check_equidist_remark(nmax: int):
 PERM_DEFAULT = 7
 SERIES_DEFAULT = 8
 
+# check id -> (check, default size, least size)
 CHECKS = {
-    "euler_roselle": (partial(_check_signed, "euler_roselle"), PERM_DEFAULT),
-    "foata_han": (partial(_check_signed, "foata_han"), PERM_DEFAULT),
-    "jv": (partial(_check_signed, "jv"), PERM_DEFAULT),
-    "shin_zeng": (partial(_check_signed, "shin_zeng"), PERM_DEFAULT),
-    "thm2_1": (partial(_check_series, "thm2_1"), SERIES_DEFAULT),
-    "cor2_2": (partial(_check_series, "cor2_2"), SERIES_DEFAULT),
-    "cor2_3": (partial(_check_series, "cor2_3"), SERIES_DEFAULT),
-    "thm3_2": (_check_thm3_2, PERM_DEFAULT),
-    "thm4_1": (partial(_check_series, "thm4_1"), SERIES_DEFAULT),
-    "cor_cf_A": (partial(_check_series, "cor_cf_A"), SERIES_DEFAULT),
-    "cor_cf_SZ": (partial(_check_series, "cor_cf_SZ"), SERIES_DEFAULT),
-    "contra": (_check_contra, 12),
-    "sz_linear": (_check_sz_linear, PERM_DEFAULT),
-    "mad_remark": (partial(_check_signed, "mad_remark"), PERM_DEFAULT),
-    "sec7": (_check_sec7, 12),
-    "equidist_remark": (_check_equidist_remark, PERM_DEFAULT),
+    "euler_roselle": (partial(_check_signed, "euler_roselle"), PERM_DEFAULT, 1),
+    "foata_han": (partial(_check_signed, "foata_han"), PERM_DEFAULT, 1),
+    "jv": (partial(_check_signed, "jv"), PERM_DEFAULT, 1),
+    "shin_zeng": (partial(_check_signed, "shin_zeng"), PERM_DEFAULT, 1),
+    "thm2_1": (partial(_check_series, "thm2_1"), SERIES_DEFAULT, 0),
+    "cor2_2": (partial(_check_series, "cor2_2"), SERIES_DEFAULT, 0),
+    "cor2_3": (partial(_check_series, "cor2_3"), SERIES_DEFAULT, 0),
+    "thm3_2": (_check_thm3_2, PERM_DEFAULT, 1),
+    "thm4_1": (partial(_check_series, "thm4_1"), SERIES_DEFAULT, 0),
+    "cor_cf_A": (partial(_check_series, "cor_cf_A"), SERIES_DEFAULT, 0),
+    "cor_cf_SZ": (partial(_check_series, "cor_cf_SZ"), SERIES_DEFAULT, 0),
+    "contra": (_check_contra, 12, 0),
+    "sz_linear": (_check_sz_linear, PERM_DEFAULT, 1),
+    "mad_remark": (partial(_check_signed, "mad_remark"), PERM_DEFAULT, 1),
+    "sec7": (_check_sec7, 12, 0),
+    "equidist_remark": (_check_equidist_remark, PERM_DEFAULT, 1),
 }
 
 CHECK_IDS = tuple(CHECKS)
@@ -488,12 +491,14 @@ CHECK_IDS = tuple(CHECKS)
 
 def check(check_id: str, param: int | None = None) -> CheckReport:
     try:
-        fn, default = CHECKS[check_id]
+        fn, default, least = CHECKS[check_id]
     except KeyError:
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     param = default if param is None else param
     if param < 0:
         raise ValueError(f"check {check_id}: size must be nonnegative, got {param}")
+    if param < least:
+        raise ValueError(f"check {check_id}: size must be at least {least}, got {param}")
     start = time.perf_counter()
     witness = fn(param)
     elapsed = time.perf_counter() - start

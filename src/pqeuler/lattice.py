@@ -228,7 +228,7 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     if method == "dp":
         level = _required(spec.level, LEVEL) if allow_level else None
         return transfer(_required(spec.up, UP), level,
-                        _required(spec.down, DOWN), length, length)[length]
+                        _required(spec.down, DOWN), length)[length]
     if length > DEFAULT_LENGTH_CAP:
         raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
     if has_xi and spec.valuation is None:
@@ -310,29 +310,27 @@ def _prepared(w: LaurentPoly):
 def transfer(up: Callable[[int], LaurentPoly],
              level: Callable[[int], LaurentPoly] | None,
              down: Callable[[int], LaurentPoly] | None,
-             max_height: int, order: int) -> list[LaurentPoly]:
+             order: int) -> list[LaurentPoly]:
     """Weighted sums of the paths of every length 0..order, in one forward pass.
 
     ``up(h)``, ``level(h)`` and ``down(h)`` weight a step starting at height
     h; ``level=None`` allows no level steps and ``down=None`` gives every down
-    step weight 1.  Heights stay within 0..max_height, and at max_height only
-    down steps are allowed, so element n is the t^n coefficient of the
-    J-fraction 1 / (1 - level(0) t - up(0) down(1) t^2 / (1 - ...)) cut at
-    depth max_height with the tail 1 (Flajolet's reading).  Prefixes
+    step weight 1.  Element n is the t^n coefficient of the J-fraction
+    1 / (1 - level(0) t - up(0) down(1) t^2 / (1 - ...)) (Flajolet's
+    reading).  A path of length at most the order never climbs above
+    order // 2, so the pass needs no depth: a fraction ends only where its
+    weights vanish, and a zero weight is a step never taken.  Prefixes
     that cannot return to 0 within the order are pruned, every weight is
     built once per height, and each pass step costs one product of a path
     sum with a (small) weight.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if max_height < 0:
-        raise ValueError("max_height must be nonnegative")
-    top = min(max_height, order // 2)
+    top = order // 2
     # a step starting at h is used only if the path can still come back:
     # up needs 2h + 2 <= order, level 2h + 1 <= order, down h <= order / 2
     ups = [_prepared(up(h)) for h in range(top)]
-    levels = ([_prepared(level(h))
-               for h in range(min(max_height, (order + 1) // 2))]
+    levels = ([_prepared(level(h)) for h in range((order + 1) // 2)]
               if level is not None else [])
     downs = [None] + [_ONE if down is None else _prepared(down(h))
                       for h in range(1, top + 1)]

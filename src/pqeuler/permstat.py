@@ -109,10 +109,14 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        text = text.strip()
-        if "," in text:
-            return cls(int(tok) for tok in text.split(","))
-        return cls(int(ch) for ch in text)
+        stripped = text.strip()
+        tokens = stripped.split(",") if "," in stripped else stripped
+        try:
+            word = [int(tok) for tok in tokens]
+        except ValueError:
+            raise ValueError(f"bad permutation {text!r}: want one-line notation "
+                             f"such as 3142 or 3,1,4,2") from None
+        return cls(word)
 
     def __str__(self):
         return word_str(self.word)
@@ -331,10 +335,6 @@ def _check_size(family: str, n: int, cap: int) -> None:
 def iter_family_words(family: str, n: int):
     """Words of the family in lexicographic order (raw tuples)."""
     _check_size(family, n, DEFAULT_CAP)
-    if n == 0:
-        if family in ("S", "A", "Astar"):
-            yield ()
-        return
     for word in itertools.permutations(range(1, n + 1)):
         if family_contains(family, word):
             yield word
@@ -490,7 +490,7 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     as soon as it is read.
     """
     if n == 0:
-        return {(0,) * len(VARS): 1} if family in ("S", "A", "Astar") else {}
+        return {(0,) * len(VARS): 1} if family_contains(family, ()) else {}
     if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
         return {}
     # the least size from 4 on (so 2 <= size // 2 < size) whose layer

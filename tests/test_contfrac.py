@@ -7,8 +7,6 @@ from pqeuler.contfrac import (
     JFraction,
     PRESET_NAMES,
     SFraction,
-    _depth_for,
-    _s_levels,
     contract_even,
     contract_odd,
     expand_by_convergents,
@@ -48,8 +46,7 @@ def test_j_fraction_matches_path_dp():
 
 def test_s_fraction_matches_dyck_dp():
     sf = preset("secant-pq").fraction
-    spec = WeightSpec(up=lambda h: sf.c(h + 1),
-                      down=lambda h: LaurentPoly.const(1))
+    spec = WeightSpec(up=sf.ac, down=lambda h: LaurentPoly.const(1))
     for n in range(5):
         want = weighted_sum("dyck", 2 * n, spec, method="enumerate")
         assert preset("secant-pq").expand(2 * n).coeff(2 * n) == want
@@ -66,22 +63,34 @@ def test_depth_is_sufficient():
 
 MAX_ORDER = 10
 CUT_DEPTHS = (1, 2, 3)
+_ZERO = LaurentPoly()
+
+
+def _cut(fraction, depth):
+    """The fraction ended by zeros at the depth: ac_h = b_h = 0 for h >= depth
+    in a J-fraction, c_k = 0 for k > depth in an S-fraction."""
+    if isinstance(fraction, JFraction):
+        return JFraction(b=lambda h: fraction.b(h) if h < depth else _ZERO,
+                         ac=lambda h: fraction.ac(h) if h < depth else _ZERO)
+    return SFraction(c=lambda k: fraction.c(k) if k <= depth else _ZERO)
 
 
 def _fast(fraction, order, depth):
     expand = expand_j if isinstance(fraction, JFraction) else expand_s
-    return expand(fraction, order, depth=depth)
+    return expand(fraction if depth is None else _cut(fraction, depth), order)
 
 
 def _default_depth(fraction, order):
+    """A depth the paths of length ``order`` never reach."""
     if isinstance(fraction, JFraction):
-        return _depth_for(order)
-    return _s_levels(fraction, order, None)
+        return (order + 1) // 2 + 1
+    return order + 1
 
 
 def _assert_matches_convergents(fraction):
     """The transfer pass equals the convergents at every order 0..MAX_ORDER,
-    at the cut depths and at the default depth.
+    on the fraction cut by zeros at the cut depths and on the fraction
+    itself, against the oracle at the cut depth or the default depth.
 
     Cutting a series at a lower order is a ring map, so the oracle at depth d
     runs once, at the largest order that needs d, and is cut down from there.
@@ -107,14 +116,14 @@ def test_transfer_matches_convergents_on_presets(name):
         _assert_matches_convergents(pr.s_form)
 
 
-def test_transfer_matches_convergents_on_random_power1_fractions():
-    # the power-1 route: even contraction of the cut fraction (zeros allowed)
+def test_transfer_matches_convergents_on_random_s_fractions():
+    # the S-fraction route: even contraction of the fraction (zeros allowed)
     rng = random.Random(2009)
     for _ in range(12):
         polys = tuple(sum((LaurentPoly.var("q", d, coeff=rng.randint(-2, 2))
                            for d in range(3)), LaurentPoly())
                       for _ in range(MAX_ORDER + 2))
-        sf = SFraction(c=lambda k, _p=polys: _p[k - 1], power=1)
+        sf = SFraction(c=lambda k, _p=polys: _p[k - 1])
         _assert_matches_convergents(sf)
 
 
@@ -127,7 +136,7 @@ def test_negative_order_is_rejected():
 
 
 def test_contractions_on_simple_fraction():
-    sf = SFraction(c=lambda k: LaurentPoly.const(k), power=1)
+    sf = SFraction(c=lambda k: LaurentPoly.const(k))
     order = 9
     direct = expand_by_convergents(sf, order)
     assert direct == expand_j(contract_even(sf), order)
@@ -136,18 +145,16 @@ def test_contractions_on_simple_fraction():
 
 
 def test_contract_dispatch():
-    sf = SFraction(c=lambda k: q_bracket(k), power=1)
+    sf = SFraction(c=lambda k: q_bracket(k))
     assert isinstance(contract_even(sf), JFraction)
     c1, jf = contract_odd(sf)
     assert c1 == q_bracket(1)
     assert isinstance(jf, JFraction)
-    for contract in (contract_even, contract_odd):
-        with pytest.raises(ValueError):
-            contract(SFraction(c=lambda k: q_bracket(k), power=2))
 
 
 def test_every_preset_expands():
     for name in PRESET_NAMES:
+        assert isinstance(preset(name).fraction, JFraction)
         series = preset(name).expand(4)
         assert isinstance(series, TruncSeries)
 

@@ -27,9 +27,27 @@ PER_WORD_CHECKS = ("thm3_2", "sz_linear", "equidist_remark")
 
 @pytest.mark.parametrize("cid", PER_WORD_CHECKS)
 def test_per_word_checks_pass_through_8(cid):
-    for param in (0, 8):
+    for param in (1, 8):
         report = harness.check(cid, param)
         assert report.passed, report.witness
+
+
+# the checks stated for n >= 1; the others check t^0
+FROM_ONE = ("euler_roselle", "foata_han", "jv", "shin_zeng", "thm3_2",
+            "sz_linear", "mad_remark", "equidist_remark")
+
+
+@pytest.mark.parametrize("cid", harness.CHECK_IDS)
+def test_size_0_is_refused_where_it_would_check_nothing(cid, capsys):
+    if cid in FROM_ONE:
+        with pytest.raises(ValueError, match="at least 1"):
+            harness.check(cid, 0)
+        assert main(["verify", cid, "--n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
+    else:
+        assert harness.check(cid, 0).passed
+        assert main(["verify", cid, "--n", "0"]) == 0
 
 
 @pytest.mark.parametrize("run", [
@@ -512,6 +530,14 @@ def test_cli_usage_errors(capsys):
     assert main(["bij", "fv-star", "--verify", "--n", "3"]) == 2  # even n
     assert main(["bij", "phi", "--verify", "--n", "0"]) == 2  # n >= 1
     assert main(["verify", "jv", "--n", "3", "--order", "5"]) == 2
+
+
+@pytest.mark.parametrize("perm", ["abc", "1,,2"])
+def test_cli_bad_permutation_names_itself(perm, capsys):
+    assert main(["stats", perm]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(perm) in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -167,24 +167,28 @@ def test_enumeration_cap():
 
 def test_transfer_gives_every_length_in_one_pass():
     one = LaurentPoly.const(1)
-    sums = transfer(lambda h: one, lambda h: one, None, 6, 6)
+    sums = transfer(lambda h: one, lambda h: one, None, 6)
     assert [s.as_int() for s in sums] == MOTZKIN
     spec = laguerre_quintuple_weights()
-    sums = transfer(spec.up, spec.level, spec.down, 6, 6)
+    sums = transfer(spec.up, spec.level, spec.down, 6)
     for n, got in enumerate(sums):
         assert got == weighted_sum("laguerre", n, spec, method="enumerate")
 
 
-def test_transfer_max_height_cuts_the_fraction():
-    # at the maximum height only down steps remain: with max height 1 the
-    # Dyck paths are (UD)^k, and the Motzkin paths never take a level step
-    # at height 1
-    one = LaurentPoly.const(1)
-    dyck = transfer(lambda h: one, None, None, 1, 8)
+def test_transfer_zero_weights_cut_the_fraction():
+    # zero weights from height 1 on leave only down steps there: the Dyck
+    # paths are (UD)^k, and the Motzkin paths never take a level step at
+    # height 1
+    one, zero = LaurentPoly.const(1), LaurentPoly()
+
+    def below_1(h):
+        return one if h < 1 else zero
+
+    dyck = transfer(below_1, None, None, 8)
     assert [s.as_int() for s in dyck] == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-    assert [s.as_int() for s in transfer(lambda h: one, None, None, 0, 4)] == \
+    assert [s.as_int() for s in transfer(lambda h: zero, None, None, 4)] == \
         [1, 0, 0, 0, 0]
-    motzkin = transfer(lambda h: one, lambda h: one, None, 1, 4)
+    motzkin = transfer(below_1, below_1, None, 4)
     # 1/(1 - t - t^2) : Fibonacci
     assert [s.as_int() for s in motzkin] == [1, 1, 2, 3, 5]
 
@@ -192,9 +196,7 @@ def test_transfer_max_height_cuts_the_fraction():
 def test_transfer_rejects_negative_sizes():
     one = LaurentPoly.const(1)
     with pytest.raises(ValueError, match="order"):
-        transfer(lambda h: one, None, None, 3, -1)
-    with pytest.raises(ValueError, match="max_height"):
-        transfer(lambda h: one, None, None, -1, 3)
+        transfer(lambda h: one, None, None, -1)
     spec = WeightSpec(lambda h: one, lambda h: one, lambda h: one)
     for method in ("dp", "enumerate"):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -23,6 +23,7 @@ from pqeuler.permstat import (
     WORD_CAP,
     basic_stats,
     default_workers,
+    family_contains,
     family_iter,
     is_coderangement,
     iter_family_words,
@@ -188,8 +189,21 @@ def test_family_sizes():
 
 
 def test_empty_word_families():
-    assert list(iter_family_words("S", 0)) == [()]
-    assert list(iter_family_words("D", 0)) == []
+    # the empty word is a derangement, a coderangement and a falling
+    # alternating word of even length: D_0 = E_0 = E*_0 = 1
+    for family in FAMILIES:
+        want = [] if family == "Aprime" else [()]
+        assert list(iter_family_words(family, 0)) == want, family
+        assert stat_polynomial(family, 0, {}).as_int() == len(want), family
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_families_agree_with_family_contains(family):
+    for n in range(7):
+        words = [w for w in itertools.permutations(range(1, n + 1))
+                 if family_contains(family, w)]
+        assert list(iter_family_words(family, n)) == words, n
+        assert stat_polynomial(family, n, {}).as_int() == len(words), n
 
 
 def test_cap_errors():
