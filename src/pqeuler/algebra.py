@@ -487,13 +487,16 @@ _Q_PLACE = _PLACE[_Q_IDX]
 
 
 def _q_only(poly: LaurentPoly) -> dict:
-    """View a q-only LaurentPoly as {exponent: coeff}; raises otherwise."""
+    """View a q-only LaurentPoly as {exponent: coeff}; raises otherwise.
+
+    A q-only key is e times the q place: no remainder below it (the s digit
+    is 0), and a quotient inside one digit (x, y and p are 0)."""
     out = {}
     for key, c in poly.terms.items():
-        e = unpack(key)
-        if any(e[i] for i in range(NVARS) if i != _Q_IDX):
+        e, rest = divmod(key, _Q_PLACE)
+        if rest or not -EXP_LIMIT < e < EXP_LIMIT:
             raise ValueError(f"not a q-only polynomial: {poly}")
-        out[e[_Q_IDX]] = c
+        out[e] = c
     return out
 
 

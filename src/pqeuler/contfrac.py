@@ -7,18 +7,25 @@ every coefficient up to the order from one forward pass of
 in t^2 alone is a J-fraction whose level weights are 0, and an S-fraction in
 t is expanded through its even contraction.  A path of length at most N
 never climbs above N/2, so no depth is needed: a fraction ends only where
-its own coefficients vanish.  ``expand_by_convergents`` evaluates the
-fraction bottom-up with series reciprocals, as displayed, from the tail 1 at
-a depth; it is the independent oracle for checks and tests, never runs on
-the fast path, and holds the only depth.
+its own coefficients vanish.
+
+Two oracles evaluate the fraction bottom-up, as displayed, from the tail 1
+at a depth; neither runs on the fast path, and they hold the only depths.
+``expand_by_convergents`` does it with series reciprocals over the Laurent
+polynomials and is the definition the tests check against.
+``convergents_at`` does it for an S-fraction over Z[q] at one integer q,
+over plain ints; ``contra`` compares the contractions with it at enough
+points to fix every coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
-from .algebra import LaurentPoly, TruncSeries, bracket, pq_bracket, q_bracket
+from .algebra import (LaurentPoly, TruncSeries, _q_only, bracket, pq_bracket,
+                      q_bracket)
 from .lattice import transfer
 
 
@@ -73,6 +80,28 @@ def expand_by_convergents(fraction: JFraction | SFraction, order: int,
         return f
     for k in range(depth if depth is not None else order + 1, 0, -1):
         f = (one - f.scale(fraction.c(k)).shift(1)).recip()
+    return f
+
+
+def convergents_at(sf: SFraction, order: int, q: int) -> list[int]:
+    """The oracle for ``contra`` and tests: the coefficients of t^0..t^order
+    of ``expand_by_convergents(sf, order)`` at the integer q, over plain
+    ints.  Each of c_1..c_order must be in Z[q].
+
+    From the tail 1 at depth ``order``, f <- 1 / (1 - c_k t f) for k down to
+    1, with the reciprocal read as h_n = c_k (f_0 h_(n-1) + ... + f_(n-1)
+    h_0).  The level-k series is needed only to t^(order - k + 1)."""
+    f = [1]
+    for k in range(order, 0, -1):
+        c = 0
+        for e, coeff in _q_only(sf.c(k)).items():
+            if e < 0:
+                raise ValueError(f"c_{k} = {sf.c(k)} is not in Z[q]")
+            c += coeff * q ** e
+        h = [1]
+        for _ in range(order - k + 1):
+            h.append(c * sum(map(mul, f, reversed(h))))
+        f = h
     return f
 
 

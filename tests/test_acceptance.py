@@ -1,5 +1,5 @@
 """The ten acceptance criteria, one test each, all at exact equality, and
-the enumerating checks at sizes past them.
+the enumerating checks and ``contra`` at sizes past them.
 
 Each criterion prints a single pass/fail line (visible with -s; the -v test
 line mirrors it) and asserts its wall-clock budget.
@@ -160,6 +160,12 @@ def test_enumerating_checks_at_the_frontier(cid, param):
     report = harness.check(cid, param)
     assert report.passed, report.witness
     assert report.elapsed < 30, f"{cid}@{param} took {report.elapsed:.2f}s"
+
+
+def test_contra_at_16():
+    report = harness.check("contra", 16)
+    assert report.passed, report.witness
+    assert report.elapsed < 30, f"contra@16 took {report.elapsed:.2f}s"
 
 
 def test_thm4_1_at_12_in_one_process(monkeypatch):

@@ -9,6 +9,7 @@ from pqeuler.contfrac import (
     SFraction,
     contract_even,
     contract_odd,
+    convergents_at,
     expand_by_convergents,
     expand_j,
     expand_odd_contraction,
@@ -116,15 +117,46 @@ def test_transfer_matches_convergents_on_presets(name):
         _assert_matches_convergents(pr.s_form)
 
 
-def test_transfer_matches_convergents_on_random_s_fractions():
-    # the S-fraction route: even contraction of the fraction (zeros allowed)
+def _random_s_fractions():
+    """Twelve S-fractions with c_k = a_0 + a_1 q + a_2 q^2, each a_i drawn
+    from -2..2 (zeros allowed)."""
     rng = random.Random(2009)
+    fractions = []
     for _ in range(12):
         polys = tuple(sum((LaurentPoly.var("q", d, coeff=rng.randint(-2, 2))
                            for d in range(3)), LaurentPoly())
                       for _ in range(MAX_ORDER + 2))
-        sf = SFraction(c=lambda k, _p=polys: _p[k - 1])
+        fractions.append(SFraction(c=lambda k, _p=polys: _p[k - 1]))
+    return fractions
+
+
+def test_transfer_matches_convergents_on_random_s_fractions():
+    # the S-fraction route: even contraction of the fraction
+    for sf in _random_s_fractions():
         _assert_matches_convergents(sf)
+
+
+# integer points, negative ones among them
+ORACLE_POINTS = (-3, -2, -1, 0, 1, 2, 3, 7)
+
+
+@pytest.mark.parametrize("name", ["random", "jv-tangent", "sz-tangent"])
+def test_evaluated_oracle_is_the_convergents_at_each_point(name):
+    fractions = (_random_s_fractions() if name == "random"
+                 else [preset(name).s_form])
+    for sf in fractions:
+        for order in range(MAX_ORDER + 1):
+            series = expand_by_convergents(sf, order)
+            for q in ORACLE_POINTS:
+                want = [c.substitute({"q": q}).as_int() for c in series.coeffs]
+                assert convergents_at(sf, order, q) == want, (order, q)
+
+
+def test_evaluated_oracle_refuses_what_is_not_in_z_q():
+    for c in (LaurentPoly.var("q", -1), LaurentPoly.var("x")):
+        sf = SFraction(c=lambda k, _c=c: _c)
+        with pytest.raises(ValueError):
+            convergents_at(sf, 2, 1)
 
 
 def test_negative_order_is_rejected():

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import random
 import time
 
 import pytest
 
 from pqeuler import harness, permstat
-from pqeuler.algebra import LaurentPoly
+from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
+from pqeuler.contfrac import contract_even, expand_j
 from pqeuler.permstat import (
     Permutation,
     basic_stats,
@@ -226,6 +228,122 @@ def test_contra_compares_the_presets_past_order_ten(monkeypatch):
     monkeypatch.setattr(harness, "e_pq_upto", planted)
     report = harness.check("contra", 12)
     assert report.witness == "jv-tangent: expansion differs from signed Euler series"
+
+
+CONTRA_ORDER = 4
+# t^3 of the even contraction, the only coefficient a planted fault touches
+FAULT_AT = 3
+
+
+def _contra_fraction():
+    """The first random trial of contra at CONTRA_ORDER, and its d: the
+    largest q-degree among c_1..c_order."""
+    rng = random.Random(harness.CONTRA_SEED)
+    sf = harness._random_s_fraction(rng, CONTRA_ORDER + 4)
+    d = max(e[3] for k in range(1, CONTRA_ORDER + 1)
+            for e, _ in sf.c(k).sorted_terms())
+    return sf, d
+
+
+def _vanishing_at_the_points(d):
+    # prod (q - x) over the evaluation points 0..order d: of degree
+    # order d + 1, so only the degree bound sees it
+    out = LaurentPoly.const(1)
+    for x in range(CONTRA_ORDER * d + 1):
+        out = out * (LaurentPoly.var("q") - x)
+    return out
+
+
+FAULTS = {
+    "plus_one": lambda d: LaurentPoly.const(1),
+    "vanishing": _vanishing_at_the_points,
+    "q_inverse": lambda d: LaurentPoly.var("q", -1),
+    "x_term": lambda d: LaurentPoly.var("x"),
+}
+
+
+def _planted(series, fault):
+    coeffs = list(series.coeffs)
+    coeffs[FAULT_AT] = coeffs[FAULT_AT] + fault
+    return TruncSeries(series.order, coeffs)
+
+
+def _plant_in_both_contractions(monkeypatch, fault):
+    # the same fault in both passes their comparison with each other, so
+    # only the oracle can catch it
+    real_j, real_odd = harness.expand_j, harness.expand_odd_contraction
+    monkeypatch.setattr(harness, "expand_j",
+                        lambda jf, order: _planted(real_j(jf, order), fault))
+    monkeypatch.setattr(harness, "expand_odd_contraction",
+                        lambda c1, jf, order: _planted(real_odd(c1, jf, order),
+                                                       fault))
+
+
+def test_oracle_comparison_passes_the_even_contraction():
+    sf, d = _contra_fraction()
+    assert d == 2
+    even = expand_j(contract_even(sf), CONTRA_ORDER)
+    assert harness._matches_convergents(sf, even, CONTRA_ORDER)
+    assert harness._contraction_agrees(sf, CONTRA_ORDER) is None
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_oracle_comparison_catches_a_planted_fault(name, monkeypatch):
+    sf, d = _contra_fraction()
+    fault = FAULTS[name](d)
+    even = expand_j(contract_even(sf), CONTRA_ORDER)
+    assert not harness._matches_convergents(sf, _planted(even, fault),
+                                            CONTRA_ORDER)
+    _plant_in_both_contractions(monkeypatch, fault)
+    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
+            == "even contraction mismatch")
+
+
+def test_the_vanishing_fault_hides_from_every_point():
+    sf, d = _contra_fraction()
+    fault = _vanishing_at_the_points(d)
+    assert fault.sorted_terms()[-1][0][3] == CONTRA_ORDER * d + 1
+    for q in range(CONTRA_ORDER * d + 1):
+        assert fault.substitute({"q": q}).is_zero()
+
+
+def test_an_odd_only_fault_is_an_odd_contraction_mismatch(monkeypatch):
+    sf, _ = _contra_fraction()
+    real = harness.expand_odd_contraction
+    monkeypatch.setattr(harness, "expand_odd_contraction",
+                        lambda c1, jf, order: _planted(
+                            real(c1, jf, order), LaurentPoly.const(1)))
+    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
+            == "odd contraction mismatch")
+
+
+def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
+    _plant_in_both_contractions(monkeypatch, LaurentPoly.var("x"))
+    report = harness.check("contra", CONTRA_ORDER)
+    assert report.witness == "jv-tangent: even contraction mismatch"
+
+
+def test_contra_takes_no_series_reciprocal(monkeypatch):
+    def no_recip(self):
+        raise AssertionError("contra took a series reciprocal")
+
+    monkeypatch.setattr(TruncSeries, "recip", no_recip)
+    report = harness.check("contra", 6)
+    assert report.passed, report.witness
+
+
+@pytest.mark.parametrize("levels", (8, 16, 20))
+def test_random_s_fractions_are_the_sums_of_their_drawn_monomials(levels):
+    # each level was once built as the sum of three LaurentPoly.var terms
+    new, old = (random.Random(harness.CONTRA_SEED) for _ in range(2))
+    for _ in range(harness.CONTRA_TRIALS):
+        sf = harness._random_s_fraction(new, levels)
+        for k in range(1, levels + 1):
+            want = LaurentPoly()
+            while want.is_zero():
+                want = sum((LaurentPoly.var("q", d, coeff=old.randint(-3, 3))
+                            for d in range(3)), LaurentPoly())
+            assert (sf.c(k).terms, sf.c(k).bound) == (want.terms, want.bound)
 
 
 def test_sec7_checks_the_q_double_sum_past_ten(monkeypatch):
