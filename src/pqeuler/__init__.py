@@ -33,7 +33,6 @@ from .permstat import (
     BACKEND,
     EnumerationCapError,
     FAMILIES,
-    Permutation,
     StatRecord,
     basic_stats,
     family_iter,

@@ -16,10 +16,11 @@ from .contfrac import PRESET_NAMES, preset
 from .maps import csz, csz_biwords, fv, fv_star, fz, invol_phi, invol_psi
 from .permstat import (
     FAMILIES,
-    Permutation,
     basic_stats,
+    parse_word,
     stat_polynomial,
     STAT_FIELDS,
+    word_str,
 )
 from .qeuler import euler_table
 
@@ -57,7 +58,7 @@ def parse_weight(text: str) -> dict:
 
 
 def _cmd_stats(args) -> int:
-    record = basic_stats(Permutation.parse(args.perm))
+    record = basic_stats(parse_word(args.perm))
     if args.json:
         print(json.dumps(record.to_json()))
     else:
@@ -124,12 +125,13 @@ def _cmd_bij(args) -> int:
         return 1
     if args.perm is None:
         raise UsageError("bij needs a permutation (or --verify)")
-    sigma = Permutation.parse(args.perm)
+    sigma = parse_word(args.perm)
     if args.name == "csz":
         fw, gw = csz_biwords(sigma)
         print(f"descent biword:    {fw}")
         print(f"nondescent biword: {gw}")
-    print(_BIJECTIONS[args.name][0](sigma))
+    image = _BIJECTIONS[args.name][0](sigma)
+    print(word_str(image) if isinstance(image, tuple) else image)
     return 0
 
 

@@ -32,10 +32,7 @@ from .contfrac import (
     preset,
 )
 from .lattice import enumerate_objects
-# the certificates call the tuple cores; csz, invol_phi and invol_psi stay
-# importable from here, where perfbench/spans.py wraps them
-from .maps import (csz, csz_word, fv, fv_star, fz, invol_phi, invol_phi_word,
-                   invol_psi, invol_psi_word)
+from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
 from .permstat import (
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
@@ -218,12 +215,14 @@ def _certify_onto(bijection, family: str, n: int, kind: str, length: int):
     for sigma in family_iter(family, n):
         image = bijection(sigma)
         if image in preimage:
-            return f"sigma={sigma}: image {image} is also that of {preimage[image]}"
+            return (f"sigma={word_str(sigma)}: image {image} is also that of "
+                    f"{word_str(preimage[image])}")
         preimage[image] = sigma
     codomain = set(enumerate_objects(kind, length))
     for image, sigma in preimage.items():
         if image not in codomain:
-            return f"sigma={sigma}: image {image} is not a {kind} of length {length}"
+            return (f"sigma={word_str(sigma)}: image {image} is not a {kind} "
+                    f"of length {length}")
     if len(preimage) != len(codomain):
         return f"n={n}: {len(codomain) - len(preimage)} {kind} objects are not hit"
     return None
@@ -261,7 +260,7 @@ def certify_csz(n: int):
     index = lex_index(n)
     seen = bytearray(len(index))
     for rank, sigma in enumerate(index):
-        tau = csz_word(sigma)
+        tau = csz(sigma)
         image = index.get(tau)
         if image is None:
             return f"sigma={word_str(sigma)}: image {word_str(tau)} is not in S_{n}"
@@ -295,14 +294,14 @@ def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
     return SFraction(c=lambda k, _p=tuple(polys): _p[k - 1])
 
 
-def _contraction_agrees(sf: SFraction, order: int):
+def _contraction_agrees(sf: SFraction, even: TruncSeries, order: int):
     """Witness that the even and odd contractions of an S-fraction over Z[q]
     do not expand to its convergents up to t^order, or None if they do.
 
-    Both contractions are expanded by the transfer pass and compared with
-    each other; the even one is then compared with the convergent oracle
-    (``_matches_convergents``)."""
-    even = expand_j(contract_even(sf), order)
+    ``even`` is the even contraction's expansion up to t^order, which the
+    caller has already made.  The odd one is expanded by the transfer pass
+    and compared with it; the even one is then compared with the convergent
+    oracle (``_matches_convergents``)."""
     c1, jf = contract_odd(sf)
     if even != expand_odd_contraction(c1, jf, order):
         return "odd contraction mismatch"
@@ -366,7 +365,7 @@ def _check_contra(order: int):
             if j_series != s_series:
                 return f"{name}: level form disagrees with contracted form"
             if is_s:
-                why = _contraction_agrees(pr.s_form, order)
+                why = _contraction_agrees(pr.s_form, s_series, order)
                 if why:
                     return f"{name}: {why}"
             target = TruncSeries(series_order, [LaurentPoly.const(1)] + [
@@ -377,7 +376,8 @@ def _check_contra(order: int):
     levels = order + 4
     for t in range(CONTRA_TRIALS):
         sf = _random_s_fraction(rng, levels)
-        why = _contraction_agrees(sf, order)
+        even = expand_j(contract_even(sf), order)
+        why = _contraction_agrees(sf, even, order)
         if why:
             return f"random trial {t}: {why}"
     return None
@@ -399,9 +399,9 @@ def _check_sz_linear(nmax: int):
 _INVOLUTION_WEIGHT = {"x": {"ndes": 1}, "y": {"toht": 1}, "p": {"mad": 1}}
 
 
-def _certify_involution(core, name: str, domain: str, fixed_set: str, n: int,
+def _certify_involution(invol, name: str, domain: str, fixed_set: str, n: int,
                         stats, index, deltas_ok):
-    """Witness that ``core`` is not an involution of the words of length n
+    """Witness that ``invol`` is not an involution of the words of length n
     in ``domain`` fixing exactly the words of ``fixed_set`` and moving every
     other word's (ndes, toht, mad) as ``deltas_ok`` allows, or None if it
     is.  ``stats`` is stat_table(n, _INVOLUTION_WEIGHT) and ``index`` is
@@ -418,14 +418,14 @@ def _certify_involution(core, name: str, domain: str, fixed_set: str, n: int,
     if index is None:
         index = lex_index(n)
     # the rank of each word's image; -1 for a word outside the domain
-    image = [index.get(core(w)) if family_contains(domain, w) else -1
+    image = [index.get(invol(w)) if family_contains(domain, w) else -1
              for w in index]
     for rank, sigma in enumerate(index):
         partner = image[rank]
         if partner == -1:
             continue
         if partner is None:
-            return (f"sigma={word_str(sigma)}: image {word_str(core(sigma))} "
+            return (f"sigma={word_str(sigma)}: image {word_str(invol(sigma))} "
                     f"is not in S_{n}")
         if image[partner] != rank:
             return f"n={n} sigma={word_str(sigma)}: {name} not self-inverse"
@@ -440,7 +440,7 @@ def _certify_involution(core, name: str, domain: str, fixed_set: str, n: int,
 def certify_phi(n: int, stats=None, index=None):
     """invol_phi on S_n: fixed set Aprime_n; ndes changes by 1, toht stays."""
     return _certify_involution(
-        invol_phi_word, "first involution", "S", "Aprime", n, stats, index,
+        invol_phi, "first involution", "S", "Aprime", n, stats, index,
         lambda a, b: a[1] == b[1] and abs(a[0] - b[0]) == 1)
 
 
@@ -448,7 +448,7 @@ def certify_psi(n: int, stats=None, index=None):
     """invol_psi on Dstar_n: fixed set Adoubleprime_n; ndes changes by 1,
     toht by as much, and mad stays."""
     return _certify_involution(
-        invol_psi_word, "second involution", "Dstar", "Adoubleprime", n,
+        invol_psi, "second involution", "Dstar", "Adoubleprime", n,
         stats, index,
         lambda a, b: (a[1] - b[1] == a[0] - b[0] and abs(a[0] - b[0]) == 1
                       and a[2] == b[2]))

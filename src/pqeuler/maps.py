@@ -8,13 +8,10 @@
 * invol_phi / invol_psi: the value-moving involutions whose fixed sets are
   the odd / even falling alternating permutations.
 
-fv, fv_star and fz each return a ``lattice.History`` of the matching kind
-("diagramme", "restricted_diagramme", "laguerre").  csz, invol_phi and
-invol_psi each run on a core that maps a raw tuple to a raw tuple
-(csz_word, invol_phi_word, invol_psi_word); the Permutation-level functions
-wrap them.  The certificates of these three maps in ``harness``
-walk the raw words of S_n and call the cores, so they build no Permutation;
-a witness is printed from the raw word.
+Every map reads a word as a raw tuple in one-line notation.  fv, fv_star
+and fz each return a ``lattice.History`` of the matching kind ("diagramme",
+"restricted_diagramme", "laguerre"); csz, invol_phi and invol_psi each
+return a raw tuple.  An error prints its word through ``word_str``.
 """
 
 from __future__ import annotations
@@ -23,10 +20,10 @@ from dataclasses import dataclass
 
 from .lattice import DOWN, LEVEL, UP, History, MotzkinPath
 from .permstat import (
-    Permutation,
     is_coderangement,
     is_falling_alternating,
     pattern_k,
+    word_str,
 )
 
 
@@ -43,36 +40,33 @@ class Biword:
         return f"({t} / {b})"
 
 
-def fv(sigma: Permutation) -> History:
+def fv(w: tuple) -> History:
     """Dyck path diagramme of a falling alternating permutation of odd length:
     value k steps up iff its position is even, with xi_k its left embracing
     number."""
-    w = sigma.word
     n = len(w)
     if n % 2 == 0 or not is_falling_alternating(w):
-        raise ValueError(f"{sigma} is not falling alternating of odd length")
+        raise ValueError(f"{word_str(w)} is not falling alternating of odd length")
     steps = []
     xi = []
     for k in range(1, n):
         pos = w.index(k) + 1
         steps.append(UP if pos % 2 == 0 else DOWN)
-        xi.append(pattern_k(sigma, k, "31-2"))
+        xi.append(pattern_k(w, k, "31-2"))
     return History("diagramme", MotzkinPath(steps), xi)
 
 
-def fv_star(sigma: Permutation) -> History:
+def fv_star(w: tuple) -> History:
     """Restricted diagramme of an even falling alternating permutation,
     via appending the new maximum and applying fv."""
-    w = sigma.word
     n = len(w)
     if n % 2 == 1 or not is_falling_alternating(w):
-        raise ValueError(f"{sigma} is not falling alternating of even length")
-    star = Permutation._trusted(w + (n + 1,))
-    d = fv(star)
+        raise ValueError(f"{word_str(w)} is not falling alternating of even length")
+    d = fv(w + (n + 1,))
     return History("restricted_diagramme", d.path, d.xi)
 
 
-def fz(sigma: Permutation) -> History:
+def fz(w: tuple) -> History:
     """Laguerre history of a permutation: step type from the cyclic type of
     each value, xi from the crossing index (negated and shifted on cyclic
     double descents).
@@ -84,7 +78,6 @@ def fz(sigma: Permutation) -> History:
     checking xi against its ranges: ``certify_fz`` compares every image with
     the enumerated histories instead.
     """
-    w = sigma.word
     n = len(w)
     inv = [0] * (n + 1)
     for i, v in enumerate(w, 1):
@@ -154,9 +147,8 @@ def _csz_rows(w):
     return bottom, fprime, gprime
 
 
-def csz_word(w: tuple) -> tuple:
-    """csz on a raw word: the concatenated biword read as a function
-    bottom -> top."""
+def csz(w: tuple) -> tuple:
+    """Read the concatenated biword as a function bottom -> top."""
     bottom, fprime, gprime = _csz_rows(w)
     tau = [0] * len(w)
     f_bottoms, g_bottoms = iter(fprime), iter(gprime)
@@ -165,17 +157,12 @@ def csz_word(w: tuple) -> tuple:
     return tuple(tau)
 
 
-def csz_biwords(sigma: Permutation):
+def csz_biwords(w: tuple):
     """The two biwords (f / f') and (g / g') of the construction."""
-    bottom, fprime, gprime = _csz_rows(sigma.word)
-    values = range(1, sigma.n + 1)
+    bottom, fprime, gprime = _csz_rows(w)
+    values = range(1, len(w) + 1)
     return (Biword(tuple(v for v in values if bottom[v]), tuple(fprime)),
             Biword(tuple(v for v in values if not bottom[v]), tuple(gprime)))
-
-
-def csz(sigma: Permutation) -> Permutation:
-    """Read the concatenated biword as a function bottom -> top."""
-    return Permutation._trusted(csz_word(sigma.word))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +181,11 @@ def _largest_movable(w, right):
     return best
 
 
-def invol_phi_word(w: tuple) -> tuple:
-    """invol_phi on a raw word of S_n."""
+def invol_phi(w: tuple) -> tuple:
+    """Involution on all permutations (boundaries 0 ... 0): move the largest
+    double ascent forward past the next smaller letter, or the largest double
+    descent back behind the previous smaller letter.  Fixed points are the
+    falling alternating permutations of odd length."""
     m = _largest_movable(w, 0)
     if m < 0:
         return w
@@ -212,8 +202,13 @@ def invol_phi_word(w: tuple) -> tuple:
     return w[:j + 1] + (v,) + w[j + 1:m] + w[m + 1:]
 
 
-def invol_psi_word(w: tuple) -> tuple:
-    """invol_psi on a raw word, which must be a coderangement."""
+def invol_psi(w: tuple) -> tuple:
+    """Involution on coderangements (boundaries 0 ... n+1): the largest double
+    ascent moves back behind the previous LARGER letter, the largest double
+    descent forward past the next larger letter.  Fixed points are the falling
+    alternating permutations of even length."""
+    if not is_coderangement(w):
+        raise ValueError(f"{word_str(w)} is not a coderangement")
     n = len(w)
     m = _largest_movable(w, n + 1)
     if m < 0:
@@ -229,20 +224,3 @@ def invol_psi_word(w: tuple) -> tuple:
         j += 1
     return w[:m] + w[m + 1:j] + (v,) + w[j:]
 
-
-def invol_phi(sigma: Permutation) -> Permutation:
-    """Involution on all permutations (boundaries 0 ... 0): move the largest
-    double ascent forward past the next smaller letter, or the largest double
-    descent back behind the previous smaller letter.  Fixed points are the
-    falling alternating permutations of odd length."""
-    return Permutation._trusted(invol_phi_word(sigma.word))
-
-
-def invol_psi(sigma: Permutation) -> Permutation:
-    """Involution on coderangements (boundaries 0 ... n+1): the largest double
-    ascent moves back behind the previous LARGER letter, the largest double
-    descent forward past the next larger letter.  Fixed points are the falling
-    alternating permutations of even length."""
-    if not is_coderangement(sigma.word):
-        raise ValueError(f"{sigma} is not a coderangement")
-    return Permutation._trusted(invol_psi_word(sigma.word))

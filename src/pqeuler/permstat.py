@@ -1,6 +1,10 @@
 """Permutations, their statistics, and the permutation families.
 
-Words are in one-line notation on 1..n.  ``stat_polynomial`` sums a weight
+A permutation is its word: a raw tuple in one-line notation on 1..n.
+``parse_word`` reads one from text, ``word_str`` writes one, and
+``family_iter`` yields a family's words in lexicographic order.
+
+``stat_polynomial`` sums a weight
 over a family by an exact dynamic program over prefix states
 (``_accumulate``): prefixes whose futures are identical are merged, layer by
 layer, and every word is still counted once.  The program alone judges its
@@ -62,67 +66,20 @@ StatRecord = make_dataclass(
     namespace={"__module__": __name__, "to_json": asdict})
 
 
-class Permutation:
-    """A word on [n] in one-line notation (1-based values and positions)."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word):
-        word = tuple(word)
-        n = len(word)
-        if sorted(word) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {word}")
-        self.word = word
-
-    @classmethod
-    def _trusted(cls, word: tuple) -> "Permutation":
-        """The permutation of a tuple the package has just built as one,
-        without the check."""
-        sigma = object.__new__(cls)
-        sigma.word = word
-        return sigma
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.word, start=1):
-            inv[v - 1] = i
-        return Permutation._trusted(tuple(inv))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __len__(self):
-        return len(self.word)
-
-    def __iter__(self):
-        return iter(self.word)
-
-    @classmethod
-    def parse(cls, text: str) -> "Permutation":
-        stripped = text.strip()
-        tokens = stripped.split(",") if "," in stripped else stripped
-        try:
-            word = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ValueError(f"bad permutation {text!r}: want one-line notation "
-                             f"such as 3142 or 3,1,4,2") from None
-        return cls(word)
-
-    def __str__(self):
-        return word_str(self.word)
-
-    def __repr__(self):
-        return f"Permutation({self})"
+def parse_word(text: str) -> tuple:
+    """The word of a permutation in one-line notation, such as 3142 or
+    3,1,4,2."""
+    stripped = text.strip()
+    tokens = stripped.split(",") if "," in stripped else stripped
+    try:
+        word = tuple(int(tok) for tok in tokens)
+    except ValueError:
+        raise ValueError(f"bad permutation {text!r}: want one-line notation "
+                         f"such as 3142 or 3,1,4,2") from None
+    n = len(word)
+    if sorted(word) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {word}")
+    return word
 
 
 def word_str(word) -> str:
@@ -214,8 +171,7 @@ def stat_tuple(word):
             toht, thto, thot, fmax, mad, suc, adj)
 
 
-def basic_stats(sigma) -> StatRecord:
-    word = sigma.word if isinstance(sigma, Permutation) else tuple(sigma)
+def basic_stats(word: tuple) -> StatRecord:
     return StatRecord(*stat_tuple(word))
 
 
@@ -223,18 +179,15 @@ def basic_stats(sigma) -> StatRecord:
 # the embracing numbers of a value, which ``fv`` reads
 
 
-def _word(sigma):
-    return sigma.word if isinstance(sigma, Permutation) else tuple(sigma)
-
-
-def pattern_k(sigma, k: int, which: str) -> int:
+def pattern_k(w: tuple, k: int, which: str) -> int:
     """Embracing number of the value k: occurrences of the given vincular
     pattern whose middle (dashed) letter is k.
 
     which is one of "31-2" (left embracing), "2-31" (right embracing) or
     "2-13".
     """
-    w = _word(sigma)
+    if which not in ("31-2", "2-31", "2-13"):
+        raise ValueError(f"unknown pattern {which!r}")
     n = len(w)
     pos = w.index(k) + 1
     count = 0
@@ -246,11 +199,8 @@ def pattern_k(sigma, k: int, which: str) -> int:
         elif which == "2-31":
             if pos < l and a > k > b:
                 count += 1
-        elif which == "2-13":
-            if pos < l and a < k < b:
-                count += 1
-        else:
-            raise ValueError(f"unknown pattern {which!r}")
+        elif pos < l and a < k < b:   # 2-13
+            count += 1
     return count
 
 
@@ -332,17 +282,12 @@ def _check_size(family: str, n: int, cap: int) -> None:
             f"enumeration too large: n={n} exceeds cap {cap}")
 
 
-def iter_family_words(family: str, n: int):
+def family_iter(family: str, n: int):
     """Words of the family in lexicographic order (raw tuples)."""
     _check_size(family, n, DEFAULT_CAP)
     for word in itertools.permutations(range(1, n + 1)):
         if family_contains(family, word):
             yield word
-
-
-def family_iter(family: str, n: int):
-    for word in iter_family_words(family, n):
-        yield Permutation._trusted(word)
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +653,11 @@ def lex_index(n: int) -> dict:
 
 def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
     """Oracle for ``_accumulate``, used only by tests: the family's words from
-    ``iter_family_words`` whose first letter is in ``firsts`` (default: any;
+    ``family_iter`` whose first letter is in ``firsts`` (default: any;
     the empty word has none and always counts), each weighed through
     ``stat_tuple``."""
     acc: dict = {}
-    for word in iter_family_words(family, n):
+    for word in family_iter(family, n):
         if n and firsts is not None and word[0] not in firsts:
             continue
         st = stat_tuple(word)

@@ -6,12 +6,9 @@ statistics, and ``cyclic_type`` with ``cros_k`` gives ``fz`` by definition.
 ``pattern_k`` stays in ``pqeuler.permstat``, where ``fv`` reads it.
 """
 
-from pqeuler.permstat import _word
 
-
-def cros_k(sigma, k: int) -> int:
+def cros_k(w: tuple, k: int) -> int:
     """Crossing index anchored at k: l < k <= s_l < s_k or s_k < s_l < k < l."""
-    w = _word(sigma)
     n = len(w)
     sk = w[k - 1]
     count = 0
@@ -24,9 +21,8 @@ def cros_k(sigma, k: int) -> int:
     return count
 
 
-def nest_k(sigma, k: int) -> int:
+def nest_k(w: tuple, k: int) -> int:
     """Nesting index anchored at k: l < k <= s_k < s_l or s_l < s_k < k < l."""
-    w = _word(sigma)
     n = len(w)
     sk = w[k - 1]
     count = 0
@@ -39,10 +35,9 @@ def nest_k(sigma, k: int) -> int:
     return count
 
 
-def inv_parts(sigma, k: int):
+def inv_parts(w: tuple, k: int):
     """Sizes of the four inversion classes anchored at k (positions for the
     first three, value for the fourth)."""
-    w = _word(sigma)
     n = len(w)
     parts = [0, 0, 0, 0]
     for i in range(1, n + 1):
@@ -66,12 +61,11 @@ def inv_parts(sigma, k: int):
     return tuple(parts)
 
 
-def inv_k(sigma, k: int) -> int:
-    return sum(inv_parts(sigma, k))
+def inv_k(w: tuple, k: int) -> int:
+    return sum(inv_parts(w, k))
 
 
-def cyclic_type(sigma, k: int) -> str:
-    w = _word(sigma)
+def cyclic_type(w: tuple, k: int) -> str:
     sk = w[k - 1]
     if sk == k:
         return "fixed"

@@ -22,7 +22,7 @@ from pqeuler.lattice import (
     weighted_sum,
 )
 from pqeuler.maps import csz, fv, fv_star, fz
-from pqeuler.permstat import Permutation, family_iter, stat_polynomial
+from pqeuler.permstat import family_iter, parse_word, stat_polynomial, word_str
 from pqeuler.qeuler import AT_ONE, e_int, e_pq, e_pq_upto, egf_exc_fix
 
 EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385]
@@ -79,7 +79,7 @@ def test_criterion_05_biword_bijection():
     def body():
         report = harness.check("thm3_2", 9)
         assert report.passed, report.witness
-        assert str(csz(Permutation.parse("412796583"))) == "249385716"
+        assert word_str(csz(parse_word("412796583"))) == "249385716"
     _run(5, "biword bijection transport", 120, body)
 
 

@@ -2,19 +2,15 @@ import dataclasses
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from pqeuler import harness, permstat
 from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
-from pqeuler.contfrac import contract_even, expand_j
-from pqeuler.permstat import (
-    Permutation,
-    basic_stats,
-    iter_family_words,
-    word_str,
-)
+from pqeuler.contfrac import expand_s
+from pqeuler.permstat import basic_stats, family_iter, word_str
 
 
 @pytest.mark.parametrize("cid", harness.CHECK_IDS)
@@ -90,10 +86,10 @@ def test_per_word_checks_never_call_the_kernel(monkeypatch):
 
 
 def test_thm3_2_fails_when_two_csz_images_are_swapped(monkeypatch):
-    real = harness.csz_word
+    real = harness.csz
     a, b = (1, 2, 3, 4), (1, 2, 4, 3)
     swapped = {a: real(b), b: real(a)}
-    monkeypatch.setattr(harness, "csz_word",
+    monkeypatch.setattr(harness, "csz",
                         lambda w: swapped.get(w) or real(w))
     report = harness.check("thm3_2", 5)
     assert not report.passed
@@ -103,13 +99,13 @@ def test_thm3_2_fails_when_two_csz_images_are_swapped(monkeypatch):
 def _plant_phi_partner_swap(monkeypatch):
     # swap the partners of two moved words of equal ndes: still an
     # involution with the same fixed set, but ndes no longer changes by 1
-    real = harness.invol_phi_word
-    moved = [w for w in iter_family_words("S", 4) if real(w) != w]
+    real = harness.invol_phi
+    moved = [w for w in family_iter("S", 4) if real(w) != w]
     a, b = next((s, t) for s in moved for t in moved
                 if t not in (s, real(s))
                 and basic_stats(s).ndes == basic_stats(t).ndes)
     fake = {a: b, b: a, real(a): real(b), real(b): real(a)}
-    monkeypatch.setattr(harness, "invol_phi_word",
+    monkeypatch.setattr(harness, "invol_phi",
                         lambda w: fake.get(w) or real(w))
 
 
@@ -123,29 +119,29 @@ def test_sz_linear_fails_when_invol_phi_breaks_the_ndes_change(monkeypatch):
 def test_sz_linear_fails_when_invol_psi_leaves_the_coderangements(monkeypatch):
     # the first moved coderangement of length 4 goes to 1234, which is not
     # one: its image has no image, so psi is not self-inverse there
-    real = harness.invol_psi_word
-    first = next(w for w in iter_family_words("Dstar", 4) if real(w) != w)
-    monkeypatch.setattr(harness, "invol_psi_word",
+    real = harness.invol_psi
+    first = next(w for w in family_iter("Dstar", 4) if real(w) != w)
+    monkeypatch.setattr(harness, "invol_psi",
                         lambda w: (1, 2, 3, 4) if w == first else real(w))
     report = harness.check("sz_linear", 4)
     assert report.witness == (f"n=4 sigma={word_str(first)}: "
                               "second involution not self-inverse")
 
 
-# certificate, the core it calls, the domain its size-4 run walks
-NOT_A_PERMUTATION = [(harness.certify_csz, "csz_word", "S"),
-                     (harness.certify_phi, "invol_phi_word", "S"),
-                     (harness.certify_psi, "invol_psi_word", "Dstar")]
+# certificate, the map it calls, the domain its size-4 run walks
+NOT_A_PERMUTATION = [(harness.certify_csz, "csz", "S"),
+                     (harness.certify_phi, "invol_phi", "S"),
+                     (harness.certify_psi, "invol_psi", "Dstar")]
 
 
-@pytest.mark.parametrize("certify,core,domain", NOT_A_PERMUTATION,
-                         ids=[core for _, core, _ in NOT_A_PERMUTATION])
-def test_certificate_reports_an_image_outside_s_n(certify, core, domain,
+@pytest.mark.parametrize("certify,name,domain", NOT_A_PERMUTATION,
+                         ids=[name for _, name, _ in NOT_A_PERMUTATION])
+def test_certificate_reports_an_image_outside_s_n(certify, name, domain,
                                                   monkeypatch):
     # the third word of the domain goes to 1224, which no word of S_4 is
-    real = getattr(harness, core)
-    planted = list(iter_family_words(domain, 4))[2]
-    monkeypatch.setattr(harness, core,
+    real = getattr(harness, name)
+    planted = list(family_iter(domain, 4))[2]
+    monkeypatch.setattr(harness, name,
                         lambda w: (1, 2, 2, 4) if w == planted else real(w))
     assert certify(4) == (f"sigma={word_str(planted)}: image 1224 "
                           "is not in S_4")
@@ -153,7 +149,7 @@ def test_certificate_reports_an_image_outside_s_n(certify, core, domain,
 
 def test_certify_fz_fails_when_two_images_collide(monkeypatch):
     real = harness.fz
-    a, b = Permutation((1, 2, 3)), Permutation((1, 3, 2))
+    a, b = (1, 2, 3), (1, 3, 2)
     monkeypatch.setattr(harness, "fz",
                         lambda sigma: real(a) if sigma == b else real(sigma))
     assert harness.certify_fz(3) == f"sigma=132: image {real(a)} is also that of 123"
@@ -268,12 +264,8 @@ def _planted(series, fault):
     return TruncSeries(series.order, coeffs)
 
 
-def _plant_in_both_contractions(monkeypatch, fault):
-    # the same fault in both passes their comparison with each other, so
-    # only the oracle can catch it
-    real_j, real_odd = harness.expand_j, harness.expand_odd_contraction
-    monkeypatch.setattr(harness, "expand_j",
-                        lambda jf, order: _planted(real_j(jf, order), fault))
+def _plant_in_the_odd_contraction(monkeypatch, fault):
+    real_odd = harness.expand_odd_contraction
     monkeypatch.setattr(harness, "expand_odd_contraction",
                         lambda c1, jf, order: _planted(real_odd(c1, jf, order),
                                                        fault))
@@ -282,20 +274,21 @@ def _plant_in_both_contractions(monkeypatch, fault):
 def test_oracle_comparison_passes_the_even_contraction():
     sf, d = _contra_fraction()
     assert d == 2
-    even = expand_j(contract_even(sf), CONTRA_ORDER)
+    even = expand_s(sf, CONTRA_ORDER)
     assert harness._matches_convergents(sf, even, CONTRA_ORDER)
-    assert harness._contraction_agrees(sf, CONTRA_ORDER) is None
+    assert harness._contraction_agrees(sf, even, CONTRA_ORDER) is None
 
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_oracle_comparison_catches_a_planted_fault(name, monkeypatch):
     sf, d = _contra_fraction()
     fault = FAULTS[name](d)
-    even = expand_j(contract_even(sf), CONTRA_ORDER)
-    assert not harness._matches_convergents(sf, _planted(even, fault),
-                                            CONTRA_ORDER)
-    _plant_in_both_contractions(monkeypatch, fault)
-    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
+    even = _planted(expand_s(sf, CONTRA_ORDER), fault)
+    assert not harness._matches_convergents(sf, even, CONTRA_ORDER)
+    # the same fault in both contractions passes their comparison with each
+    # other, so only the oracle can catch it
+    _plant_in_the_odd_contraction(monkeypatch, fault)
+    assert (harness._contraction_agrees(sf, even, CONTRA_ORDER)
             == "even contraction mismatch")
 
 
@@ -313,14 +306,42 @@ def test_an_odd_only_fault_is_an_odd_contraction_mismatch(monkeypatch):
     monkeypatch.setattr(harness, "expand_odd_contraction",
                         lambda c1, jf, order: _planted(
                             real(c1, jf, order), LaurentPoly.const(1)))
-    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
+    assert (harness._contraction_agrees(sf, expand_s(sf, CONTRA_ORDER),
+                                        CONTRA_ORDER)
             == "odd contraction mismatch")
 
 
 def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
-    _plant_in_both_contractions(monkeypatch, LaurentPoly.var("x"))
+    # the same fault in the level form, the even contraction and the odd
+    # one: only the oracle can catch it
+    fault = LaurentPoly.var("x")
+    real_preset, real_s = harness.preset, harness.expand_s
+
+    def planted_preset(name):
+        pr = real_preset(name)
+        return SimpleNamespace(
+            s_form=pr.s_form,
+            expand=lambda order: _planted(pr.expand(order), fault))
+
+    monkeypatch.setattr(harness, "preset", planted_preset)
+    monkeypatch.setattr(harness, "expand_s",
+                        lambda sf, order: _planted(real_s(sf, order), fault))
+    _plant_in_the_odd_contraction(monkeypatch, fault)
     report = harness.check("contra", CONTRA_ORDER)
     assert report.witness == "jv-tangent: even contraction mismatch"
+
+
+def test_contra_expands_each_even_contraction_once(monkeypatch):
+    # one expansion per specialised preset's contracted form, and one per
+    # random trial; the trial's and the S-form preset's even contraction
+    # serve both the level-form comparison and the oracle
+    calls = []
+    for attr in ("expand_j", "expand_s"):
+        real = getattr(harness, attr)
+        monkeypatch.setattr(harness, attr, lambda f, order, _real=real:
+                            calls.append(1) or _real(f, order))
+    assert harness.check("contra", CONTRA_ORDER).passed
+    assert len(calls) == len(harness.SPECIALIZED) * 2 + harness.CONTRA_TRIALS
 
 
 def test_contra_takes_no_series_reciprocal(monkeypatch):

@@ -17,7 +17,6 @@ from pqeuler.permstat import (
     EnumerationCapError,
     FAMILIES,
     LINEAR_QUINTUPLE_WEIGHT,
-    Permutation,
     QUINTUPLE_WEIGHT,
     STAT_FIELDS,
     WORD_CAP,
@@ -26,12 +25,13 @@ from pqeuler.permstat import (
     family_contains,
     family_iter,
     is_coderangement,
-    iter_family_words,
     lex_index,
+    parse_word,
     pattern_k,
     stat_polynomial,
     stat_table,
     stat_tuple,
+    word_str,
 )
 
 from per_index import cros_k, cyclic_type, inv_k, inv_parts, nest_k
@@ -163,6 +163,13 @@ def test_cyclic_type_small():
     assert cyclic_type((3, 1, 2), 2) == "cyclic-double-descent"
 
 
+def test_pattern_k_checks_the_pattern_at_every_size():
+    assert pattern_k((1,), 1, "31-2") == 0
+    for word in ((), (1,), (2, 1)):
+        with pytest.raises(ValueError, match="^unknown pattern 'bogus'$"):
+            pattern_k(word, 1, "bogus")
+
+
 def test_foremaximum_example():
     # 4157368: left-to-right maxima 4, 5, 7, 8; nondescents among them 5, 8
     assert basic_stats((4, 1, 5, 7, 3, 6, 8)).fmax == 2
@@ -170,7 +177,7 @@ def test_foremaximum_example():
 
 
 def test_coderangements_n4():
-    got = {"".join(map(str, w)) for w in iter_family_words("Dstar", 4)}
+    got = {"".join(map(str, w)) for w in family_iter("Dstar", 4)}
     assert got == {"2143", "3142", "3241", "4123", "4132",
                    "4213", "4231", "4312", "4321"}
 
@@ -193,7 +200,7 @@ def test_empty_word_families():
     # alternating word of even length: D_0 = E_0 = E*_0 = 1
     for family in FAMILIES:
         want = [] if family == "Aprime" else [()]
-        assert list(iter_family_words(family, 0)) == want, family
+        assert list(family_iter(family, 0)) == want, family
         assert stat_polynomial(family, 0, {}).as_int() == len(want), family
 
 
@@ -202,13 +209,13 @@ def test_families_agree_with_family_contains(family):
     for n in range(7):
         words = [w for w in itertools.permutations(range(1, n + 1))
                  if family_contains(family, w)]
-        assert list(iter_family_words(family, n)) == words, n
+        assert list(family_iter(family, n)) == words, n
         assert stat_polynomial(family, n, {}).as_int() == len(words), n
 
 
 def test_cap_errors():
     with pytest.raises(EnumerationCapError):
-        list(iter_family_words("S", 12))
+        list(family_iter("S", 12))
     # the dynamic program has no cap on n, only on what a layer holds:
     # S_n's layer n // 2 holds C(n, n // 2) states
     with pytest.raises(EnumerationCapError, match="layer 350 .* DP_MAX_STATES"):
@@ -219,26 +226,28 @@ def test_cap_errors():
 
 def test_unknown_family():
     with pytest.raises(ValueError):
-        list(iter_family_words("bogus", 3))
+        list(family_iter("bogus", 3))
 
 
 def test_permutation_parse_and_str():
-    p = Permutation.parse("231")
-    assert p.word == (2, 3, 1)
-    assert str(p) == "231"
-    long = Permutation.parse("10,1,2,3,4,5,6,7,8,9")
-    assert long.n == 10
-    assert str(long) == "10,1,2,3,4,5,6,7,8,9"
-    with pytest.raises(ValueError):
-        Permutation.parse("221")
-    with pytest.raises(ValueError):
-        Permutation((1, 2, 2))
-
-
-def test_inverse():
-    p = Permutation.parse("3142")
-    assert p.inverse().word == (2, 4, 1, 3)
-    assert p.inverse().inverse() == p
+    assert parse_word("231") == (2, 3, 1)
+    assert word_str((2, 3, 1)) == "231"
+    assert parse_word(" 3,1,4,2 ") == (3, 1, 4, 2)
+    long = parse_word("10,1,2,3,4,5,6,7,8,9")
+    assert long == (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert word_str(long) == "10,1,2,3,4,5,6,7,8,9"
+    assert parse_word("") == () and word_str(()) == ""
+    with pytest.raises(ValueError,
+                       match=r"^not a permutation of 1\.\.3: \(2, 2, 1\)$"):
+        parse_word("221")            # a repeated letter
+    with pytest.raises(ValueError,
+                       match=r"^not a permutation of 1\.\.3: \(1, 2, 4\)$"):
+        parse_word("1,2,4")          # 3 is missing
+    for text in ("abc", "3,1,x"):    # a token that is not an integer
+        with pytest.raises(ValueError) as err:
+            parse_word(text)
+        assert str(err.value) == (f"bad permutation {text!r}: want one-line "
+                                  f"notation such as 3142 or 3,1,4,2")
 
 
 def test_quintuple_polynomial_s2():
