@@ -23,7 +23,6 @@ from .contfrac import (
 from .harness import CheckReport, CHECK_IDS, check
 from .lattice import (
     History,
-    MotzkinPath,
     WeightSpec,
     enumerate_objects,
     weighted_sum,

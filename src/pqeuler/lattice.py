@@ -1,7 +1,8 @@
 """Motzkin and Dyck paths, and the histories built on them.
 
-A history is a path with a choice sequence xi: a Dyck path diagramme (plain
-or restricted) or a Laguerre history.  One class, ``History``, holds all
+A path is a string of steps U, L, D that never dips below 0 and ends at 0;
+a history is one with a choice sequence xi: a Dyck path diagramme (plain or
+restricted) or a Laguerre history.  One class, ``History``, holds all
 three; its kind decides the path and the range of each xi, and ``KINDS``
 says for every kind whether it allows level steps and whether it carries xi.
 
@@ -38,50 +39,14 @@ KINDS = {
 DEFAULT_LENGTH_CAP = 14
 
 
-class MotzkinPath:
-    """Step sequence over U, L, D staying nonnegative and ending at 0."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps):
-        steps = tuple(steps)
-        h = 0
-        for s in steps:
-            if s not in _DELTA:
-                raise ValueError(f"bad step {s!r}")
-            h += _DELTA[s]
-            if h < 0:
-                raise ValueError(f"path dips below zero: {''.join(steps)}")
-        if h != 0:
-            raise ValueError(f"path does not return to zero: {''.join(steps)}")
-        self.steps = steps
-
-    def __len__(self):
-        return len(self.steps)
-
-    def heights(self):
-        """Starting ordinate of each step (h_1 .. h_len)."""
-        out = []
-        h = 0
-        for s in self.steps:
-            out.append(h)
-            h += _DELTA[s]
-        return out
-
-    def is_dyck(self) -> bool:
-        return LEVEL not in self.steps
-
-    def __eq__(self, other):
-        return isinstance(other, MotzkinPath) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __str__(self):
-        return "".join(self.steps)
-
-    def __repr__(self):
-        return f"MotzkinPath({self})"
+def heights(steps: str) -> list[int]:
+    """Starting ordinate of each step (h_1 .. h_len)."""
+    out = []
+    h = 0
+    for s in steps:
+        out.append(h)
+        h += _DELTA[s]
+    return out
 
 
 class History:
@@ -93,38 +58,51 @@ class History:
     * "laguerre" (a Motzkin path): 0..h up, -h..h level, 0..h-1 down.
     """
 
-    __slots__ = ("kind", "path", "xi")
+    __slots__ = ("kind", "steps", "xi")
 
-    def __init__(self, kind: str, path: MotzkinPath, xi):
+    def __init__(self, kind: str, steps: str, xi):
         if kind not in KINDS or not KINDS[kind][1]:
             raise ValueError(f"{kind!r} is not a kind of history")
-        if not KINDS[kind][0] and not path.is_dyck():
-            raise ValueError(f"a {kind} needs a Dyck path")
         xi = tuple(xi)
-        _check_xi(kind, path, xi)
+        if len(xi) != len(steps):
+            raise ValueError("xi length must match path length")
+        h = 0
+        for step, x in zip(steps, xi):
+            if step not in _DELTA:
+                raise ValueError(f"bad step {step!r}")
+            if step == LEVEL and not KINDS[kind][0]:
+                raise ValueError(f"a {kind} needs a Dyck path")
+            if h + _DELTA[step] < 0:
+                raise ValueError(f"path dips below zero: {steps}")
+            if x not in _xi_range(kind, step, h):
+                raise ValueError(
+                    f"xi out of range: step {step} at height {h} has xi={x}")
+            h += _DELTA[step]
+        if h != 0:
+            raise ValueError(f"path does not return to zero: {steps}")
         self.kind = kind
-        self.path = path
+        self.steps = steps
         self.xi = xi
 
     @classmethod
-    def _trusted(cls, kind: str, path: MotzkinPath, xi: tuple) -> "History":
-        """The history of a path and xi tuple the package has just built as
-        one of the kind, without the check."""
+    def _trusted(cls, kind: str, steps: str, xi: tuple) -> "History":
+        """The history of a step string and xi tuple the package has just
+        built as one of the kind, without the check."""
         history = object.__new__(cls)
         history.kind = kind
-        history.path = path
+        history.steps = steps
         history.xi = xi
         return history
 
     def __eq__(self, other):
         return (isinstance(other, History) and self.kind == other.kind
-                and self.path == other.path and self.xi == other.xi)
+                and self.steps == other.steps and self.xi == other.xi)
 
     def __hash__(self):
-        return hash((self.kind, self.path, self.xi))
+        return hash((self.kind, self.steps, self.xi))
 
     def __str__(self):
-        return f"{self.path} xi={list(self.xi)}"
+        return f"{self.steps} xi={list(self.xi)}"
 
     __repr__ = __str__
 
@@ -133,10 +111,11 @@ class History:
 class WeightSpec:
     """Height-indexed step weights plus an optional per-step valuation.
 
-    ``up``/``level``/``down`` give the summed weight of a step at height h and
-    drive the transfer computation.  ``valuation(step, h, xi)`` gives the
-    weight of a single choice and drives enumeration of diagrammes and
-    histories; for plain path kinds it is ignored.
+    ``up``/``level``/``down`` give the summed weight of a step at height h
+    (in the standard weightings, the valuation summed over xi) and drive the
+    transfer computation.  ``valuation(step, h, xi)`` gives the weight of a
+    single choice and drives enumeration of diagrammes and histories; for
+    plain path kinds it is ignored.
     """
 
     up: Callable[[int], LaurentPoly] | None = None
@@ -154,15 +133,6 @@ def _xi_range(kind: str, step: str, h: int) -> range:
     return range(0, h + 1)
 
 
-def _check_xi(kind: str, path: MotzkinPath, xi: tuple) -> None:
-    if len(xi) != len(path):
-        raise ValueError("xi length must match path length")
-    for step, h, x in zip(path.steps, path.heights(), xi):
-        if x not in _xi_range(kind, step, h):
-            raise ValueError(
-                f"xi out of range: step {step} at height {h} has xi={x}")
-
-
 def _check_kind_length(kind: str, length: int) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -173,44 +143,38 @@ def _check_kind_length(kind: str, length: int) -> None:
 
 
 def _iter_paths(length: int, allow_level: bool):
-    """All nonnegative paths of the given length ending at 0, lexicographic in
-    the step order U < L < D."""
+    """All nonnegative step strings of the given length ending at 0,
+    lexicographic in the step order U < L < D."""
 
     def rec(prefix, h, remaining):
         if remaining == 0:
-            yield tuple(prefix)
+            yield prefix
             return
         if h + 1 <= remaining - 1:
-            prefix.append(UP)
-            yield from rec(prefix, h + 1, remaining - 1)
-            prefix.pop()
+            yield from rec(prefix + UP, h + 1, remaining - 1)
         if allow_level and h <= remaining - 1:
-            prefix.append(LEVEL)
-            yield from rec(prefix, h, remaining - 1)
-            prefix.pop()
+            yield from rec(prefix + LEVEL, h, remaining - 1)
         if h >= 1:
-            prefix.append(DOWN)
-            yield from rec(prefix, h - 1, remaining - 1)
-            prefix.pop()
+            yield from rec(prefix + DOWN, h - 1, remaining - 1)
 
-    yield from rec([], 0, length)
+    yield from rec("", 0, length)
 
 
 def enumerate_objects(kind: str, length: int):
-    """Stream every object of the kind exactly once, deterministic order."""
+    """Stream every object of the kind exactly once, deterministic order: a
+    step string for "motzkin" and "dyck", a ``History`` for the others."""
     _check_kind_length(kind, length)
     if length > DEFAULT_LENGTH_CAP:
         raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
     allow_level, has_xi = KINDS[kind]
     for steps in _iter_paths(length, allow_level):
-        path = MotzkinPath(steps)
         if not has_xi:
-            yield path
+            yield steps
             continue
         # each xi is drawn from its ranges, so the histories skip the check
-        ranges = [_xi_range(kind, s, h) for s, h in zip(steps, path.heights())]
+        ranges = [_xi_range(kind, s, h) for s, h in zip(steps, heights(steps))]
         for xi in itertools.product(*ranges):
-            yield History._trusted(kind, path, xi)
+            yield History._trusted(kind, steps, xi)
 
 
 def weighted_sum(kind: str, length: int, spec: WeightSpec,
@@ -360,59 +324,55 @@ def transfer(up: Callable[[int], LaurentPoly],
 # the standard weightings
 
 
+def _from_valuation(kind: str, valuation) -> WeightSpec:
+    """The spec of a valuation on the objects of the kind: a step's summed
+    weight at height h is the sum of the valuation over every xi it may
+    take there.  Read as a J-fraction (see ``transfer``), level(h) is b_h
+    and up(h) down(h+1) is a_h c_(h+1)."""
+
+    def summed(step):
+        return lambda h: sum((valuation(step, h, xi)
+                              for xi in _xi_range(kind, step, h)), LaurentPoly())
+
+    return WeightSpec(up=summed(UP),
+                      level=summed(LEVEL) if KINDS[kind][0] else None,
+                      down=summed(DOWN), valuation=valuation)
+
+
 def diagramme_pq_weights() -> WeightSpec:
     """Valuation p^(h-xi) q^xi on every step; summed weight [h+1] in (p, q)."""
-    from .algebra import pq_bracket
 
     def val(step, h, xi):
         return LaurentPoly.monomial(1, p=h - xi, q=xi)
 
-    return WeightSpec(up=lambda h: pq_bracket(h + 1),
-                      down=lambda h: pq_bracket(h + 1),
-                      valuation=val)
+    return _from_valuation("diagramme", val)
 
 
 def restricted_diagramme_pq_weights() -> WeightSpec:
     """Down steps lose one p (xi < h there); summed weights [h+1] up, [h] down."""
-    from .algebra import pq_bracket
 
     def val(step, h, xi):
         if step == DOWN:
             return LaurentPoly.monomial(1, p=h - 1 - xi, q=xi)
         return LaurentPoly.monomial(1, p=h - xi, q=xi)
 
-    return WeightSpec(up=lambda h: pq_bracket(h + 1),
-                      down=lambda h: pq_bracket(h),
-                      valuation=val)
+    return _from_valuation("restricted_diagramme", val)
 
 
 def laguerre_quintuple_weights() -> WeightSpec:
     """The five-case valuation carrying x^wex y^fix q^cros p^nest s^inv."""
-    from .algebra import LaurentPoly as LP, bracket
-
-    q = LP.var("q")
-    ps = LP.monomial(1, p=1, s=1)
+    ps = LaurentPoly.monomial(1, p=1, s=1)
 
     def val(step, h, xi):
         if step == UP:
-            return LP.monomial(1, x=1, q=xi) * ps ** (h - xi) * LP.var("s", 2 * h + 1)
-        if step == LEVEL:
-            if xi == 0:
-                return LP.monomial(1, x=1, y=1) * ps**h * LP.var("s", h)
-            if xi > 0:
-                return LP.monomial(1, x=1, q=xi) * ps ** (h - xi) * LP.var("s", h)
-            return LP.var("q", -xi - 1) * ps ** (h + xi) * LP.var("s", h)
-        return LP.var("q", xi) * ps ** (h - 1 - xi)
+            return LaurentPoly.monomial(1, x=1, q=xi, s=2 * h + 1) * ps ** (h - xi)
+        if step == DOWN:
+            return LaurentPoly.var("q", xi) * ps ** (h - 1 - xi)
+        # a level step: a fixed point, a cyclic double ascent or descent
+        if xi == 0:
+            return LaurentPoly.monomial(1, x=1, y=1, s=h) * ps**h
+        if xi > 0:
+            return LaurentPoly.monomial(1, x=1, q=xi, s=h) * ps ** (h - xi)
+        return LaurentPoly.monomial(1, q=-xi - 1, s=h) * ps ** (h + xi)
 
-    def up(h):
-        return LP.monomial(1, x=1, s=2 * h + 1) * bracket(q, ps, h + 1)
-
-    def level(h):
-        return (LP.monomial(1, x=1, y=1, p=h, s=2 * h)
-                + (LP.const(1) + LP.monomial(1, x=1, q=1))
-                * LP.var("s", h) * bracket(q, ps, h))
-
-    def down(h):
-        return bracket(q, ps, h)
-
-    return WeightSpec(up=up, level=level, down=down, valuation=val)
+    return _from_valuation("laguerre", val)

@@ -10,15 +10,16 @@
 
 Every map reads a word as a raw tuple in one-line notation.  fv, fv_star
 and fz each return a ``lattice.History`` of the matching kind ("diagramme",
-"restricted_diagramme", "laguerre"); csz, invol_phi and invol_psi each
-return a raw tuple.  An error prints its word through ``word_str``.
+"restricted_diagramme", "laguerre"), whose path is a raw step string; csz,
+invol_phi and invol_psi each return a raw tuple.  An error prints its word
+through ``word_str``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import DOWN, LEVEL, UP, History, MotzkinPath
+from .lattice import DOWN, LEVEL, UP, History
 from .permstat import (
     is_coderangement,
     is_falling_alternating,
@@ -53,7 +54,7 @@ def fv(w: tuple) -> History:
         pos = w.index(k) + 1
         steps.append(UP if pos % 2 == 0 else DOWN)
         xi.append(pattern_k(w, k, "31-2"))
-    return History("diagramme", MotzkinPath(steps), xi)
+    return History("diagramme", "".join(steps), xi)
 
 
 def fv_star(w: tuple) -> History:
@@ -63,7 +64,7 @@ def fv_star(w: tuple) -> History:
     if n % 2 == 1 or not is_falling_alternating(w):
         raise ValueError(f"{word_str(w)} is not falling alternating of even length")
     d = fv(w + (n + 1,))
-    return History("restricted_diagramme", d.path, d.xi)
+    return History("restricted_diagramme", d.steps, d.xi)
 
 
 def fz(w: tuple) -> History:
@@ -104,7 +105,7 @@ def fz(w: tuple) -> History:
                 steps.append(LEVEL)
                 xi.append(-(ck + 1))
         left |= 1 << sk
-    return History._trusted("laguerre", MotzkinPath(steps), tuple(xi))
+    return History._trusted("laguerre", "".join(steps), tuple(xi))
 
 
 # ---------------------------------------------------------------------------

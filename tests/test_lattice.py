@@ -1,16 +1,16 @@
 import pytest
 
 from pqeuler.algebra import LaurentPoly
+from pqeuler.contfrac import preset
 from pqeuler.lattice import (
     DOWN,
     LEVEL,
     History,
-    MotzkinPath,
     UP,
     WeightSpec,
-    _check_xi,
     diagramme_pq_weights,
     enumerate_objects,
+    heights,
     laguerre_quintuple_weights,
     restricted_diagramme_pq_weights,
     transfer,
@@ -24,17 +24,18 @@ FACT = [1, 1, 2, 6, 24, 120, 720]
 
 
 def test_path_validation():
-    MotzkinPath("ULD")
-    with pytest.raises(ValueError):
-        MotzkinPath("DU")
-    with pytest.raises(ValueError):
-        MotzkinPath("UU")
-    with pytest.raises(ValueError):
-        MotzkinPath("UX")
+    History("laguerre", "ULD", [0, 0, 0])
+    with pytest.raises(ValueError, match="dips below zero"):
+        History("laguerre", "DU", [0, 0])
+    with pytest.raises(ValueError, match="does not return to zero"):
+        History("laguerre", "UU", [0, 0])
+    with pytest.raises(ValueError, match="bad step"):
+        History("laguerre", "UX", [0, 0])
 
 
 def test_heights_are_starting_ordinates():
-    assert MotzkinPath("UULDD").heights() == [0, 1, 2, 2, 1]
+    assert heights("UULDD") == [0, 1, 2, 2, 1]
+    assert heights("") == []
 
 
 def test_object_counts():
@@ -61,8 +62,8 @@ def test_enumerated_objects_pass_the_constructor_check(kind):
     # enumerate_objects builds its objects without the check
     for length in range(0, 7, 1 if kind == "laguerre" else 2):
         for obj in enumerate_objects(kind, length):
-            _check_xi(kind, obj.path, obj.xi)
-            assert obj == History(kind, obj.path, obj.xi)
+            assert type(obj.steps) is str and len(obj.steps) == length
+            assert obj == History(kind, obj.steps, obj.xi)
 
 
 # the xi range of every (kind, step) as (lowest, highest) at height h
@@ -78,38 +79,38 @@ XI_BOUNDS = {
 
 
 def test_xi_validation():
-    path = MotzkinPath("UD")
-    History("diagramme", path, [0, 0])
-    History("diagramme", path, [0, 1])  # down step at height 1 allows xi <= 1
+    History("diagramme", "UD", [0, 0])
+    History("diagramme", "UD", [0, 1])  # down step at height 1 allows xi <= 1
     with pytest.raises(ValueError):
-        History("diagramme", path, [1, 0])  # up step at height 0 forces xi = 0
+        History("diagramme", "UD", [1, 0])  # up step at height 0 forces xi = 0
     with pytest.raises(ValueError):
-        History("restricted_diagramme", path, [0, 1])  # down needs xi < h
+        History("restricted_diagramme", "UD", [0, 1])  # down needs xi < h
     with pytest.raises(ValueError):
-        History("laguerre", MotzkinPath("L"), [1])
-    History("laguerre", MotzkinPath("ULD"), [0, -1, 0])
+        History("laguerre", "L", [1])
+    History("laguerre", "ULD", [0, -1, 0])
     with pytest.raises(ValueError, match="Dyck path"):
-        History("diagramme", MotzkinPath("ULD"), [0, 0, 0])
+        History("diagramme", "ULD", [0, 0, 0])
+    with pytest.raises(ValueError, match="xi length must match"):
+        History("diagramme", "UD", [0])
     # paths without xi, and unknown kinds, are not histories
     for kind in ("motzkin", "dyck", "histoire"):
         with pytest.raises(ValueError, match="not a kind of history"):
-            History(kind, path, [0, 0])
+            History(kind, "UD", [0, 0])
     # both ends of every (kind, step) range, at heights 0 to 2
     seen = set()
     for kind, steps in (("diagramme", "UUDD"), ("restricted_diagramme", "UUDD"),
                         ("laguerre", "UULDD")):
-        path = MotzkinPath(steps)
-        for i, (step, h) in enumerate(zip(path.steps, path.heights())):
+        for i, (step, h) in enumerate(zip(steps, heights(steps))):
             seen.add((kind, step))
             lo, hi = XI_BOUNDS[kind, step](h)
             for x, ok in ((lo, True), (hi, True), (lo - 1, False), (hi + 1, False)):
-                xi = [0] * len(path)
+                xi = [0] * len(steps)
                 xi[i] = x
                 if ok:
-                    History(kind, path, xi)
+                    History(kind, steps, xi)
                 else:
                     with pytest.raises(ValueError, match="xi out of range"):
-                        History(kind, path, xi)
+                        History(kind, steps, xi)
     assert seen == set(XI_BOUNDS)
 
 
@@ -158,6 +159,23 @@ def test_diagramme_weights_give_pq_euler():
         rtotal = weighted_sum("restricted_diagramme", 2 * n,
                               restricted_diagramme_pq_weights())
         assert rtotal == euler_pq[2 * n]
+
+
+def test_summed_valuations_give_the_fraction_weights():
+    # Flajolet's reading of the paper's step from valuations to fractions:
+    # b_h is the summed level weight and ac_h = a_h c_(h+1) the summed up
+    # weight at h times the summed down weight at h + 1
+    laguerre = laguerre_quintuple_weights()
+    thm41 = preset("thm4.1").fraction
+    tangent = preset("tangent-pq").fraction
+    secant = preset("secant-pq").fraction
+    for h in range(13):
+        assert thm41.b(h) == laguerre.level(h), h
+        assert thm41.ac(h) == laguerre.up(h) * laguerre.down(h + 1), h
+        for spec, fraction in ((diagramme_pq_weights(), tangent),
+                               (restricted_diagramme_pq_weights(), secant)):
+            assert fraction.b(h).is_zero() and spec.level is None
+            assert fraction.ac(h) == spec.up(h) * spec.down(h + 1), h
 
 
 def test_enumeration_cap():

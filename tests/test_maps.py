@@ -3,7 +3,7 @@ import math
 import pytest
 
 from pqeuler.algebra import LaurentPoly
-from pqeuler.lattice import enumerate_objects, laguerre_quintuple_weights
+from pqeuler.lattice import enumerate_objects, heights, laguerre_quintuple_weights
 from pqeuler.lattice import DOWN, LEVEL, UP
 from pqeuler.maps import csz, csz_biwords, fv, fv_star, fz, invol_phi, invol_psi
 from pqeuler.permstat import (
@@ -59,7 +59,7 @@ def test_fv_xi_records_left_embracings():
     sigma = parse_word("32415")
     d = fv(sigma)
     # value k goes up iff its position in sigma is even
-    ups = [k for k, s in enumerate(d.path.steps, 1) if s == "U"]
+    ups = [k for k, s in enumerate(d.steps, 1) if s == "U"]
     assert ups == [1, 2]  # values 1 (position 4) and 2 (position 2)
     rec = basic_stats(sigma)
     assert sum(d.xi) <= rec.toht
@@ -78,7 +78,7 @@ def test_fz_valuation_gives_quintuple_monomial(n):
     for sigma in family_iter("S", n):
         h = fz(sigma)
         weight = LaurentPoly.const(1)
-        for step, ht, xi in zip(h.path.steps, h.path.heights(), h.xi):
+        for step, ht, xi in zip(h.steps, heights(h.steps), h.xi):
             weight = weight * spec.valuation(step, ht, xi)
         rec = basic_stats(sigma)
         want = LaurentPoly.monomial(1, x=rec.wex, y=rec.fix, q=rec.cros,
@@ -203,11 +203,11 @@ def _fz_by_definition(sigma):
                    "cyclic-double-descent": (LEVEL, -(ck + 1))}[kind]
         steps.append(step)
         xi.append(x)
-    return tuple(steps), tuple(xi)
+    return "".join(steps), tuple(xi)
 
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_fz_matches_the_definition(n):
     for sigma in family_iter("S", n):
         h = fz(sigma)
-        assert (h.path.steps, h.xi) == _fz_by_definition(sigma), sigma
+        assert (h.steps, h.xi) == _fz_by_definition(sigma), sigma
