@@ -4,10 +4,10 @@ A permutation is its word: a raw tuple in one-line notation on 1..n.
 ``parse_word`` reads one from text, ``word_str`` writes one, and
 ``family_iter`` yields a family's words in lexicographic order.
 
-``stat_polynomial`` sums a weight
-over a family by an exact dynamic program over prefix states
-(``_accumulate``): prefixes whose futures are identical are merged, layer by
-layer, and every word is still counted once.  The program alone judges its
+``stat_polynomial`` sums a weight over a family in the calling process, by
+an exact dynamic program over prefix states (``_accumulate``): prefixes
+whose futures are identical are merged, layer by layer, and every word is
+still counted once.  The program alone judges its
 size: a layer may hold at most ``DP_MAX_STATES`` states and
 ``DP_MAX_ENTRIES`` (state, key) entries, checked as the layer grows, and a
 larger call raises ``EnumerationCapError``.  A state keeps only what the
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, make_dataclass
 
 from .algebra import LaurentPoly, VARS
@@ -42,7 +40,6 @@ STAT_FIELDS = (
 )
 STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 
-WORKERS_ENV = "PQEULER_WORKERS"
 # the routines that visit every word of a family stop above DEFAULT_CAP, and
 # those that hold every word of S_n at once one size lower
 DEFAULT_CAP = 11
@@ -378,13 +375,13 @@ def _too_large(family: str, n: int, p: int, name: str, bound: int,
         f"{family}_{n} would hold more than {name} = {bound} {what}")
 
 
-def _accumulate(family: str, n: int, plan, firsts=None,
-                ranked: bool = False, sign: int | None = None):
-    """{exponent vector: count} over the family's words of size n whose first
-    letter is in ``firsts`` (default: any); with ``ranked``, the list of the
-    exponent vectors of the words of S_n by lexicographic rank instead (None
-    for a word left out).  With ``sign`` (1 or -1), x is evaluated at it:
-    the vectors' x entries are 0 and each count is signed.
+def _accumulate(family: str, n: int, plan, ranked: bool = False,
+                sign: int | None = None):
+    """{exponent vector: count} over the family's words of size n; with
+    ``ranked``, the list of the exponent vectors of the words of S_n by
+    lexicographic rank instead (None for a word left out).  With ``sign``
+    (1 or -1), x is evaluated at it: the vectors' x entries are 0 and each
+    count is signed.
 
     An exact dynamic program over prefix states, layer by layer: the
     transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
@@ -405,7 +402,9 @@ def _accumulate(family: str, n: int, plan, firsts=None,
     Appending value v at position p adds to every key of the state what the
     new letter gives the weighted statistics, from O(1) bit counts over the
     state; fmax, suc and adj resolve at the next letter or the last one.
-    Each layer is released as soon as the next one is built.
+    Each layer is released as soon as the next one is built.  The sum is
+    never split: the words of every first letter share the later layers, so
+    parts summed apart would each rebuild most of them.
 
     The program bounds what it holds.  A layer that would hold more than
     ``DP_MAX_STATES`` states or ``DP_MAX_ENTRIES`` (state, key) entries
@@ -474,11 +473,6 @@ def _accumulate(family: str, n: int, plan, firsts=None,
                      or w_suc or w_adj or alternating or coderangement)
 
     full = (2 << n) - 2                  # bit v stands for the value v
-    first_mask = full
-    if firsts is not None:
-        first_mask = 0
-        for first in firsts:
-            first_mask |= 1 << first
     # crossing counts: the count of value v is digit v in base 2**cw; no
     # count exceeds n - 1.  spread[mask] has a 1 in the digit of each value
     # in the mask; layer p reads it for masks of the values below p.
@@ -504,9 +498,7 @@ def _accumulate(family: str, n: int, plan, firsts=None,
         for (used, a, below, cros), keys in states:
             m = used.bit_length() - 1
             free = full & ~used
-            if p == 1:
-                free &= first_mask
-            elif alternating:
+            if alternating and p > 1:
                 # letter p falls below a in A at even p, in Astar at odd p
                 free &= (1 << a) - 1 if (p % 2 == 0) == falling else -(2 << a)
             elif coderangement and a == m:
@@ -651,15 +643,11 @@ def lex_index(n: int) -> dict:
             enumerate(itertools.permutations(range(1, n + 1)))}
 
 
-def _accumulate_scan(family: str, n: int, plan, firsts=None) -> dict:
+def _accumulate_scan(family: str, n: int, plan) -> dict:
     """Oracle for ``_accumulate``, used only by tests: the family's words from
-    ``family_iter`` whose first letter is in ``firsts`` (default: any;
-    the empty word has none and always counts), each weighed through
-    ``stat_tuple``."""
+    ``family_iter``, each weighed through ``stat_tuple``."""
     acc: dict = {}
     for word in family_iter(family, n):
-        if n and firsts is not None and word[0] not in firsts:
-            continue
         st = stat_tuple(word)
         e = tuple(sum(c * st[si] for si, c in entries) for entries in plan)
         acc[e] = acc.get(e, 0) + 1
@@ -679,58 +667,31 @@ def _fold(plan, x):
     raise ValueError(f"x must be +/- a monomial in y, p, q and s, got {x!r}")
 
 
-def _accumulate_task(args):
-    family, n, plan, firsts, sign = args
-    return _accumulate(family, n, plan, firsts, sign=sign)
-
-
 def default_workers() -> int:
-    """PQEULER_WORKERS when set (a positive integer), else the CPU count."""
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return os.cpu_count() or 1
-    workers = int(env) if env.strip().isdecimal() else 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-    return workers
+    """1, the process count of every sum.  Kept only because the benchmark
+    under ``perfbench/`` prints it on every run."""
+    return 1
 
 
 def stat_polynomial(family: str, n: int, weight: dict,
                     workers: int | None = None,
                     parallel_threshold: int | None = None,
                     x=None) -> LaurentPoly:
-    """Sum of the weight monomial over the family, by ``_accumulate``, which
-    raises ``EnumerationCapError`` when a layer outgrows its bounds.
+    """Sum of the weight monomial over the family, by ``_accumulate`` in the
+    calling process, which raises ``EnumerationCapError`` when a layer
+    outgrows its bounds.
 
     With ``x``, a unit monomial +/- y^a p^b q^c s^d as a LaurentPoly, the
     sum is taken with x evaluated at it, letter by letter inside the dynamic
     program: the same polynomial as ``.substitute({"x": x})`` of the plain
     sum.  Any other ``x`` raises ValueError.
 
-    Only a caller that passes ``parallel_threshold`` gets the pool: when
-    ``workers`` > 1 and n >= parallel_threshold, the first letters are dealt
-    round-robin into one chunk per worker, and each chunk is summed in a
-    process of its own; the result is independent of the split.  Each chunk
-    still repeats the layers the chunks share, so by default every call runs
-    in one process.  Fewer than two chunks run in one process too.
+    ``workers`` and ``parallel_threshold`` are accepted and ignored.  They
+    stay only because the benchmark under ``perfbench/`` still passes them.
     """
     _check_family(family, n)
     plan = _weight_plan(weight)
     sign = None
     if x is not None:
         plan, sign = _fold(plan, x)
-    workers = default_workers() if workers is None else workers
-    chunks = []
-    if (workers > 1 and parallel_threshold is not None
-            and n >= parallel_threshold):
-        chunks = [(family, n, plan, range(i, n + 1, workers), sign)
-                  for i in range(1, min(workers, n) + 1)]
-    if len(chunks) > 1:
-        acc: dict = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_accumulate_task, chunks):
-                for e, c in part.items():
-                    acc[e] = acc.get(e, 0) + c
-    else:
-        acc = _accumulate(family, n, plan, sign=sign)
-    return LaurentPoly(acc)
+    return LaurentPoly(_accumulate(family, n, plan, sign=sign))

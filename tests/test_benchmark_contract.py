@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from pqeuler import permstat
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -28,3 +30,19 @@ def test_quick_workload_runs_and_verifies(name):
     workload = workloads.WORKLOADS[name]
     results = {op.name: op.call() for op in workload.ops(sizes)}
     assert workload.verify(results, sizes) == []
+
+
+def test_the_printed_worker_count_is_one():
+    # run.main prints it in the header of every run; every sum runs in one
+    # process
+    assert permstat.default_workers() == 1
+
+
+@pytest.mark.parametrize("workers", [1, None])
+def test_pool_keywords_are_accepted_and_ignored(workers):
+    # as run.pool_speedup passes them
+    n = 6
+    weight = permstat.QUINTUPLE_WEIGHT
+    assert permstat.stat_polynomial("S", n, weight, workers=workers,
+                                    parallel_threshold=n) == (
+        permstat.stat_polynomial("S", n, weight))

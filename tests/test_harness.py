@@ -196,7 +196,7 @@ def test_signed_sums_fold_the_sign_into_the_dp(cid, half):
         weight["q"] = {side.q_stat: 1}
     for family in filter(None, (side.family, side.fixed)):
         for n in range(0, 10):
-            plain = permstat.stat_polynomial(family, n, weight, workers=1)
+            plain = permstat.stat_polynomial(family, n, weight)
             assert side.sum(n, family) == plain.substitute({"x": side.x}), (
                 family, n)
 
@@ -721,15 +721,6 @@ def test_cli_repeated_weight_variable_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'x'" in captured.err and "twice" in captured.err
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_cli_bad_worker_count_is_a_usage_error(value, monkeypatch, capsys):
-    monkeypatch.setenv("PQEULER_WORKERS", value)
-    assert main(["table", "--family", "S", "--n", "3", "--weight", "x=wex"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "PQEULER_WORKERS" in captured.err and repr(value) in captured.err
 
 
 def test_parse_weight():

@@ -21,7 +21,6 @@ from pqeuler.permstat import (
     STAT_FIELDS,
     WORD_CAP,
     basic_stats,
-    default_workers,
     family_contains,
     family_iter,
     is_coderangement,
@@ -255,36 +254,6 @@ def test_quintuple_polynomial_s2():
     assert str(poly) == "x^2*y^2 + x*s"
 
 
-def test_stat_polynomial_parallel_matches_serial():
-    # one chunk per worker, the first letters dealt round-robin; at n = 0
-    # and 1 there are fewer than two chunks, and no pool starts
-    for family in FAMILIES:
-        for n in range(0, 8):
-            serial = stat_polynomial(family, n, QUINTUPLE_WEIGHT, workers=1)
-            for workers in (2, 3, 5):
-                pooled = stat_polynomial(family, n, QUINTUPLE_WEIGHT,
-                                         workers=workers, parallel_threshold=0)
-                assert pooled == serial, (family, n, workers)
-    folded = stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=1, x=MINUS_INV_Q)
-    assert stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=3,
-                           parallel_threshold=7, x=MINUS_INV_Q) == folded
-
-
-@pytest.mark.parametrize("n", [0, 1])
-def test_pool_at_the_smallest_sizes(n):
-    assert stat_polynomial("S", n, {}, workers=2, parallel_threshold=0) == 1
-
-
-def test_the_pool_is_taken_only_when_asked(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("stat_polynomial started a process pool")
-
-    monkeypatch.setattr(permstat, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("PQEULER_WORKERS", "2")
-    poly = stat_polynomial("S", 12, {"x": {"wex": 1}})
-    assert poly.substitute({"x": 1}).as_int() == math.factorial(12)
-
-
 # (a call, the states and the (state, key) entries of its widest layer):
 # S_n with no weight has one state and one key per used set; with inv, the
 # prefixes on a used set of size p take every inv from 0 to p(p-1)/2; a
@@ -400,24 +369,29 @@ def test_cli_oversize_table_exits_2_naming_the_bound():
     assert elapsed < OVERSIZE_SECONDS, f"took {elapsed:.2f}s"
 
 
+_ONE_PROCESS_CALL = """
+import sys
+import pqeuler
+from pqeuler.permstat import QUINTUPLE_WEIGHT, stat_polynomial
+asked = stat_polynomial("S", 8, QUINTUPLE_WEIGHT, workers=2,
+                        parallel_threshold=8)
+assert asked == stat_polynomial("S", 8, QUINTUPLE_WEIGHT)
+loaded = {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_every_sum_runs_in_the_calling_process():
+    # workers and parallel_threshold are accepted and ignored, and no
+    # process module is ever loaded
+    proc, _ = _child("-c", _ONE_PROCESS_CALL)
+    assert proc.returncode == 0, proc.stderr
+
+
 @given(st.permutations(list(range(1, 8))))
 def test_record_fields_are_nonnegative(w):
     rec = basic_stats(tuple(w))
     assert all(v >= 0 for v in rec.to_json().values())
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_worker_count_is_rejected(monkeypatch, value):
-    monkeypatch.setenv("PQEULER_WORKERS", value)
-    with pytest.raises(ValueError, match=f"PQEULER_WORKERS.*{value!r}"):
-        default_workers()
-
-
-def test_worker_count_from_environment(monkeypatch):
-    monkeypatch.setenv("PQEULER_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("PQEULER_WORKERS", "")
-    assert default_workers() >= 1
 
 
 def test_negative_n_is_rejected():
@@ -441,10 +415,10 @@ def test_field_count():
 # depth-first walk over prefixes)
 
 
-def _dp_and_scan(family, n, weight, firsts=None):
+def _dp_and_scan(family, n, weight):
     plan = permstat._weight_plan(weight)
-    return (permstat._accumulate(family, n, plan, firsts),
-            permstat._accumulate_scan(family, n, plan, firsts))
+    return (permstat._accumulate(family, n, plan),
+            permstat._accumulate_scan(family, n, plan))
 
 
 def _stat_weights():
@@ -486,24 +460,11 @@ def test_walk_matches_scan_on_random_weights(family, n, weight):
     assert dp == scan
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_walk_split_by_first_letter_sums_to_whole(family):
-    plan = permstat._weight_plan(QUINTUPLE_WEIGHT)
-    for n in range(1, 8):
-        total: dict = {}
-        for first in range(1, n + 1):
-            part, scan = _dp_and_scan(family, n, QUINTUPLE_WEIGHT, [first])
-            assert part == scan
-            for e, c in part.items():
-                total[e] = total.get(e, 0) + c
-        assert total == permstat._accumulate(family, n, plan)
-
-
 def test_dp_matches_laguerre_transfer_above_the_scan():
     # Foata-Zeilberger: the quintuple polynomial of S_9 is the weighted sum
     # of Laguerre histories of length 9, which the transfer pass reaches
     # without enumerating a word
-    assert stat_polynomial("S", 9, QUINTUPLE_WEIGHT, workers=1) == (
+    assert stat_polynomial("S", 9, QUINTUPLE_WEIGHT) == (
         weighted_sum("laguerre", 9, laguerre_quintuple_weights(), method="dp"))
 
 
@@ -515,7 +476,7 @@ def test_stat_polynomial_never_scans(monkeypatch):
     monkeypatch.setattr(permstat, "_accumulate_scan", forbidden)
     for family in FAMILIES:
         for weight in (QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT):
-            stat_polynomial(family, 6, weight, workers=1)
+            stat_polynomial(family, 6, weight)
         _size(family, 6)
     e_pq(6)
 
@@ -530,15 +491,15 @@ FOLDED_X = [LaurentPoly.const(-1), MINUS_INV_Q, LaurentPoly.var("q"),
        st.integers(0, 6), _VAR_WEIGHTS)
 def test_folded_x_matches_the_substituted_scan(x, family, n, weight):
     scan = permstat._accumulate_scan(family, n, permstat._weight_plan(weight))
-    folded = stat_polynomial(family, n, weight, workers=1, x=x)
+    folded = stat_polynomial(family, n, weight, x=x)
     assert folded == LaurentPoly(scan).substitute({"x": x})
 
 
 def test_folded_x_at_every_statistic():
     for x in FOLDED_X:
         for weight in _stat_weights():
-            plain = stat_polynomial("S", 6, weight, workers=1)
-            assert stat_polynomial("S", 6, weight, workers=1, x=x) == (
+            plain = stat_polynomial("S", 6, weight)
+            assert stat_polynomial("S", 6, weight, x=x) == (
                 plain.substitute({"x": x})), (x, weight)
 
 
@@ -553,8 +514,11 @@ def test_folding_a_non_unit_x_is_rejected(x):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_walk_and_scan_ignore_the_first_letter_at_n0(family):
-    dp, scan = _dp_and_scan(family, 0, QUINTUPLE_WEIGHT, [1])
-    assert dp == scan == _dp_and_scan(family, 0, QUINTUPLE_WEIGHT)[0]
+    # the empty word has no first letter, and counts once where the family
+    # holds it
+    dp, scan = _dp_and_scan(family, 0, QUINTUPLE_WEIGHT)
+    empty = {(0,) * len(VARS): 1} if family_contains(family, ()) else {}
+    assert dp == scan == empty
 
 
 def test_packed_keys_hold_large_coefficients():
@@ -563,7 +527,7 @@ def test_packed_keys_hold_large_coefficients():
               "s": {"cros": 3, "nest": -(2**70)}}
     dp, scan = _dp_and_scan("S", 6, weight)
     assert dp == scan
-    poly = stat_polynomial("S", 6, weight, workers=1)
+    poly = stat_polynomial("S", 6, weight)
     assert poly == LaurentPoly(scan)
     assert LaurentPoly.from_json(poly.to_json()) == poly
 
