@@ -254,6 +254,27 @@ def test_quintuple_polynomial_s2():
     assert str(poly) == "x^2*y^2 + x*s"
 
 
+def test_stat_polynomial_parallel_matches_serial():
+    # workers and parallel_threshold are accepted and ignored: asking for a
+    # pool of any size gives the one-process sum, with x folded or not
+    for family in FAMILIES:
+        for n in range(0, 8):
+            serial = stat_polynomial(family, n, QUINTUPLE_WEIGHT, workers=1)
+            for workers in (2, 3, 5):
+                pooled = stat_polynomial(family, n, QUINTUPLE_WEIGHT,
+                                         workers=workers, parallel_threshold=0)
+                assert pooled == serial, (family, n, workers)
+    folded = stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=1, x=MINUS_INV_Q)
+    assert stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=3,
+                           parallel_threshold=7, x=MINUS_INV_Q) == folded
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_pool_at_the_smallest_sizes(n):
+    # the ignored pool keywords at the sizes with fewer than two first letters
+    assert stat_polynomial("S", n, {}, workers=2, parallel_threshold=0) == 1
+
+
 # (a call, the states and the (state, key) entries of its widest layer):
 # S_n with no weight has one state and one key per used set; with inv, the
 # prefixes on a used set of size p take every inv from 0 to p(p-1)/2; a
