@@ -36,8 +36,7 @@ from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
 from .permstat import (
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
-    WORD_CAP,
-    _check_size,
+    _check_family_size,
     family_contains,
     family_iter,
     lex_index,
@@ -241,7 +240,6 @@ def certify_fv_star(n: int):
 
 
 def certify_fz(n: int):
-    _check_size("S", n, WORD_CAP)
     return _certify_onto(fz, "S", n, "laguerre", n)
 
 
@@ -274,7 +272,7 @@ def certify_csz(n: int):
 
 
 def _check_thm3_2(nmax: int):
-    _check_size("S", nmax, WORD_CAP)
+    _check_family_size("S", nmax)
     for n in range(1, nmax + 1):
         why = certify_csz(n)
         if why:
@@ -384,7 +382,7 @@ def _check_contra(order: int):
 
 
 def _check_sz_linear(nmax: int):
-    _check_size("S", nmax, WORD_CAP)
+    _check_family_size("S", nmax)
     why = _check_signed("sz_linear", nmax)
     for n in range(1, nmax + 1):
         if why:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import LaurentPoly, _check_bound
+from .permstat import _check_count
 
 UP, LEVEL, DOWN = "U", "L", "D"
 _DELTA = {UP: 1, LEVEL: 0, DOWN: -1}
@@ -35,8 +36,6 @@ KINDS = {
     "restricted_diagramme": (False, True),
     "laguerre": (True, True),
 }
-
-DEFAULT_LENGTH_CAP = 14
 
 
 def heights(steps: str) -> list[int]:
@@ -142,6 +141,22 @@ def _check_kind_length(kind: str, length: int) -> None:
         raise ValueError(f"{kind} objects have even length")
 
 
+def _check_kind_size(kind: str, length: int) -> None:
+    """Refuse a kind and length with more than ``MAX_OBJECTS`` objects,
+    counted by ``transfer`` with each step weighted by its number of xi
+    choices (one for a plain path)."""
+    _check_kind_length(kind, length)
+    allow_level, has_xi = KINDS[kind]
+
+    def choices(step):
+        return lambda h: LaurentPoly.const(
+            len(_xi_range(kind, step, h)) if has_xi else 1)
+
+    _check_count(f"{kind} of length {{}}", length, lambda m: transfer(
+        choices(UP), choices(LEVEL) if allow_level else None, choices(DOWN),
+        m)[m].as_int())
+
+
 def _iter_paths(length: int, allow_level: bool):
     """All nonnegative step strings of the given length ending at 0,
     lexicographic in the step order U < L < D."""
@@ -162,10 +177,9 @@ def _iter_paths(length: int, allow_level: bool):
 
 def enumerate_objects(kind: str, length: int):
     """Stream every object of the kind exactly once, deterministic order: a
-    step string for "motzkin" and "dyck", a ``History`` for the others."""
-    _check_kind_length(kind, length)
-    if length > DEFAULT_LENGTH_CAP:
-        raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
+    step string for "motzkin" and "dyck", a ``History`` for the others.
+    Their number is checked against ``MAX_OBJECTS`` first."""
+    _check_kind_size(kind, length)
     allow_level, has_xi = KINDS[kind]
     for steps in _iter_paths(length, allow_level):
         if not has_xi:
@@ -193,8 +207,7 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
         level = _required(spec.level, LEVEL) if allow_level else None
         return transfer(_required(spec.up, UP), level,
                         _required(spec.down, DOWN), length)[length]
-    if length > DEFAULT_LENGTH_CAP:
-        raise ValueError(f"length {length} exceeds cap {DEFAULT_LENGTH_CAP}")
+    _check_kind_size(kind, length)
     if has_xi and spec.valuation is None:
         raise ValueError("xi-kind enumeration needs a valuation")
 

@@ -2,7 +2,9 @@
 
 A permutation is its word: a raw tuple in one-line notation on 1..n.
 ``parse_word`` reads one from text, ``word_str`` writes one, and
-``family_iter`` yields a family's words in lexicographic order.
+``family_iter`` iterates over a family's words in lexicographic order.
+Every routine that visits objects one at a time counts them first, and
+``_check_count`` refuses more than ``MAX_OBJECTS``.
 
 ``stat_polynomial`` sums a weight over a family in the calling process, by
 an exact dynamic program over prefix states (``_accumulate``): prefixes
@@ -40,10 +42,9 @@ STAT_FIELDS = (
 )
 STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 
-# the routines that visit every word of a family stop above DEFAULT_CAP, and
-# those that hold every word of S_n at once one size lower
-DEFAULT_CAP = 11
-WORD_CAP = 10
+# The most objects a routine may visit one at a time: 10!, every Laguerre
+# history of length 10 and every word of S_10.
+MAX_OBJECTS = math.factorial(10)
 # What one layer of ``_accumulate`` may hold.  The widest layer of S_12 with
 # the quintuple weight holds 48,182 states and 4,247,842 entries (683 MB in
 # all).  Entries alone are not enough: where each state holds one key, the
@@ -53,9 +54,9 @@ DP_MAX_ENTRIES = 5_000_000
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exhaustive enumeration would exceed a size bound: the
-    count cap of a routine that visits every object, or what one layer of
-    the prefix-state dynamic program may hold."""
+    """Raised when an exhaustive enumeration would exceed a size bound:
+    ``MAX_OBJECTS`` for a routine that visits every object, or what one
+    layer of the prefix-state dynamic program may hold."""
 
 
 StatRecord = make_dataclass(
@@ -207,26 +208,19 @@ def pattern_k(w: tuple, k: int, which: str) -> int:
 FAMILIES = ("S", "D", "Dstar", "A", "Astar", "Aprime", "Adoubleprime")
 
 
+def is_alternating(word, falling: bool = False) -> bool:
+    """s1 < s2 > s3 < s4 ..., or s1 > s2 < s3 > s4 ... when falling."""
+    rises = not falling
+    for i in range(len(word) - 1):
+        if (word[i] < word[i + 1]) is not rises:
+            return False
+        rises = not rises
+    return True
+
+
 def is_falling_alternating(word) -> bool:
     """s1 > s2 < s3 > s4 ..."""
-    for i in range(len(word) - 1):
-        if i % 2 == 0:
-            if word[i] < word[i + 1]:
-                return False
-        elif word[i] > word[i + 1]:
-            return False
-    return True
-
-
-def is_alternating(word) -> bool:
-    """s1 < s2 > s3 < s4 ..."""
-    for i in range(len(word) - 1):
-        if i % 2 == 0:
-            if word[i] > word[i + 1]:
-                return False
-        elif word[i] < word[i + 1]:
-            return False
-    return True
+    return is_alternating(word, True)
 
 
 def is_derangement(word) -> bool:
@@ -255,13 +249,13 @@ def family_contains(family: str, word) -> bool:
     if family == "Dstar":
         return is_coderangement(word)
     if family == "A":
-        return is_falling_alternating(word)
+        return is_alternating(word, True)
     if family == "Astar":
         return is_alternating(word)
     if family == "Aprime":
-        return n % 2 == 1 and is_falling_alternating(word)
+        return n % 2 == 1 and is_alternating(word, True)
     if family == "Adoubleprime":
-        return n % 2 == 0 and is_falling_alternating(word)
+        return n % 2 == 0 and is_alternating(word, True)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -272,19 +266,87 @@ def _check_family(family: str, n: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def _check_size(family: str, n: int, cap: int) -> None:
+def _check_count(what: str, n: int, count) -> None:
+    """Raise ``EnumerationCapError`` if ``what.format(n)`` has more than
+    ``MAX_OBJECTS`` objects.  ``count(m)``, the exact number at size m,
+    grows with m over the sizes of n's parity: those are counted upward,
+    and the first one past the bound refuses n uncounted."""
+    for m in range(n % 2, n + 1, 2):
+        found = count(m)
+        if found > MAX_OBJECTS:
+            raise EnumerationCapError(
+                f"enumeration too large: {what.format(n)} has more than "
+                f"MAX_OBJECTS = {MAX_OBJECTS} objects ({what.format(m)} "
+                f"has {found})")
+
+
+def _check_family_size(family: str, n: int) -> None:
+    """Refuse a family of size n with more than ``MAX_OBJECTS`` words: S_m
+    has m! words, and any other family is counted by ``stat_polynomial``."""
     _check_family(family, n)
-    if n > cap:
-        raise EnumerationCapError(
-            f"enumeration too large: n={n} exceeds cap {cap}")
+    if _letter_rule(family, n) is not None:     # else it has no word to count
+        _check_count(family + "_{}", n, math.factorial if family == "S" else
+                     lambda m: stat_polynomial(family, m, {}).as_int())
+
+
+def _letter_rule(family: str, n: int):
+    """``rule(p, used, a)``: the mask (bit v for the value v) of the letters
+    a word of the family of size n may take at position p after a prefix
+    with used-value mask ``used`` and last letter ``a`` (0 for none).  None
+    where the family has no word of size n."""
+    if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
+        return None
+    full = (2 << n) - 2                  # bit v stands for the value v
+    if family == "S":
+        return lambda p, used, a: full & ~used
+    if family == "D":
+        return lambda p, used, a: full & ~used & ~(1 << p)
+    if family == "Dstar":
+        def rule(p, used, a):
+            free = full & ~used
+            if a == used.bit_length() - 1:
+                free &= (1 << a) - 1     # a left-to-right maximum must fall
+            if p == n:
+                free &= ~(1 << n)        # nor may the word end on its maximum
+            return free
+        return rule
+    # letter p falls below a in A at even p, in Astar at odd p
+    falls = 1 if family == "Astar" else 0
+
+    def rule(p, used, a):
+        if p == 1:
+            return full & ~used
+        return full & ~used & ((1 << a) - 1 if p % 2 == falls else -(2 << a))
+    return rule
+
+
+def _walk(rule, n: int, p: int = 1, used: int = 0, prefix: tuple = ()):
+    """The words of size n that extend ``prefix`` (of length p - 1, with
+    used-value mask ``used``) by letters ``rule`` allows, in lexicographic
+    order."""
+    if p > n:
+        yield prefix
+        return
+    free = rule(p, used, prefix[-1] if prefix else 0)
+    while free:
+        bv = free & -free
+        free ^= bv
+        yield from _walk(rule, n, p + 1, used | bv,
+                         prefix + (bv.bit_length() - 1,))
 
 
 def family_iter(family: str, n: int):
-    """Words of the family in lexicographic order (raw tuples)."""
-    _check_size(family, n, DEFAULT_CAP)
-    for word in itertools.permutations(range(1, n + 1)):
-        if family_contains(family, word):
-            yield word
+    """An iterator over the family's words of size n in lexicographic order,
+    as raw tuples, once their number is within ``MAX_OBJECTS``.  S_n comes
+    from ``itertools.permutations``; any other family is walked by the
+    letter rule that ``_accumulate`` sums by."""
+    _check_family_size(family, n)
+    rule = _letter_rule(family, n)
+    if rule is None:
+        return iter(())
+    if family == "S":
+        return itertools.permutations(range(1, n + 1))
+    return _walk(rule, n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +461,12 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
       positions v+1..p, packed into one int.  Appending w at position p adds
       1 to the count of every free v with w < v < p and clears that of w.
 
-    Appending value v at position p adds to every key of the state what the
-    new letter gives the weighted statistics, from O(1) bit counts over the
-    state; fmax, suc and adj resolve at the next letter or the last one.
+    The letters a state may take next are those of the family's
+    ``_letter_rule``, bound once per call; ``family_iter`` walks by the same
+    rule.  Appending value v at position p adds to every key of the state
+    what the new letter gives the weighted statistics, from O(1) bit counts
+    over the state; fmax, suc and adj resolve at the next letter or the last
+    one.
     Each layer is released as soon as the next one is built.  The sum is
     never split: the words of every first letter share the later layers, so
     parts summed apart would each rebuild most of them.
@@ -433,10 +498,11 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     prefixes' keys rather than a map of counts, and each state is released
     as soon as it is read.
     """
-    if n == 0:
-        return {(0,) * len(VARS): 1} if family_contains(family, ()) else {}
-    if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
+    rule = _letter_rule(family, n)
+    if rule is None:
         return {}
+    if n == 0:
+        return {(0,) * len(VARS): 1}
     # the least size from 4 on (so 2 <= size // 2 < size) whose layer
     # size // 2 outgrows the state bound; C(n, n // 2) grows with n, so
     # every n from it on is refused without computing its binomial
@@ -465,14 +531,10 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     w_fix_wex = inc["fix"] + inc["wex"]
     need_above = bool(w_inv or w_nest)
     need_between = bool(w_toht or w_thto)
-    falling = family in ("A", "Aprime", "Adoubleprime")
-    alternating = falling or family == "Astar"
-    derangement = family == "D"
-    coderangement = family == "Dstar"
+    # every family but S and D reads the last letter in its rule
     keep_last = bool(w_des or w_maj or need_between or w_thot or w_fmax
-                     or w_suc or w_adj or alternating or coderangement)
+                     or w_suc or w_adj or family not in ("S", "D"))
 
-    full = (2 << n) - 2                  # bit v stands for the value v
     # crossing counts: the count of value v is digit v in base 2**cw; no
     # count exceeds n - 1.  spread[mask] has a 1 in the digit of each value
     # in the mask; layer p reads it for masks of the values below p.
@@ -497,16 +559,7 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                   else layer.items())
         for (used, a, below, cros), keys in states:
             m = used.bit_length() - 1
-            free = full & ~used
-            if alternating and p > 1:
-                # letter p falls below a in A at even p, in Astar at odd p
-                free &= (1 << a) - 1 if (p % 2 == 0) == falling else -(2 << a)
-            elif coderangement and a == m:
-                free &= (1 << a) - 1         # a left-to-right maximum must fall
-            if derangement:
-                free &= ~(1 << p)
-            elif coderangement and p == n:
-                free &= ~(1 << n)            # nor may the word end on its maximum
+            free = rule(p, used, a)
             down = w_des + w_maj * (p - 1)
             after_max = p > 1 and a == m
             while free:
@@ -625,7 +678,7 @@ def stat_table(n: int, weight: dict) -> list:
     ``_accumulate`` over S_n with the rank digit gives every word a key of
     its own, which is read back by rank.  Equal vectors share one tuple.
     """
-    _check_size("S", n, WORD_CAP)
+    _check_family_size("S", n)
     plan = _weight_plan(weight)
     if n == 0:
         return [(0,) * len(VARS)]
@@ -638,16 +691,18 @@ def lex_index(n: int) -> dict:
     Iterating over it gives the words in rank order, and the rank of any
     tuple is one lookup; a tuple that is not a word of S_n has none.
     """
-    _check_size("S", n, WORD_CAP)
+    _check_family_size("S", n)
     return {word: rank for rank, word in
             enumerate(itertools.permutations(range(1, n + 1)))}
 
 
 def _accumulate_scan(family: str, n: int, plan) -> dict:
-    """Oracle for ``_accumulate``, used only by tests: the family's words from
-    ``family_iter``, each weighed through ``stat_tuple``."""
+    """Oracle for ``_accumulate``, used only by tests: every word of S_n,
+    kept by ``family_contains`` and weighed through ``stat_tuple``."""
     acc: dict = {}
-    for word in family_iter(family, n):
+    for word in itertools.permutations(range(1, n + 1)):
+        if not family_contains(family, word):
+            continue
         st = stat_tuple(word)
         e = tuple(sum(c * st[si] for si, c in entries) for entries in plan)
         acc[e] = acc.get(e, 0) + 1

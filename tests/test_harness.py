@@ -53,12 +53,23 @@ def test_size_0_is_refused_where_it_would_check_nothing(cid, capsys):
     lambda n: harness.check("sz_linear", n),
     harness.certify_fz,
 ], ids=["thm3_2", "sz_linear", "certify_fz"])
-def test_per_word_checks_stop_at_the_word_cap_before_any_size(run):
-    # a check that ran n = 1..10 first would take minutes
+def test_per_word_checks_stop_at_the_word_cap_before_any_size(
+        run, monkeypatch):
+    # S_11 has more than MAX_OBJECTS = 10! words: a check that ran
+    # n = 1..10 first would take minutes
     start = time.perf_counter()
-    with pytest.raises(permstat.EnumerationCapError):
-        run(permstat.WORD_CAP + 1)
+    with pytest.raises(permstat.EnumerationCapError, match=(
+            r"^enumeration too large: S_11 has more than MAX_OBJECTS = "
+            r"3628800 objects \(S_11 has 39916800\)$")):
+        run(11)
     assert time.perf_counter() - start < 1
+    # S_5 has 120 words: at the bound the check runs, one below it refuses
+    monkeypatch.setattr(permstat, "MAX_OBJECTS", 120)
+    run(5)
+    monkeypatch.setattr(permstat, "MAX_OBJECTS", 119)
+    with pytest.raises(permstat.EnumerationCapError,
+                       match=r"\(S_5 has 120\)$"):
+        run(5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -67,10 +78,12 @@ def test_per_word_checks_stop_at_the_word_cap_before_any_size(run):
     ["bij", "fz", "--verify", "--n"],
 ], ids=" ".join)
 def test_cli_per_word_check_above_the_word_cap_exits_2(argv, capsys):
-    assert main(argv + [str(permstat.WORD_CAP + 1)]) == 2
+    assert main(argv + ["11"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds cap" in captured.err
+    assert captured.err == (
+        "error: enumeration too large: S_11 has more than MAX_OBJECTS = "
+        "3628800 objects (S_11 has 39916800)\n")
 
 
 def test_per_word_checks_never_call_the_kernel(monkeypatch):

@@ -16,6 +16,7 @@ from pqeuler.lattice import (
     transfer,
     weighted_sum,
 )
+from pqeuler.permstat import EnumerationCapError
 from pqeuler.qeuler import e_pq_upto
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51]
@@ -179,8 +180,14 @@ def test_summed_valuations_give_the_fraction_weights():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_objects("motzkin", 15))
+    # the Motzkin paths fit in MAX_OBJECTS = 10! up to length 17
+    assert sum(1 for _ in enumerate_objects("motzkin", 15)) == 310572
+    assert next(enumerate_objects("motzkin", 17)) == "U" * 8 + "L" + "D" * 8
+    with pytest.raises(EnumerationCapError, match=(
+            r"^enumeration too large: motzkin of length 18 has more than "
+            r"MAX_OBJECTS = 3628800 objects \(motzkin of length 18 has "
+            r"6536382\)$")):
+        list(enumerate_objects("motzkin", 18))
 
 
 def test_transfer_gives_every_length_in_one_pass():

@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from pqeuler import permstat
 from pqeuler.algebra import VARS, LaurentPoly
-from pqeuler.lattice import laguerre_quintuple_weights, weighted_sum
+from pqeuler.lattice import (
+    enumerate_objects,
+    laguerre_quintuple_weights,
+    weighted_sum,
+)
 from pqeuler.qeuler import e_pq
 from pqeuler.permstat import (
     BACKEND,
@@ -18,8 +22,8 @@ from pqeuler.permstat import (
     FAMILIES,
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
+    MAX_OBJECTS,
     STAT_FIELDS,
-    WORD_CAP,
     basic_stats,
     family_contains,
     family_iter,
@@ -205,7 +209,7 @@ def test_empty_word_families():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_families_agree_with_family_contains(family):
-    for n in range(7):
+    for n in range(9):
         words = [w for w in itertools.permutations(range(1, n + 1))
                  if family_contains(family, w)]
         assert list(family_iter(family, n)) == words, n
@@ -601,8 +605,87 @@ def test_lex_rank_is_the_index_in_permutations(n):
 @pytest.mark.parametrize("build", [lex_index,
                                    lambda n: stat_table(n, QUINTUPLE_WEIGHT)])
 def test_word_tables_stop_at_the_word_cap(build):
+    # S_10 is the largest S_n within MAX_OBJECTS = 10!
     assert len(build(3)) == 6
     start = time.perf_counter()
-    with pytest.raises(EnumerationCapError, match=str(WORD_CAP)):
-        build(WORD_CAP + 1)
+    with pytest.raises(EnumerationCapError, match=(
+            r"^enumeration too large: S_11 has more than MAX_OBJECTS = "
+            r"3628800 objects \(S_11 has 39916800\)$")):
+        build(11)
     assert time.perf_counter() - start < 1
+
+
+# (routine, what it counts, the exact number of its objects)
+ONE_AT_A_TIME = [
+    (lambda: list(family_iter("S", 5)), "S_5", 120),
+    (lambda: list(family_iter("D", 6)), "D_6", 265),
+    (lambda: list(family_iter("Dstar", 5)), "Dstar_5", 44),
+    (lambda: list(family_iter("A", 7)), "A_7", 272),
+    (lambda: list(family_iter("Adoubleprime", 6)), "Adoubleprime_6", 61),
+    (lambda: lex_index(5), "S_5", 120),
+    (lambda: stat_table(5, QUINTUPLE_WEIGHT), "S_5", 120),
+    (lambda: list(enumerate_objects("laguerre", 5)), "laguerre of length 5",
+     120),
+    (lambda: list(enumerate_objects("diagramme", 6)), "diagramme of length 6",
+     272),
+    (lambda: list(enumerate_objects("motzkin", 7)), "motzkin of length 7",
+     127),
+    (lambda: weighted_sum("laguerre", 5, laguerre_quintuple_weights(),
+                          method="enumerate"), "laguerre of length 5", 120),
+]
+
+
+@pytest.mark.parametrize("call,what,count", ONE_AT_A_TIME)
+def test_one_object_bound_admits_its_count_and_not_one_more(
+        monkeypatch, call, what, count):
+    monkeypatch.setattr(permstat, "MAX_OBJECTS", count)
+    result = call()
+    if isinstance(result, list):
+        assert len(result) == count
+    monkeypatch.setattr(permstat, "MAX_OBJECTS", count - 1)
+    with pytest.raises(EnumerationCapError, match=(
+            rf"^enumeration too large: {what} has more than MAX_OBJECTS = "
+            rf"{count - 1} objects \({what} has {count}\)$")):
+        call()
+
+
+_REFUSED_CALL = """
+import sys, time
+from pqeuler import lattice, permstat
+start = time.perf_counter()
+try:
+    {call}
+except permstat.EnumerationCapError as exc:
+    print(f"{{time.perf_counter() - start}} {{exc}}")
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("call,counted", [
+    ('permstat.family_iter("D", 20)', "D_12 has 176214841"),
+    ('permstat.family_iter("A", 700)', "A_14 has 199360981"),
+    ('lattice.enumerate_objects("laguerre", 14)',
+     "laguerre of length 12 has 479001600"),
+    ('lattice.weighted_sum("dyck", 10**6, lattice.WeightSpec(), '
+     'method="enumerate")', "dyck of length 30 has 9694845"),
+], ids=["D_20", "A_700", "laguerre-14", "dyck-1000000"])
+def test_oversize_enumeration_is_refused_within_a_second(call, counted):
+    # counted from the least size of n's parity up, the first size past
+    # the bound refuses n, however large, without counting it
+    proc, _ = _child("-c", _REFUSED_CALL.format(
+        call=f"list({call})" if "enumerate_objects" in call else call))
+    assert proc.returncode == 3, proc.stderr
+    elapsed, message = proc.stdout.split(" ", 1)
+    assert counted in message
+    assert float(elapsed) < 1, message
+
+
+def test_cli_oversize_verify_is_refused_within_a_second():
+    # fv at 13 would walk A_13, 22,368,256 words
+    proc, elapsed = _child("-m", "pqeuler.cli", "bij", "fv", "--verify",
+                           "--n", "13")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert (f"A_13 has more than MAX_OBJECTS = {MAX_OBJECTS} objects "
+            f"(A_13 has 22368256)") in proc.stderr
+    assert elapsed < 1, f"took {elapsed:.2f}s"
