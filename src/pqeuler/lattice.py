@@ -7,11 +7,12 @@ three; its kind decides the path and the range of each xi, and ``KINDS``
 says for every kind whether it allows level steps and whether it carries xi.
 
 Weighted sums come in two independent flavours: direct enumeration of the
-objects (the oracle) and a transfer computation over (position, height) with
-polynomial-valued state (the fast path).  ``transfer`` is that computation;
-it gives the sums for every length up to an order in one pass and also
-expands every continued fraction in ``contfrac``.  The height of a step is
-always its starting ordinate.
+objects (the oracle), which joins listed prefixes and suffixes without ever
+merging them and so makes one update per object, and a transfer computation
+over (position, height) with polynomial-valued state (the fast path).
+``transfer`` is that computation; it gives the sums for every length up to
+an order in one pass and also expands every continued fraction in
+``contfrac``.  The height of a step is always its starting ordinate.
 """
 
 from __future__ import annotations
@@ -195,9 +196,14 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
                  method: str = "dp") -> LaurentPoly:
     """Sum of object weights over all objects of the kind and length.
 
-    method "enumerate" walks every object (using the valuation for xi-kinds);
-    method "dp" runs the height-indexed transfer computation and never touches
-    individual objects.  The two agree exactly.
+    method "enumerate" weighs every object on its own (by the valuation for
+    xi-kinds): it lists each prefix of length - length // 2 steps from
+    height 0 and each suffix of length // 2 steps back to 0 as one entry,
+    never merged with another, and joins every prefix to every suffix that
+    meets it at the same height: one update per object (per term, where a
+    step weight has several).  method "dp" runs the height-indexed transfer
+    computation and never touches individual objects.  The two agree
+    exactly.
     """
     if method not in ("dp", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -234,31 +240,36 @@ def weighted_sum(kind: str, length: int, spec: WeightSpec,
     bound = step_bound * length
     _check_bound(bound)
 
+    def half(positions, backward):
+        """Every walk over the step positions from height 0 at their outer
+        end that some object completes, listed one (key, coefficient) entry
+        per walk and branch, never merged, by the height at the inner end;
+        a step at pos must be reachable from 0 and able to return to it."""
+        walks = {0: [(0, 1)]}
+        for pos in positions:
+            nxt: dict = {}
+            for h, entries in walks.items():
+                for step, delta in _DELTA.items():
+                    start, end = (h - delta, h) if backward else (h, h + delta)
+                    branches = choices.get((step, start))
+                    if branches is None or start > pos or end >= length - pos:
+                        continue
+                    nxt.setdefault(start if backward else end, []).extend(
+                        (k + e, c * d) for k, c in entries for e, d in branches)
+            walks = nxt
+        return walks
+
+    first = length - length // 2
+    prefixes = half(range(first), False)
+    suffixes = half(range(length - 1, first - 1, -1), True)
     acc: dict = {}
-
-    def rec(pos, h, key, coeff):
-        remaining = length - pos
-        if remaining == 1:
-            # the last step, taken here rather than by one more call per
-            # object: a down step from height 1, or a level step at 0
-            for e, c in choices[DOWN, 1] if h else choices[LEVEL, 0]:
-                e += key
-                acc[e] = acc.get(e, 0) + coeff * c
-            return
-        if h + 1 <= remaining - 1:
-            for e, c in choices[UP, h]:
-                rec(pos + 1, h + 1, key + e, coeff * c)
-        if allow_level and h <= remaining - 1:
-            for e, c in choices[LEVEL, h]:
-                rec(pos + 1, h, key + e, coeff * c)
-        if h >= 1:
-            for e, c in choices[DOWN, h]:
-                rec(pos + 1, h - 1, key + e, coeff * c)
-
-    if length:
-        rec(0, 0, 0, 1)
-    else:
-        acc[0] = 1
+    get = acc.get
+    for h, tails in suffixes.items():
+        heads = prefixes[h]
+        for k2, c2 in tails:
+            for k1, c1 in heads:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
     return LaurentPoly._packed({e: c for e, c in acc.items() if c}, bound)
 
 

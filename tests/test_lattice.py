@@ -129,18 +129,60 @@ def test_dp_equals_enumeration_small():
             assert dp == brute, (kind, length)
 
 
-def test_dp_equals_enumeration_with_integer_coefficients():
+def _integer_spec():
     # every step weight, the last step's included, has terms with
-    # coefficients other than 1
+    # coefficients other than 1, some of them negative
     three, five = LaurentPoly.const(3), LaurentPoly.const(5)
-    spec = WeightSpec(up=lambda h: LaurentPoly.const(h + 2),
+    return WeightSpec(up=lambda h: LaurentPoly.const(h + 2),
                       level=lambda h: LaurentPoly.var("q") + three,
                       down=lambda h: LaurentPoly.var("q", 1, coeff=-h) + five)
+
+
+def test_dp_equals_enumeration_with_integer_coefficients():
+    spec = _integer_spec()
     for kind, step in (("motzkin", 1), ("dyck", 2)):
         for length in range(0, 9, step):
             dp = weighted_sum(kind, length, spec, method="dp")
             brute = weighted_sum(kind, length, spec, method="enumerate")
             assert dp == brute, (kind, length)
+
+
+@pytest.mark.parametrize("kind,spec", [
+    ("motzkin", _integer_spec()),
+    ("dyck", _integer_spec()),
+    ("diagramme", diagramme_pq_weights()),
+    ("restricted_diagramme", restricted_diagramme_pq_weights()),
+    ("laguerre", laguerre_quintuple_weights()),
+])
+def test_enumeration_is_the_sum_over_the_listed_objects(kind, spec):
+    # the enumerating weighted_sum against a product of step weights per
+    # object of enumerate_objects; lengths 0..7 put 0 to 4 steps in the
+    # first half and 0 to 3 in the second
+    step_weight = {UP: spec.up, LEVEL: spec.level, DOWN: spec.down}
+    for length in range(0, 8, 1 if kind in ("motzkin", "laguerre") else 2):
+        want = LaurentPoly()
+        for obj in enumerate_objects(kind, length):
+            weight = LaurentPoly.const(1)
+            if isinstance(obj, History):
+                for step, h, xi in zip(obj.steps, heights(obj.steps), obj.xi):
+                    weight = weight * spec.valuation(step, h, xi)
+            else:
+                for step, h in zip(obj, heights(obj)):
+                    weight = weight * step_weight[step](h)
+            want = want + weight
+        assert weighted_sum(kind, length, spec, method="enumerate") == want, \
+            length
+
+
+def test_oversize_enumeration_calls_no_valuation():
+    # 11! Laguerre histories are past MAX_OBJECTS = 10!: the call is refused
+    # before a single step weight is built
+    def boom(*args):
+        raise AssertionError("valuation called")
+
+    spec = WeightSpec(up=boom, level=boom, down=boom, valuation=boom)
+    with pytest.raises(EnumerationCapError, match="laguerre of length 11"):
+        weighted_sum("laguerre", 11, spec, method="enumerate")
 
 
 def test_unit_weights_count_paths():
