@@ -205,7 +205,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse signals usage problems with code 2
         return exc.code if isinstance(exc.code, int) else 2
-    except ValueError as exc:  # UsageError included
+    except (ValueError, OverflowError) as exc:
+        # UsageError included; an OverflowError is an exponent past the
+        # packed digit range, reached from the weight or size given
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,9 +7,10 @@ parity are always exercised: 0..n where n is a series order (the rows of
 ``SERIES``, ``contra`` and ``sec7``), 1..n for the others, which refuse
 n = 0 rather than pass with nothing checked.  Every check that
 sums over a family by the dynamic program (the rows of ``SIGNED`` and
-``SERIES``, and ``equidist_remark``) enumerates from n down and compares
-from the smallest size up, so a size too large for the program is refused
-before the work below it, and a witness is still the smallest failing size.
+``SERIES``, and ``equidist_remark``) reads every size from one program at n
+(``stat_polynomials``) and compares from the smallest size up, so a size
+too large for the program is refused before any work, and a witness is
+still the smallest failing size.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .contfrac import (
 )
 from .lattice import enumerate_objects
 from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
+# stat_polynomial and e_pq are not called here, but perfbench/spans.py wraps
+# them under this module's names
 from .permstat import (
     LINEAR_QUINTUPLE_WEIGHT,
     QUINTUPLE_WEIGHT,
@@ -41,6 +44,7 @@ from .permstat import (
     family_iter,
     lex_index,
     stat_polynomial,
+    stat_polynomials,
     stat_table,
     word_str,
 )
@@ -50,8 +54,6 @@ from .qeuler import (
     AT_QSTAR,
     e_pq,
     e_pq_upto,
-    e_q,
-    e_star_q,
     hrz_series,
     parity_formula,
     q_parity_formula,
@@ -109,11 +111,12 @@ class Side:
     lead: int = 1
     fixed: str | None = None
 
-    def sum(self, n: int, family: str | None = None) -> LaurentPoly:
+    def sums(self, nmax: int, family: str | None = None) -> list:
+        """The sums at n = 0..nmax, from one program at nmax."""
         weight = {"x": {self.sign_stat: 1}}
         if self.q_stat:
             weight["q"] = {self.q_stat: 1}
-        return stat_polynomial(family or self.family, n, weight, x=self.x)
+        return stat_polynomials(family or self.family, nmax, weight, x=self.x)
 
     def value(self, n: int, base: LaurentPoly) -> LaurentPoly:
         if n % 2 != self.parity:
@@ -154,47 +157,58 @@ SIGNED = {
 
 def _check_signed(check_id: str, nmax: int):
     at, *sides = SIGNED[check_id]
-    # from nmax down, so an oversize nmax is refused before the work below it
-    sums = {n: [(side.sum(n), side.fixed and side.sum(n, side.fixed))
-                for side in sides] for n in range(nmax, 0, -1)}
+    # each sum is one program at nmax, so an oversize nmax is refused first
+    sums = [(side.sums(nmax), side.fixed and side.sums(nmax, side.fixed))
+            for side in sides]
     if at is None:
-        bases = {n: stat_polynomial("Astar", n, {"q": {"inv": 1}})
-                 for n in range(nmax, 0, -1)}
+        bases = stat_polynomials("Astar", nmax, {"q": {"inv": 1}})
     else:
         bases = [e.substitute(at) for e in e_pq_upto(nmax)]
     for n in range(1, nmax + 1):
-        for side, (got, fixed) in zip(sides, sums[n]):
+        for side, (got, fixed) in zip(sides, sums):
             want = side.value(n, bases[n])
-            if got != want:
-                return f"n={n} {side}: {got} != {want}"
-            if side.fixed and fixed != got:
+            if got[n] != want:
+                return f"n={n} {side}: {got[n]} != {want}"
+            if side.fixed and fixed[n] != got[n]:
                 return f"n={n} {side} differs from the sum over {side.fixed}"
     return None
 
 
-def _sum_over_s(weight: dict):
-    return lambda n: stat_polynomial("S", n, weight)
+def _sums_over_s(weight: dict):
+    return lambda order: stat_polynomials("S", order, weight)
+
+
+def _e_pq_sums(order: int, at: dict | None = None) -> list:
+    """E_n(p,q) by enumeration, as ``e_pq`` sums it, or its value ``at``,
+    for n = 0..order: one program over A for each parity, at its largest
+    size, the order's own first."""
+    sums = [LaurentPoly()] * (order + 1)
+    for top in (order, order - 1)[:order + 1]:
+        companion = "thot" if top % 2 else "thto"
+        sums[top % 2::2] = stat_polynomials(
+            "A", top, {"p": {companion: 1}, "q": {"toht": 1}})[top % 2::2]
+    return sums if at is None else [e.substitute(at) for e in sums]
 
 
 # check id -> (preset giving t^n at odd n, preset giving it at even n, the
-# enumerated side as a call on n).  The calls look their enumerators up here
-# when they run, not when the table is built.
+# enumerated side as a call on the order giving t^0..t^order)
 SERIES = {
-    "thm2_1": ("tangent-pq", "secant-pq", lambda n: e_pq(n)),
-    "cor2_2": ("tangent-q", "secant-q", lambda n: e_q(n)),
-    "cor2_3": ("tangent-qstar", "secant-qstar", lambda n: e_star_q(n)),
-    "thm4_1": ("thm4.1", "thm4.1", _sum_over_s(QUINTUPLE_WEIGHT)),
-    "cor_cf_A": ("cf-A", "cf-A", _sum_over_s(
+    "thm2_1": ("tangent-pq", "secant-pq", _e_pq_sums),
+    "cor2_2": ("tangent-q", "secant-q", partial(_e_pq_sums, at=AT_Q)),
+    "cor2_3": ("tangent-qstar", "secant-qstar",
+               partial(_e_pq_sums, at=AT_QSTAR)),
+    "thm4_1": ("thm4.1", "thm4.1", _sums_over_s(QUINTUPLE_WEIGHT)),
+    "cor_cf_A": ("cf-A", "cf-A", _sums_over_s(
         {"x": {"wex": 1}, "y": {"fix": 1}, "q": {"cros": 1}})),
-    "cor_cf_SZ": ("cf-SZ", "cf-SZ", _sum_over_s(
+    "cor_cf_SZ": ("cf-SZ", "cf-SZ", _sums_over_s(
         {"x": {"exc": 1}, "y": {"fix": 1}, "q": {"inv": 1}})),
 }
 
 
 def _check_series(check_id: str, order: int):
     odd, even, enumerated = SERIES[check_id]
-    # from the order down, as in _check_signed
-    wants = {n: enumerated(n) for n in range(order, -1, -1)}
+    # one program at the order, as in _check_signed
+    wants = enumerated(order)
     series = {name: preset(name).expand(order)
               for name in dict.fromkeys((odd, even))}
     for n in range(order + 1):
@@ -393,17 +407,20 @@ def _check_sz_linear(nmax: int):
     return why
 
 
-# (ndes, toht, mad) as the first three digits of a stat_table vector
-_INVOLUTION_WEIGHT = {"x": {"ndes": 1}, "y": {"toht": 1}, "p": {"mad": 1}}
+# (ndes, toht, mad, fmax) as the first four digits of a stat_table vector
+_INVOLUTION_WEIGHT = {"x": {"ndes": 1}, "y": {"toht": 1}, "p": {"mad": 1},
+                      "q": {"fmax": 1}}
 
 
-def _certify_involution(invol, name: str, domain: str, fixed_set: str, n: int,
+def _certify_involution(invol, name: str, domain, fixed_set: str, n: int,
                         stats, index, deltas_ok):
     """Witness that ``invol`` is not an involution of the words of length n
-    in ``domain`` fixing exactly the words of ``fixed_set`` and moving every
+    in its domain fixing exactly the words of ``fixed_set`` and moving every
     other word's (ndes, toht, mad) as ``deltas_ok`` allows, or None if it
     is.  ``stats`` is stat_table(n, _INVOLUTION_WEIGHT) and ``index`` is
-    lex_index(n), each built here if None.
+    lex_index(n), each built here if None.  ``domain`` tells the words of
+    the domain by their ``stats`` vectors, or is None for all of S_n, so the
+    involution is the only code that tests a word for it.
 
     The involution runs once per word of the domain: a first pass ranks
     every image through the index, and the second reads self-inverse from
@@ -416,8 +433,8 @@ def _certify_involution(invol, name: str, domain: str, fixed_set: str, n: int,
     if index is None:
         index = lex_index(n)
     # the rank of each word's image; -1 for a word outside the domain
-    image = [index.get(invol(w)) if family_contains(domain, w) else -1
-             for w in index]
+    image = [index.get(invol(w)) if domain is None or domain(st) else -1
+             for w, st in zip(index, stats)]
     for rank, sigma in enumerate(index):
         partner = image[rank]
         if partner == -1:
@@ -438,16 +455,17 @@ def _certify_involution(invol, name: str, domain: str, fixed_set: str, n: int,
 def certify_phi(n: int, stats=None, index=None):
     """invol_phi on S_n: fixed set Aprime_n; ndes changes by 1, toht stays."""
     return _certify_involution(
-        invol_phi, "first involution", "S", "Aprime", n, stats, index,
+        invol_phi, "first involution", None, "Aprime", n, stats, index,
         lambda a, b: a[1] == b[1] and abs(a[0] - b[0]) == 1)
 
 
 def certify_psi(n: int, stats=None, index=None):
-    """invol_psi on Dstar_n: fixed set Adoubleprime_n; ndes changes by 1,
-    toht by as much, and mad stays."""
+    """invol_psi on Dstar_n, the words without a foremaximum (fmax 0):
+    fixed set Adoubleprime_n; ndes changes by 1, toht by as much, and mad
+    stays."""
     return _certify_involution(
-        invol_psi, "second involution", "Dstar", "Adoubleprime", n,
-        stats, index,
+        invol_psi, "second involution", lambda st: st[3] == 0, "Adoubleprime",
+        n, stats, index,
         lambda a, b: (a[1] - b[1] == a[0] - b[0] and abs(a[0] - b[0]) == 1
                       and a[2] == b[2]))
 
@@ -480,15 +498,14 @@ _EQUIDIST_PAIRS = (("suc", "ndes"), ("fmax", "ndes"), ("fix", "wex"))
 
 
 def _check_equidist_remark(nmax: int):
-    # from nmax down, as in _check_signed
-    dists = {n: [stat_polynomial("S", n, {"x": {a: 1}, "y": {b: 1}})
-                 for a, b in _EQUIDIST_PAIRS] for n in range(nmax, 0, -1)}
+    # one program at nmax per pair, as in _check_signed
+    first, *rest = (stat_polynomials("S", nmax, {"x": {a: 1}, "y": {b: 1}})
+                    for a, b in _EQUIDIST_PAIRS)
     for n in range(1, nmax + 1):
-        first, *rest = dists[n]
-        for pair, dist in zip(_EQUIDIST_PAIRS[1:], rest):
-            if dist != first:
-                return (f"n={n}: {pair} distribution {dist} != "
-                        f"{_EQUIDIST_PAIRS[0]} distribution {first}")
+        for pair, dists in zip(_EQUIDIST_PAIRS[1:], rest):
+            if dists[n] != first[n]:
+                return (f"n={n}: {pair} distribution {dists[n]} != "
+                        f"{_EQUIDIST_PAIRS[0]} distribution {first[n]}")
     return None
 
 

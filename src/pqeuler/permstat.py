@@ -20,7 +20,8 @@ below the position (for cros).  ``stat_table`` lists the weight's exponent
 vector of every word of S_n from the same program: the word's lexicographic
 rank is one more digit of its key, so no two words merge.  A signed sum
 evaluates x at a unit monomial inside the same program, letter by letter,
-so its keys carry no x digit.  The per-word
+so its keys carry no x digit.  ``stat_polynomials`` reads the sums at
+every size up to n off the layers of one program at n.  The per-word
 kernel ``stat_tuple`` computes every statistic of one word in one pass; it
 serves only ``basic_stats`` (``pqeuler stats``), the bijection tests and the
 scan oracle ``_accumulate_scan``.
@@ -437,13 +438,50 @@ def _too_large(family: str, n: int, p: int, name: str, bound: int,
         f"{family}_{n} would hold more than {name} = {bound} {what}")
 
 
+def _fold_x(key: int, width: int, sign: int | None):
+    """(key, count sign) with x evaluated at ``sign``: the balanced x digit
+    of the key is cleared, and the count changes sign where it is odd and
+    ``sign`` is -1.  Without ``sign``, the key as it is and 1."""
+    if sign is None:
+        return key, 1
+    half = 1 << (width - 1)
+    x_digit = ((key + half) & ((1 << width) - 1)) - half
+    return key - x_digit, -1 if x_digit & 1 and sign == -1 else 1
+
+
+def _size_readout(layer: dict, m: int, width: int, shift: int, w_max: int,
+                  w_one: int, sign: int | None, drop: int) -> dict:
+    """{exponent vector: count} over the words of size m, read from layer m
+    of the program over a larger size: its states whose used set is exactly
+    1..m.  Each such prefix is a word of size m, whose keys lack only what
+    the larger program adds at its own size or its own last letter: the
+    constants' ``shift``, ``w_max`` where the last letter is m and ``w_one``
+    where it is 1, with x folded in as at every letter.  Words ending on
+    ``drop`` are left out."""
+    full = (2 << m) - 2
+    corrections = {a: _fold_x(shift + (w_max if a == m else 0)
+                              + (w_one if a == 1 else 0), width, sign)
+                   for a in {0, 1, m}}
+    other = corrections[0]
+    acc: dict = {}
+    get = acc.get
+    for (used, a, _, _), keys in layer.items():
+        if used != full or a == drop:
+            continue
+        k, c0 = corrections.get(a, other)
+        for key, c in keys.items():
+            key += k
+            acc[key] = get(key, 0) + c0 * c
+    return {_unpack(key, width): count for key, count in acc.items() if count}
+
+
 def _accumulate(family: str, n: int, plan, ranked: bool = False,
-                sign: int | None = None):
+                sign: int | None = None, every: bool = False):
     """{exponent vector: count} over the family's words of size n; with
     ``ranked``, the list of the exponent vectors of the words of S_n by
-    lexicographic rank instead (None for a word left out).  With ``sign``
-    (1 or -1), x is evaluated at it: the vectors' x entries are 0 and each
-    count is signed.
+    lexicographic rank instead (None for a word left out); with ``every``,
+    the list of the sums at the sizes 0..n.  With ``sign`` (1 or -1), x is
+    evaluated at it: the vectors' x entries are 0 and each count is signed.
 
     An exact dynamic program over prefix states, layer by layer: the
     transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
@@ -497,12 +535,23 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     Ranked keys never merge, so a ranked state holds the list of its
     prefixes' keys rather than a map of counts, and each state is released
     as soon as it is read.
+
+    With ``every``, the sum at each size m < n is read off layer m by
+    ``_size_readout``, the transfer-matrix method read at every layer.  The
+    family's words of size m are the prefixes of length m whose used set is
+    exactly 1..m, but that a coderangement may not end on its maximum (the
+    rule checks it only at letter n) and that Aprime and Adoubleprime have
+    words only at sizes of n's parity.  Their keys lack only what the
+    program adds at size n alone: the constants of n and ndes, which move by
+    (m - n) times their key at size 1, and fmax, suc and adj at the last
+    letter.  The readout is a function of its own: a closure here would
+    make the hot loop's locals cell variables.
     """
     rule = _letter_rule(family, n)
     if rule is None:
-        return {}
+        return [{}] * (n + 1) if every else {}
     if n == 0:
-        return {(0,) * len(VARS): 1}
+        return [{(0,) * len(VARS): 1}] if every else {(0,) * len(VARS): 1}
     # the least size from 4 on (so 2 <= size // 2 < size) whose layer
     # size // 2 outgrows the state bound; C(n, n // 2) grows with n, so
     # every n from it on is refused without computing its binomial
@@ -513,16 +562,13 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
         raise _too_large(family, n, n // 2, "DP_MAX_STATES", DP_MAX_STATES,
                          "states")
     start, inc, width = _packed_plan(plan, n)
+    per_size = start // n                # the constants' key at size 1
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
     x_half = 1 << (width - 1)
     x_mask = (1 << width) - 1
     odd = 1 if sign == -1 else 0         # what an odd x digit flips
-    start_count = 1
-    if sign is not None:
-        x_digit = ((start + x_half) & x_mask) - x_half
-        start -= x_digit
-        start_count = -1 if x_digit & odd else 1
+    start, start_count = _fold_x(start, width, sign)
     w_des, w_maj, w_inv, w_cros, w_nest = (
         inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
     w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
@@ -542,6 +588,10 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     digit = (1 << cw) - 1
     spread = [0]
 
+    # with every: the sums at the sizes below n; Aprime and Adoubleprime
+    # have words only at every other size
+    step = 2 if family in ("Aprime", "Adoubleprime") else 1
+    sizes = [{} if n % step else {(0,) * len(VARS): 1}]
     counts: dict = {}
     finals: list = []                    # with ranked: the words' keys
     # state: (used values, last letter, values u placed at a position > u,
@@ -652,10 +702,15 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
             if held > DP_MAX_ENTRIES:
                 raise _too_large(family, n, p, "DP_MAX_ENTRIES",
                                  DP_MAX_ENTRIES, "(state, key) entries")
+        if every and p < n:
+            sizes.append({} if (n - p) % step else _size_readout(
+                nxt, p, width, (p - n) * per_size, w_fmax + w_suc, w_adj,
+                sign, p if family == "Dstar" else -1))
         layer = nxt
     if not ranked:
-        return {_unpack(key, width): count
-                for key, count in counts.items() if count}
+        total = {_unpack(key, width): count
+                 for key, count in counts.items() if count}
+        return sizes + [total] if every else total
     # the exponent digits are balanced and sum to less than half the rank
     # digit's unit in size, so rounding off below ``top`` leaves the rank
     half = 1 << (top - 1)
@@ -712,7 +767,10 @@ def _accumulate_scan(family: str, n: int, plan) -> dict:
 def _fold(plan, x):
     """(plan, sign) for evaluating x at the unit monomial ``x`` = sign *
     y^a p^b q^c s^d: each other variable's weight gains its exponent times
-    x's weight, and ``_accumulate`` folds in the sign at each letter."""
+    x's weight, and ``_accumulate`` folds in the sign at each letter.  For
+    ``x`` None, the plan as it is and no sign."""
+    if x is None:
+        return plan, None
     if isinstance(x, LaurentPoly) and x.is_unit_monomial():
         ((exps, sign),) = x.sorted_terms()
         if not exps[0]:
@@ -726,6 +784,19 @@ def default_workers() -> int:
     """1, the process count of every sum.  Kept only because the benchmark
     under ``perfbench/`` prints it on every run."""
     return 1
+
+
+def stat_polynomials(family: str, nmax: int, weight: dict,
+                     x=None) -> list:
+    """``stat_polynomial`` at every size 0..nmax, as a list indexed by size,
+    from one ``_accumulate`` at the largest size that has words: a size
+    too large for the program is refused before any work."""
+    _check_family(family, nmax)
+    plan, sign = _fold(_weight_plan(weight), x)
+    # Aprime and Adoubleprime have no word of the other parity's sizes
+    top = nmax - 1 if nmax and _letter_rule(family, nmax) is None else nmax
+    sums = _accumulate(family, top, plan, sign=sign, every=True)
+    return [LaurentPoly(acc) for acc in sums + [{}] * (nmax - top)]
 
 
 def stat_polynomial(family: str, n: int, weight: dict,
@@ -745,8 +816,5 @@ def stat_polynomial(family: str, n: int, weight: dict,
     stay only because the benchmark under ``perfbench/`` still passes them.
     """
     _check_family(family, n)
-    plan = _weight_plan(weight)
-    sign = None
-    if x is not None:
-        plan, sign = _fold(plan, x)
+    plan, sign = _fold(_weight_plan(weight), x)
     return LaurentPoly(_accumulate(family, n, plan, sign=sign))

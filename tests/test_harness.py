@@ -141,6 +141,25 @@ def test_sz_linear_fails_when_invol_psi_leaves_the_coderangements(monkeypatch):
                               "second involution not self-inverse")
 
 
+def test_certify_psi_tests_each_word_for_a_coderangement_once(monkeypatch):
+    # invol_psi tests its word; the certificate reads the domain off fmax
+    from pqeuler import maps
+    tested = []
+
+    def counting(real):
+        def wrapped(word):
+            tested.append(word)
+            return real(word)
+        return wrapped
+
+    for owner in (maps, permstat):
+        monkeypatch.setattr(owner, "is_coderangement",
+                            counting(owner.is_coderangement))
+    n = 6
+    assert harness.certify_psi(n) is None
+    assert sorted(tested) == list(family_iter("Dstar", n))
+
+
 # certificate, the map it calls, the domain its size-4 run walks
 NOT_A_PERMUTATION = [(harness.certify_csz, "csz", "S"),
                      (harness.certify_phi, "invol_phi", "S"),
@@ -208,10 +227,10 @@ def test_signed_sums_fold_the_sign_into_the_dp(cid, half):
     if side.q_stat:
         weight["q"] = {side.q_stat: 1}
     for family in filter(None, (side.family, side.fixed)):
+        sums = side.sums(9, family)
         for n in range(0, 10):
             plain = permstat.stat_polynomial(family, n, weight)
-            assert side.sum(n, family) == plain.substitute({"x": side.x}), (
-                family, n)
+            assert sums[n] == plain.substitute({"x": side.x}), (family, n)
 
 
 CONTRA_SIDES = [side for side in SIDES if side[0] in ("jv", "shin_zeng")]
@@ -405,25 +424,51 @@ def test_series_check_fails_on_a_planted_preset(cid, monkeypatch):
     assert f" of {planted}: " in report.witness
 
 
+def _record_calls(monkeypatch, owner, name):
+    """The (family, size, keywords) of every later call of ``owner.name``."""
+    real = getattr(owner, name)
+    calls = []
+
+    def recording(family, n, *args, **kwargs):
+        calls.append((family, n, kwargs))
+        return real(family, n, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _wrong_at_3_and_5(sums):
+    return [e + LaurentPoly.const(1) if n in (3, 5) else e
+            for n, e in enumerate(sums)]
+
+
+# the rows whose enumerated side is E_n(p,q): one program over A per parity
+E_PQ_ROWS = ("thm2_1", "cor2_2", "cor2_3")
+
+
 @pytest.mark.parametrize("cid", SERIES_IDS)
 def test_series_check_enumerates_from_the_order_down(cid, monkeypatch):
+    # one call at the order gives every order below it, and its programs
+    # run at the order and, for E_n(p,q)'s other parity, one below it
     odd, even, enumerated = harness.SERIES[cid]
-    sizes = []
+    orders = []
 
-    def recording(n):
-        sizes.append(n)
-        return enumerated(n)
+    def recording(order):
+        orders.append(order)
+        return enumerated(order)
 
     monkeypatch.setitem(harness.SERIES, cid, (odd, even, recording))
+    programs = _record_calls(monkeypatch, permstat, "_accumulate")
     assert harness.check(cid, 5).passed
-    assert sizes == [5, 4, 3, 2, 1, 0]
+    assert orders == [5]
+    assert [n for _, n, _ in programs] == ([5, 4] if cid in E_PQ_ROWS else [5])
 
 
 def test_series_check_names_the_smallest_failing_order(monkeypatch):
     odd, even, enumerated = harness.SERIES["thm2_1"]
 
-    def planted(n):
-        return enumerated(n) + LaurentPoly.const(1) if n in (3, 5) else enumerated(n)
+    def planted(order):
+        return _wrong_at_3_and_5(enumerated(order))
 
     monkeypatch.setitem(harness.SERIES, "thm2_1", (odd, even, planted))
     report = harness.check("thm2_1", 6)
@@ -432,29 +477,26 @@ def test_series_check_names_the_smallest_failing_order(monkeypatch):
 
 @pytest.mark.parametrize("cid", list(harness.SIGNED))
 def test_signed_check_sums_from_the_largest_n_down(cid, monkeypatch):
-    real = harness.stat_polynomial
-    calls = []
-
-    def recording(family, n, *args, **kwargs):
-        calls.append((family, n))
-        return real(family, n, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "stat_polynomial", recording)
+    # every sum is taken at 5 and read at every size below; only Aprime and
+    # Adoubleprime, which have no word of 5's other parity, run one below
+    calls = _record_calls(monkeypatch, harness, "stat_polynomials")
+    programs = _record_calls(monkeypatch, permstat, "_accumulate")
     assert harness.check(cid, 5).passed
-    assert calls[0][1] == 5
-    for family in {family for family, _ in calls}:
-        sizes = [n for f, n in calls if f == family]
-        assert sizes == sorted(sizes, reverse=True), family
+    assert calls and {n for _, n, _ in calls} == {5}
+    every = [(family, n) for family, n, kw in programs if kw.get("every")]
+    assert len(every) == len(calls)
+    for family, n in every:
+        assert n == (4 if family == "Adoubleprime" else 5), family
 
 
 def test_signed_check_names_the_smallest_failing_n(monkeypatch):
-    real = harness.stat_polynomial
+    real = harness.stat_polynomials
 
-    def planted(family, n, *args, **kwargs):
-        value = real(family, n, *args, **kwargs)
-        return value + LaurentPoly.const(1) if family == "S" and n in (3, 5) else value
+    def planted(family, nmax, *args, **kwargs):
+        sums = real(family, nmax, *args, **kwargs)
+        return _wrong_at_3_and_5(sums) if family == "S" else sums
 
-    monkeypatch.setattr(harness, "stat_polynomial", planted)
+    monkeypatch.setattr(harness, "stat_polynomials", planted)
     report = harness.check("euler_roselle", 6)
     assert report.witness.startswith("n=3 sum over S ")
 
@@ -462,20 +504,15 @@ def test_signed_check_names_the_smallest_failing_n(monkeypatch):
 def test_cli_oversize_order_exits_2_before_the_sizes_below(monkeypatch, capsys):
     # S_8 with the quintuple weight outgrows a lowered entry bound; the
     # check must not sum S_0..S_7 first
-    real = harness.stat_polynomial
-    sizes = []
-
-    def recording(family, n, *args, **kwargs):
-        sizes.append(n)
-        return real(family, n, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "stat_polynomial", recording)
+    calls = _record_calls(monkeypatch, harness, "stat_polynomials")
+    programs = _record_calls(monkeypatch, permstat, "_accumulate")
     monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", 1000)
     assert main(["verify", "thm4_1", "--order", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "DP_MAX_ENTRIES" in captured.err
-    assert sizes == [8]
+    assert [n for _, n, _ in calls] == [8]
+    assert [n for _, n, _ in programs] == [8]
 
 
 # the hand-written sign of each side before the table, as a factor of base_n
@@ -517,15 +554,13 @@ def test_equidist_remark_fails_on_a_pair_of_another_distribution(monkeypatch):
 
 
 def test_equidist_remark_names_the_smallest_failing_n(monkeypatch):
-    real = harness.stat_polynomial
+    real = harness.stat_polynomials
 
-    def planted(family, n, weight, *args, **kwargs):
-        value = real(family, n, weight, *args, **kwargs)
-        if "fmax" in weight["x"] and n in (3, 5):
-            return value + LaurentPoly.const(1)
-        return value
+    def planted(family, nmax, weight, *args, **kwargs):
+        sums = real(family, nmax, weight, *args, **kwargs)
+        return _wrong_at_3_and_5(sums) if "fmax" in weight["x"] else sums
 
-    monkeypatch.setattr(harness, "stat_polynomial", planted)
+    monkeypatch.setattr(harness, "stat_polynomials", planted)
     report = harness.check("equidist_remark", 6)
     assert report.witness.startswith("n=3: ('fmax', 'ndes') distribution ")
 
@@ -533,18 +568,33 @@ def test_equidist_remark_names_the_smallest_failing_n(monkeypatch):
 @pytest.mark.parametrize("cid", ["mad_remark", "equidist_remark"])
 def test_oversize_check_is_refused_before_the_sizes_below(cid, monkeypatch):
     # with 60 states a layer, S_8 and up are refused at once (C(8, 4) = 70)
-    real = harness.stat_polynomial
-    sizes = []
-
-    def recording(family, n, *args, **kwargs):
-        sizes.append(n)
-        return real(family, n, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "stat_polynomial", recording)
+    calls = _record_calls(monkeypatch, harness, "stat_polynomials")
+    programs = _record_calls(monkeypatch, permstat, "_accumulate")
     monkeypatch.setattr(permstat, "DP_MAX_STATES", 60)
     with pytest.raises(permstat.EnumerationCapError, match="DP_MAX_STATES = 60 "):
         harness.check(cid, 9)
-    assert sizes == [9]
+    assert [n for _, n, _ in calls] == [9]
+    assert [n for _, n, _ in programs] == [9]
+
+
+# the programs each check runs at size 5: one per side, per fixed family and
+# per enumerated base (foata_han's Astar), one per parity for E_n(p,q), and
+# one per pair in equidist_remark
+PROGRAMS_AT_5 = {"euler_roselle": 2, "foata_han": 3, "jv": 2, "shin_zeng": 2,
+                 "sz_linear": 4, "mad_remark": 3, "thm2_1": 2, "cor2_2": 2,
+                 "cor2_3": 2, "thm4_1": 1, "cor_cf_A": 1, "cor_cf_SZ": 1,
+                 "equidist_remark": 3}
+
+
+@pytest.mark.parametrize("cid", list(PROGRAMS_AT_5))
+def test_each_sum_is_one_program_for_every_size(cid, monkeypatch):
+    # sz_linear's signed sums alone: its certificates run a stat_table a size
+    programs = _record_calls(monkeypatch, permstat, "_accumulate")
+    if cid in harness.SIGNED:
+        assert harness._check_signed(cid, 5) is None
+    else:
+        assert harness.check(cid, 5).passed
+    assert len(programs) == PROGRAMS_AT_5[cid]
 
 
 def test_check_report_shape():
@@ -561,15 +611,15 @@ def test_jv_example_values():
     from pqeuler.algebra import LaurentPoly
     from pqeuler.harness import MINUS_ONE
     side = harness.SIGNED["jv"][1]  # sum over S of (-1)^wex q^cros
-    lhs = side.sum(5)
+    sums = side.sums(5)
     from pqeuler.qeuler import AT_Q, e_pq_upto
-    assert lhs == MINUS_ONE ** 3 * e_pq_upto(5)[5].substitute(AT_Q)
-    assert side.sum(4) == LaurentPoly()
+    assert sums[5] == MINUS_ONE ** 3 * e_pq_upto(5)[5].substitute(AT_Q)
+    assert sums[4] == LaurentPoly()
 
 
 def test_euler_roselle_single_derangement():
     # sum over D of (-1)^exc
-    assert harness.SIGNED["euler_roselle"][2].sum(2).as_int() == -1
+    assert harness.SIGNED["euler_roselle"][2].sums(2)[2].as_int() == -1
 
 
 def test_unknown_check():
@@ -726,6 +776,16 @@ def test_cli_bad_weight_coefficient_names_its_clause(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'a*wex'" in captured.err and "'x=a*wex'" in captured.err
+
+
+def test_cli_exponent_past_the_packed_range_is_a_usage_error(capsys):
+    argv = ["table", "--family", "S", "--n", "5", "--weight",
+            "q=1000000000000000000000000*inv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: an exponent may reach ")
+    assert "past the packed digit range" in captured.err
 
 
 def test_cli_repeated_weight_variable_is_a_usage_error(capsys):

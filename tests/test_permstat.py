@@ -32,6 +32,7 @@ from pqeuler.permstat import (
     parse_word,
     pattern_k,
     stat_polynomial,
+    stat_polynomials,
     stat_table,
     stat_tuple,
     word_str,
@@ -502,6 +503,7 @@ def test_stat_polynomial_never_scans(monkeypatch):
     for family in FAMILIES:
         for weight in (QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT):
             stat_polynomial(family, 6, weight)
+            stat_polynomials(family, 6, weight)
         _size(family, 6)
     e_pq(6)
 
@@ -526,6 +528,43 @@ def test_folded_x_at_every_statistic():
             plain = stat_polynomial("S", 6, weight)
             assert stat_polynomial("S", 6, weight, x=x) == (
                 plain.substitute({"x": x})), (x, weight)
+
+
+# every letter statistic, n, ndes and mad between them, and a negative
+# coefficient
+READOUT_WEIGHTS = [
+    QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT,
+    {"x": {"exc": 1, "suc": 2}, "y": {"des": 1, "adj": 1},
+     "q": {"maj": -1, "thot": 1}, "p": {"n": 2}},
+    {"x": {"n": -1, "fmax": 1}, "y": {"suc": 1}, "p": {"adj": 1, "ndes": -2},
+     "s": {"cros": 1, "nest": -1}},
+]
+READOUT_X = [None, LaurentPoly.const(-1), MINUS_INV_Q,
+             LaurentPoly.monomial(-1, q=2, s=-1)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_size_readout_matches_each_size_and_the_scan(family):
+    # each size m <= nmax read off one program at nmax, against the program
+    # at m and, up to 6, against the scan with x substituted after
+    covered = set()
+    for weight in READOUT_WEIGHTS:
+        covered.update(*weight.values())
+        plan = permstat._weight_plan(weight)
+        scans = [LaurentPoly(permstat._accumulate_scan(family, m, plan))
+                 for m in range(7)]
+        for x in READOUT_X:
+            for nmax in range(8):
+                sums = stat_polynomials(family, nmax, weight, x)
+                assert len(sums) == nmax + 1
+                for m, got in enumerate(sums):
+                    case = (weight, x, nmax, m)
+                    assert got == stat_polynomial(family, m, weight, x=x), case
+                    if m < len(scans):
+                        want = scans[m] if x is None else (
+                            scans[m].substitute({"x": x}))
+                        assert got == want, case
+    assert covered == set(STAT_FIELDS)
 
 
 @pytest.mark.parametrize("x", [LaurentPoly(), LaurentPoly.const(2),
