@@ -52,6 +52,7 @@ from .qeuler import (
     AT_ONE,
     AT_Q,
     AT_QSTAR,
+    _e_pq_weight,
     e_pq,
     e_pq_upto,
     hrz_series,
@@ -113,10 +114,10 @@ class Side:
 
     def sums(self, nmax: int, family: str | None = None) -> list:
         """The sums at n = 0..nmax, from one program at nmax."""
-        weight = {"x": {self.sign_stat: 1}}
-        if self.q_stat:
-            weight["q"] = {self.q_stat: 1}
-        return stat_polynomials(family or self.family, nmax, weight, x=self.x)
+        weight = {"x": {self.sign_stat: 1},
+                  "q": {self.q_stat: 1} if self.q_stat else {}}
+        return stat_polynomials(family or self.family, nmax, weight,
+                                {"x": self.x})
 
     def value(self, n: int, base: LaurentPoly) -> LaurentPoly:
         if n % 2 != self.parity:
@@ -160,10 +161,8 @@ def _check_signed(check_id: str, nmax: int):
     # each sum is one program at nmax, so an oversize nmax is refused first
     sums = [(side.sums(nmax), side.fixed and side.sums(nmax, side.fixed))
             for side in sides]
-    if at is None:
-        bases = stat_polynomials("Astar", nmax, {"q": {"inv": 1}})
-    else:
-        bases = [e.substitute(at) for e in e_pq_upto(nmax)]
+    bases = (stat_polynomials("Astar", nmax, {"q": {"inv": 1}}) if at is None
+             else [e.substitute(at) for e in e_pq_upto(nmax)])
     for n in range(1, nmax + 1):
         for side, (got, fixed) in zip(sides, sums):
             want = side.value(n, bases[n])
@@ -184,10 +183,9 @@ def _e_pq_sums(order: int, at: dict | None = None) -> list:
     size, the order's own first."""
     sums = [LaurentPoly()] * (order + 1)
     for top in (order, order - 1)[:order + 1]:
-        companion = "thot" if top % 2 else "thto"
         sums[top % 2::2] = stat_polynomials(
-            "A", top, {"p": {companion: 1}, "q": {"toht": 1}})[top % 2::2]
-    return sums if at is None else [e.substitute(at) for e in sums]
+            "A", top, _e_pq_weight(top), at)[top % 2::2]
+    return sums
 
 
 # check id -> (preset giving t^n at odd n, preset giving it at even n, the

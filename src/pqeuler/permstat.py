@@ -6,25 +6,20 @@ A permutation is its word: a raw tuple in one-line notation on 1..n.
 Every routine that visits objects one at a time counts them first, and
 ``_check_count`` refuses more than ``MAX_OBJECTS``.
 
-``stat_polynomial`` sums a weight over a family in the calling process, by
-an exact dynamic program over prefix states (``_accumulate``): prefixes
-whose futures are identical are merged, layer by layer, and every word is
-still counted once.  The program alone judges its
+``stat_polynomials`` sums a weight over a family at every size up to n, in
+the calling process, from one exact dynamic program over prefix states at n
+(``_accumulate``): prefixes whose futures are identical merge, layer by
+layer, every word is still counted once, and each smaller size is read off
+its layer.  ``stat_polynomial`` is its sum at n.  Monomials are substituted
+(``at``) in the same program, letter by letter.  The program alone judges its
 size: a layer may hold at most ``DP_MAX_STATES`` states and
-``DP_MAX_ENTRIES`` (state, key) entries, checked as the layer grows, and a
-larger call raises ``EnumerationCapError``.  A state keeps only what the
-family and the weighted statistics read: the used-value mask (whose top bit
-is the running maximum), the last letter, the mask of values placed right of
-their own position (for nest) and one packed crossing count per free value
-below the position (for cros).  ``stat_table`` lists the weight's exponent
-vector of every word of S_n from the same program: the word's lexicographic
-rank is one more digit of its key, so no two words merge.  A signed sum
-evaluates x at a unit monomial inside the same program, letter by letter,
-so its keys carry no x digit.  ``stat_polynomials`` reads the sums at
-every size up to n off the layers of one program at n.  The per-word
-kernel ``stat_tuple`` computes every statistic of one word in one pass; it
-serves only ``basic_stats`` (``pqeuler stats``), the bijection tests and the
-scan oracle ``_accumulate_scan``.
+``DP_MAX_ENTRIES`` (state, key) entries, and a larger call raises
+``EnumerationCapError``.  ``stat_table`` lists the weight's exponent vector
+of every word of S_n from the same program: the word's lexicographic rank is
+one more digit of its key, so no two words merge.  The per-word kernel
+``stat_tuple`` computes every statistic of one word in one pass; it serves
+only ``basic_stats`` (``pqeuler stats``), the bijection tests and the scan
+oracle ``_accumulate_scan``.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import itertools
 import math
 from dataclasses import asdict, make_dataclass
 
-from .algebra import LaurentPoly, VARS
+from .algebra import _PLACE, VAR_INDEX, VARS, LaurentPoly, _check_bound
 
 BACKEND = "pure"
 
@@ -394,12 +389,13 @@ _DERIVED = {"n": ({}, 1), "ndes": ({"des": -1}, 1),
 
 def _packed_plan(plan, n: int):
     """The plan over words of size n as (start key, {letter statistic: key
-    increment}, digit width).
+    increment}, digit width, exponent bound).
 
     A key packs the exponent vector into one int: the exponent of VARS[i] is
-    digit i in balanced base 2**width.  No statistic exceeds n*n, so the width
-    is chosen to hold every exponent a word of size n can reach, and no digit
-    ever carries into the next.
+    digit i in balanced base 2**width.  No statistic exceeds n*n, so the
+    bound holds every exponent a word of size n can reach, the width holds
+    the bound, and no digit ever carries into the next.  A bound past the
+    algebra's digit range raises ``OverflowError`` before any layer.
     """
     coeffs = [dict.fromkeys(_LETTER_STATS, 0) for _ in VARS]
     consts = [0] * len(VARS)
@@ -412,23 +408,35 @@ def _packed_plan(plan, n: int):
                 coeffs[i][stat] += c * mult
     bound = max(abs(k) + n * n * sum(abs(c) for c in cs.values())
                 for k, cs in zip(consts, coeffs))
+    _check_bound(bound)
     width = (2 * bound + 1).bit_length()
     start = sum(k << (width * i) for i, k in enumerate(consts))
     incs = {stat: sum(cs[stat] << (width * i) for i, cs in enumerate(coeffs))
             for stat in _LETTER_STATS}
-    return start, incs, width
+    return start, incs, width, bound
 
 
 def _unpack(key: int, width: int) -> tuple:
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    exps = []
-    for _ in VARS:
-        digit = key & mask
-        if digit >= half:
-            digit -= 1 << width
-        exps.append(digit)
-        key = (key - digit) >> width
-    return tuple(exps)
+    """The exponent vector of a key: half a unit added to every balanced
+    digit makes each one nonnegative, so a shift and a mask read it."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    key += sum(half << (width * i) for i in range(len(VARS)))
+    return tuple((key >> (width * i) & mask) - half for i in range(len(VARS)))
+
+
+def _laurent(acc: dict, width: int, bound: int) -> LaurentPoly:
+    """The LaurentPoly of {key: count}: each digit of a key, read as in
+    ``_unpack``, moves to its ``algebra._PLACE`` place."""
+    half = sum(1 << (width * i + width - 1) for i in range(len(VARS)))
+    mask = (1 << width) - 1
+    s1, s2, s3, s4 = width, 2 * width, 3 * width, 4 * width
+    x, y, p, q, s = (place.bit_length() - 1 for place in _PLACE)
+    offset = sum(_PLACE) << (width - 1)
+    return LaurentPoly._packed({
+        ((key & mask) << x | (key >> s1 & mask) << y | (key >> s2 & mask) << p
+         | (key >> s3 & mask) << q | (key >> s4) << s) - offset: count
+        for key, count in ((key + half, count) for key, count in acc.items()
+                           if count)}, bound)
 
 
 def _too_large(family: str, n: int, p: int, name: str, bound: int,
@@ -439,25 +447,23 @@ def _too_large(family: str, n: int, p: int, name: str, bound: int,
 
 
 def _fold_x(key: int, width: int, sign: int | None):
-    """(key, count sign) with x evaluated at ``sign``: the balanced x digit
-    of the key is cleared, and the count changes sign where it is odd and
-    ``sign`` is -1.  Without ``sign``, the key as it is and 1."""
-    if sign is None:
-        return key, 1
+    """(key, count sign) with x evaluated at ``sign``, if any: the x digit is
+    cleared, and the count changes sign where it is odd and ``sign`` -1."""
     half = 1 << (width - 1)
-    x_digit = ((key + half) & ((1 << width) - 1)) - half
+    x_digit = ((key + half) & (2 * half - 1)) - half if sign else 0
     return key - x_digit, -1 if x_digit & 1 and sign == -1 else 1
 
 
-def _size_readout(layer: dict, m: int, width: int, shift: int, w_max: int,
-                  w_one: int, sign: int | None, drop: int) -> dict:
-    """{exponent vector: count} over the words of size m, read from layer m
-    of the program over a larger size: its states whose used set is exactly
-    1..m.  Each such prefix is a word of size m, whose keys lack only what
-    the larger program adds at its own size or its own last letter: the
-    constants' ``shift``, ``w_max`` where the last letter is m and ``w_one``
-    where it is 1, with x folded in as at every letter.  Words ending on
-    ``drop`` are left out."""
+def _size_readout(layer: dict, m: int, width: int, bound: int, shift: int,
+                  w_max: int, w_one: int, sign: int | None,
+                  drop: int) -> LaurentPoly:
+    """The sum over the words of size m, read from layer m of the program
+    over a larger size: its states whose used set is exactly 1..m.  Each
+    such prefix is a word of size m, whose keys lack only what the larger
+    program adds at its own size or its own last letter: the constants'
+    ``shift``, ``w_max`` where the last letter is m and ``w_one`` where it is
+    1, with x folded in as at every letter.  Words ending on ``drop`` are
+    left out."""
     full = (2 << m) - 2
     corrections = {a: _fold_x(shift + (w_max if a == m else 0)
                               + (w_one if a == 1 else 0), width, sign)
@@ -465,23 +471,23 @@ def _size_readout(layer: dict, m: int, width: int, shift: int, w_max: int,
     other = corrections[0]
     acc: dict = {}
     get = acc.get
-    for (used, a, _, _), keys in layer.items():
-        if used != full or a == drop:
+    for state in layer:
+        if state[0] != full or state[1] == drop:
             continue
-        k, c0 = corrections.get(a, other)
-        for key, c in keys.items():
+        k, c0 = corrections.get(state[1], other)
+        for key, c in layer[state].items():
             key += k
             acc[key] = get(key, 0) + c0 * c
-    return {_unpack(key, width): count for key, count in acc.items() if count}
+    return _laurent(acc, width, bound)
 
 
 def _accumulate(family: str, n: int, plan, ranked: bool = False,
-                sign: int | None = None, every: bool = False):
-    """{exponent vector: count} over the family's words of size n; with
-    ``ranked``, the list of the exponent vectors of the words of S_n by
-    lexicographic rank instead (None for a word left out); with ``every``,
-    the list of the sums at the sizes 0..n.  With ``sign`` (1 or -1), x is
-    evaluated at it: the vectors' x entries are 0 and each count is signed.
+                sign: int | None = None):
+    """The list of the sums over the family's words at the sizes 0..n, as
+    LaurentPoly; with ``ranked``, the list of the exponent vectors of the
+    words of S_n by lexicographic rank instead (None for a word left out).
+    With ``sign`` (1 or -1), x is evaluated at it: the sums have no x and
+    each count is signed.
 
     An exact dynamic program over prefix states, layer by layer: the
     transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
@@ -520,13 +526,10 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     and no n the program could hold is.  The cros table ``spread`` grows by
     one doubling per layer, so that it never outgrows the layers.
 
-    With ``sign``, the x digit is folded in at each letter: evaluating x is a
-    ring homomorphism, so it commutes with the sum.  The x digit of a key
-    increment (the lowest, balanced) is cleared, and when it is odd and
-    ``sign`` is -1 the counts change sign; the start key likewise.  Keys then
-    never differ in x alone, so fewer of them stay apart, and a count that
-    cancels to 0 is dropped at the end.  ``_fold`` moves the rest of x's
-    value into the other variables' weights beforehand.
+    With ``sign``, x is evaluated at each letter (see ``_fold``): the x
+    digit of a key increment (the lowest) is cleared, and when it is odd and
+    ``sign`` is -1 the counts change sign; the start key likewise.  Keys
+    then never differ in x alone, so fewer of them stay apart.
 
     A word's rank adds up letter by letter as well: appending v at position
     p adds (n - p)! for each unused value below v.  With ``ranked``, that
@@ -536,22 +539,22 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     prefixes' keys rather than a map of counts, and each state is released
     as soon as it is read.
 
-    With ``every``, the sum at each size m < n is read off layer m by
-    ``_size_readout``, the transfer-matrix method read at every layer.  The
-    family's words of size m are the prefixes of length m whose used set is
-    exactly 1..m, but that a coderangement may not end on its maximum (the
-    rule checks it only at letter n) and that Aprime and Adoubleprime have
-    words only at sizes of n's parity.  Their keys lack only what the
-    program adds at size n alone: the constants of n and ndes, which move by
-    (m - n) times their key at size 1, and fmax, suc and adj at the last
-    letter.  The readout is a function of its own: a closure here would
-    make the hot loop's locals cell variables.
+    The sum at each size m < n is read off layer m by ``_size_readout``,
+    the transfer-matrix method read at every layer.  The family's words of
+    size m are the prefixes of length m whose used set is exactly 1..m, but
+    that a coderangement may not end on its maximum (the rule checks it only
+    at letter n) and that Aprime and Adoubleprime have words only at sizes
+    of n's parity.  Their keys lack only what the program adds at size n
+    alone: the constants of n and ndes, which move by (m - n) times their
+    key at size 1, and fmax, suc and adj at the last letter.  The readout is
+    a function of its own: a closure here would make the hot loop's locals
+    cell variables.  ``_laurent`` makes each sum from the keys as they are.
     """
     rule = _letter_rule(family, n)
     if rule is None:
-        return [{}] * (n + 1) if every else {}
+        return [LaurentPoly()] * (n + 1)
     if n == 0:
-        return [{(0,) * len(VARS): 1}] if every else {(0,) * len(VARS): 1}
+        return [(0,) * len(VARS) if ranked else LaurentPoly.const(1)]
     # the least size from 4 on (so 2 <= size // 2 < size) whose layer
     # size // 2 outgrows the state bound; C(n, n // 2) grows with n, so
     # every n from it on is refused without computing its binomial
@@ -561,7 +564,7 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     if n >= least:
         raise _too_large(family, n, n // 2, "DP_MAX_STATES", DP_MAX_STATES,
                          "states")
-    start, inc, width = _packed_plan(plan, n)
+    start, inc, width, bound = _packed_plan(plan, n)
     per_size = start // n                # the constants' key at size 1
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
@@ -588,12 +591,11 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     digit = (1 << cw) - 1
     spread = [0]
 
-    # with every: the sums at the sizes below n; Aprime and Adoubleprime
-    # have words only at every other size
+    # the sums at the sizes below n; Aprime and Adoubleprime have words only
+    # at every other size
     step = 2 if family in ("Aprime", "Adoubleprime") else 1
-    sizes = [{} if n % step else {(0,) * len(VARS): 1}]
-    counts: dict = {}
-    finals: list = []                    # with ranked: the words' keys
+    sizes = [LaurentPoly() if n % step else LaurentPoly.const(1)]
+    final = [] if ranked else {}         # the keys of the words of size n
     # state: (used values, last letter, values u placed at a position > u,
     # crossing counts); fields the plan and family never read stay 0
     layer = {(0, 0, 0, 0): [start] if ranked else {start: start_count}}
@@ -668,7 +670,7 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                     k -= x_digit
                     flip = x_digit & odd
                 if p == n:
-                    target = finals if ranked else counts
+                    target = final
                 else:
                     state = (used | bv, v if keep_last else 0,
                              below | bv if w_nest and v < p else below,
@@ -702,21 +704,19 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
             if held > DP_MAX_ENTRIES:
                 raise _too_large(family, n, p, "DP_MAX_ENTRIES",
                                  DP_MAX_ENTRIES, "(state, key) entries")
-        if every and p < n:
-            sizes.append({} if (n - p) % step else _size_readout(
-                nxt, p, width, (p - n) * per_size, w_fmax + w_suc, w_adj,
-                sign, p if family == "Dstar" else -1))
+        if p < n and not ranked:
+            sizes.append(LaurentPoly() if (n - p) % step else _size_readout(
+                nxt, p, width, bound, (p - n) * per_size, w_fmax + w_suc,
+                w_adj, sign, p if family == "Dstar" else -1))
         layer = nxt
     if not ranked:
-        total = {_unpack(key, width): count
-                 for key, count in counts.items() if count}
-        return sizes + [total] if every else total
+        return sizes + [_laurent(final, width, bound)]
     # the exponent digits are balanced and sum to less than half the rank
     # digit's unit in size, so rounding off below ``top`` leaves the rank
     half = 1 << (top - 1)
     table = [None] * math.factorial(n)
     vectors: dict = {}
-    for key in finals:
+    for key in final:
         rank = (key + half) >> top
         low = key - (rank << top)
         vector = vectors.get(low)
@@ -734,10 +734,7 @@ def stat_table(n: int, weight: dict) -> list:
     its own, which is read back by rank.  Equal vectors share one tuple.
     """
     _check_family_size("S", n)
-    plan = _weight_plan(weight)
-    if n == 0:
-        return [(0,) * len(VARS)]
-    return _accumulate("S", n, plan, ranked=True)
+    return _accumulate("S", n, _weight_plan(weight), ranked=True)
 
 
 def lex_index(n: int) -> dict:
@@ -764,20 +761,32 @@ def _accumulate_scan(family: str, n: int, plan) -> dict:
     return acc
 
 
-def _fold(plan, x):
-    """(plan, sign) for evaluating x at the unit monomial ``x`` = sign *
-    y^a p^b q^c s^d: each other variable's weight gains its exponent times
-    x's weight, and ``_accumulate`` folds in the sign at each letter.  For
-    ``x`` None, the plan as it is and no sign."""
-    if x is None:
-        return plan, None
-    if isinstance(x, LaurentPoly) and x.is_unit_monomial():
-        ((exps, sign),) = x.sorted_terms()
-        if not exps[0]:
-            return tuple(entries + tuple((si, c * e) for si, c in plan[0])
-                         if i and e else entries
-                         for i, (entries, e) in enumerate(zip(plan, exps))), sign
-    raise ValueError(f"x must be +/- a monomial in y, p, q and s, got {x!r}")
+def _fold(plan, at):
+    """(plan, sign) for the sum with each variable of ``at`` evaluated at its
+    value, 1 or a monomial in the variables not substituted, times -1 only
+    for x: a ring homomorphism, so each variable's weight gains its exponent
+    in every value times the substituted variable's weight, and a substituted
+    variable other than x loses its own.  ``_accumulate`` clears x's digit
+    and folds in its sign at each letter."""
+    plan, sign = list(plan), None
+    for var, value in (at or {}).items():
+        value = LaurentPoly.const(value) if isinstance(value, int) else value
+        terms = value.sorted_terms() if isinstance(value, LaurentPoly) else ()
+        exps, c = terms[0] if len(terms) == 1 else ((), 0)
+        if (var not in VAR_INDEX or c not in ((1, -1) if var == "x" else (1,))
+                or any(exps[VAR_INDEX[u]] for u in at if u in VAR_INDEX)):
+            raise ValueError(f"cannot substitute {value!r} for {var!r}: want "
+                             f"one of {', '.join(VARS)} and 1 or a monomial in "
+                             f"the others, times -1 only for x")
+        i = VAR_INDEX[var]
+        for j, e in enumerate(exps):
+            if e:
+                plan[j] += tuple((si, coeff * e) for si, coeff in plan[i])
+        if var == "x":
+            sign = c
+        else:
+            plan[i] = ()
+    return tuple(plan), sign
 
 
 def default_workers() -> int:
@@ -787,34 +796,25 @@ def default_workers() -> int:
 
 
 def stat_polynomials(family: str, nmax: int, weight: dict,
-                     x=None) -> list:
-    """``stat_polynomial`` at every size 0..nmax, as a list indexed by size,
-    from one ``_accumulate`` at the largest size that has words: a size
-    too large for the program is refused before any work."""
+                     at: dict | None = None) -> list:
+    """Sums of the weight monomial over the family at the sizes 0..nmax,
+    from one ``_accumulate`` at the largest size that has words, so a size
+    too large for the program is refused before any work.  With ``at``, a
+    map as ``LaurentPoly.substitute`` takes, they are ``.substitute(at)`` of
+    the plain sums, evaluated inside the program (see ``_fold``)."""
     _check_family(family, nmax)
-    plan, sign = _fold(_weight_plan(weight), x)
+    plan, sign = _fold(_weight_plan(weight), at)
     # Aprime and Adoubleprime have no word of the other parity's sizes
     top = nmax - 1 if nmax and _letter_rule(family, nmax) is None else nmax
-    sums = _accumulate(family, top, plan, sign=sign, every=True)
-    return [LaurentPoly(acc) for acc in sums + [{}] * (nmax - top)]
+    return (_accumulate(family, top, plan, sign=sign)
+            + [LaurentPoly()] * (nmax - top))
 
 
 def stat_polynomial(family: str, n: int, weight: dict,
                     workers: int | None = None,
                     parallel_threshold: int | None = None,
-                    x=None) -> LaurentPoly:
-    """Sum of the weight monomial over the family, by ``_accumulate`` in the
-    calling process, which raises ``EnumerationCapError`` when a layer
-    outgrows its bounds.
-
-    With ``x``, a unit monomial +/- y^a p^b q^c s^d as a LaurentPoly, the
-    sum is taken with x evaluated at it, letter by letter inside the dynamic
-    program: the same polynomial as ``.substitute({"x": x})`` of the plain
-    sum.  Any other ``x`` raises ValueError.
-
-    ``workers`` and ``parallel_threshold`` are accepted and ignored.  They
-    stay only because the benchmark under ``perfbench/`` still passes them.
-    """
-    _check_family(family, n)
-    plan, sign = _fold(_weight_plan(weight), x)
-    return LaurentPoly(_accumulate(family, n, plan, sign=sign))
+                    at: dict | None = None) -> LaurentPoly:
+    """The sum at size n of ``stat_polynomials``.  ``workers`` and
+    ``parallel_threshold`` are accepted and ignored: the benchmark under
+    ``perfbench/`` still passes them."""
+    return stat_polynomials(family, n, weight, at)[n]

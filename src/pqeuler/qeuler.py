@@ -31,14 +31,16 @@ from .permstat import stat_polynomial
 TABLE_ENUM_MAX = 9
 
 
+def _e_pq_weight(n: int) -> dict:
+    # q marks 31-2 and p its companion pattern: 2-13 at odd n, 2-31 at even
+    return {"p": {"thot" if n % 2 else "thto": 1}, "q": {"toht": 1}}
+
+
 def e_pq(n: int) -> LaurentPoly:
     """(p,q)-Euler number by enumeration: the (31-2, companion-pattern)
-    enumerator of falling alternating permutations (2-13 for odd n, 2-31 for
-    even n).  ``e_pq_upto`` gives the same by continued fraction."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    companion = "thot" if n % 2 else "thto"
-    return stat_polynomial("A", n, {"p": {companion: 1}, "q": {"toht": 1}})
+    enumerator of falling alternating permutations.  ``e_pq_upto`` gives the
+    same by continued fraction."""
+    return stat_polynomial("A", n, _e_pq_weight(n))
 
 
 def e_pq_upto(nmax: int) -> list[LaurentPoly]:
@@ -58,11 +60,11 @@ AT_ONE = {"p": 1, "q": 1}
 
 
 def e_q(n: int) -> LaurentPoly:
-    return e_pq(n).substitute(AT_Q)
+    return stat_polynomial("A", n, _e_pq_weight(n), at=AT_Q)
 
 
 def e_star_q(n: int) -> LaurentPoly:
-    return e_pq(n).substitute(AT_QSTAR)
+    return stat_polynomial("A", n, _e_pq_weight(n), at=AT_QSTAR)
 
 
 def e_int(n: int) -> int:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pqeuler import harness, permstat
+from pqeuler import harness, permstat, qeuler
 from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
 from pqeuler.contfrac import expand_s
@@ -483,9 +483,9 @@ def test_signed_check_sums_from_the_largest_n_down(cid, monkeypatch):
     programs = _record_calls(monkeypatch, permstat, "_accumulate")
     assert harness.check(cid, 5).passed
     assert calls and {n for _, n, _ in calls} == {5}
-    every = [(family, n) for family, n, kw in programs if kw.get("every")]
-    assert len(every) == len(calls)
-    for family, n in every:
+    sums = [(family, n) for family, n, kw in programs if not kw.get("ranked")]
+    assert len(sums) == len(calls)
+    for family, n in sums:
         assert n == (4 if family == "Adoubleprime" else 5), family
 
 
@@ -575,6 +575,24 @@ def test_oversize_check_is_refused_before_the_sizes_below(cid, monkeypatch):
         harness.check(cid, 9)
     assert [n for _, n, _ in calls] == [9]
     assert [n for _, n, _ in programs] == [9]
+
+
+@pytest.mark.parametrize("at,single", [(None, qeuler.e_pq),
+                                       (qeuler.AT_Q, qeuler.e_q),
+                                       (qeuler.AT_QSTAR, qeuler.e_star_q)])
+def test_enumerated_e_pq_is_never_substituted_after_its_sum(
+        at, single, monkeypatch):
+    # E_n(q) and E*_n(q) are evaluated inside the program, by the SERIES
+    # rows and by qeuler alike
+    want = [e if at is None else e.substitute(at)
+            for e in qeuler.e_pq_upto(7)]
+
+    def forbidden(self, assignment):
+        raise AssertionError("an enumerated sum was substituted after")
+
+    monkeypatch.setattr(LaurentPoly, "substitute", forbidden)
+    assert harness._e_pq_sums(7, at) == want
+    assert [single(n) for n in range(8)] == want
 
 
 # the programs each check runs at size 5: one per side, per fixed family and

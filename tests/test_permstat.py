@@ -15,7 +15,7 @@ from pqeuler.lattice import (
     laguerre_quintuple_weights,
     weighted_sum,
 )
-from pqeuler.qeuler import e_pq
+from pqeuler.qeuler import AT_Q, AT_QSTAR, e_pq
 from pqeuler.permstat import (
     BACKEND,
     EnumerationCapError,
@@ -269,9 +269,10 @@ def test_stat_polynomial_parallel_matches_serial():
                 pooled = stat_polynomial(family, n, QUINTUPLE_WEIGHT,
                                          workers=workers, parallel_threshold=0)
                 assert pooled == serial, (family, n, workers)
-    folded = stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=1, x=MINUS_INV_Q)
+    at = {"x": MINUS_INV_Q}
+    folded = stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=1, at=at)
     assert stat_polynomial("D", 7, QUINTUPLE_WEIGHT, workers=3,
-                           parallel_threshold=7, x=MINUS_INV_Q) == folded
+                           parallel_threshold=7, at=at) == folded
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -442,9 +443,10 @@ def test_field_count():
 
 
 def _dp_and_scan(family, n, weight):
+    """The program's sum at n and the scan's, each as a LaurentPoly."""
     plan = permstat._weight_plan(weight)
-    return (permstat._accumulate(family, n, plan),
-            permstat._accumulate_scan(family, n, plan))
+    return (permstat._accumulate(family, n, plan)[n],
+            LaurentPoly(permstat._accumulate_scan(family, n, plan)))
 
 
 def _stat_weights():
@@ -513,20 +515,34 @@ FOLDED_X = [LaurentPoly.const(-1), MINUS_INV_Q, LaurentPoly.var("q"),
             LaurentPoly.monomial(-1, p=1, q=2), LaurentPoly.var("y")]
 
 
+@st.composite
+def _at_maps(draw):
+    """A map ``at`` takes: a few variables, each to 1 or a monomial in the
+    variables left alone, times -1 only for x."""
+    named = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=3))
+    free = [var for var in VARS if var not in named]
+    at = {}
+    for var in named:
+        exps = {u: draw(st.integers(-2, 2)) for u in free}
+        sign = draw(st.sampled_from([1, -1])) if var == "x" else 1
+        at[var] = LaurentPoly.monomial(sign, **exps)
+    return at
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(FOLDED_X), st.sampled_from(["S", "D", "Dstar", "A"]),
+@given(_at_maps(), st.sampled_from(["S", "D", "Dstar", "A"]),
        st.integers(0, 6), _VAR_WEIGHTS)
-def test_folded_x_matches_the_substituted_scan(x, family, n, weight):
+def test_folded_x_matches_the_substituted_scan(at, family, n, weight):
     scan = permstat._accumulate_scan(family, n, permstat._weight_plan(weight))
-    folded = stat_polynomial(family, n, weight, x=x)
-    assert folded == LaurentPoly(scan).substitute({"x": x})
+    folded = stat_polynomial(family, n, weight, at=at)
+    assert folded == LaurentPoly(scan).substitute(at)
 
 
 def test_folded_x_at_every_statistic():
     for x in FOLDED_X:
         for weight in _stat_weights():
             plain = stat_polynomial("S", 6, weight)
-            assert stat_polynomial("S", 6, weight, x=x) == (
+            assert stat_polynomial("S", 6, weight, at={"x": x}) == (
                 plain.substitute({"x": x})), (x, weight)
 
 
@@ -539,41 +555,82 @@ READOUT_WEIGHTS = [
     {"x": {"n": -1, "fmax": 1}, "y": {"suc": 1}, "p": {"adj": 1, "ndes": -2},
      "s": {"cros": 1, "nest": -1}},
 ]
-READOUT_X = [None, LaurentPoly.const(-1), MINUS_INV_Q,
-             LaurentPoly.monomial(-1, q=2, s=-1)]
+# x at -1 and at -1/q as in the signed identities, E_n(q) and E*_n(q), q and
+# p at 1, and x and p together
+READOUT_AT = [{}, {"x": -1}, {"x": MINUS_INV_Q},
+              {"x": LaurentPoly.monomial(-1, q=2, s=-1)}, AT_Q, AT_QSTAR,
+              {"p": 1, "q": 1}, {"x": MINUS_INV_Q, "p": LaurentPoly.var("q", 2)}]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_size_readout_matches_each_size_and_the_scan(family):
     # each size m <= nmax read off one program at nmax, against the program
-    # at m and, up to 6, against the scan with x substituted after
+    # at m and, up to 6, against the scan substituted after
     covered = set()
     for weight in READOUT_WEIGHTS:
         covered.update(*weight.values())
         plan = permstat._weight_plan(weight)
         scans = [LaurentPoly(permstat._accumulate_scan(family, m, plan))
                  for m in range(7)]
-        for x in READOUT_X:
+        for at in READOUT_AT:
+            own = []                 # the program at m's own sum at m
             for nmax in range(8):
-                sums = stat_polynomials(family, nmax, weight, x)
+                sums = stat_polynomials(family, nmax, weight, at)
                 assert len(sums) == nmax + 1
+                own.append(stat_polynomial(family, nmax, weight, at=at))
                 for m, got in enumerate(sums):
-                    case = (weight, x, nmax, m)
-                    assert got == stat_polynomial(family, m, weight, x=x), case
+                    case = (weight, at, nmax, m)
+                    assert got == own[m], case
                     if m < len(scans):
-                        want = scans[m] if x is None else (
-                            scans[m].substitute({"x": x}))
-                        assert got == want, case
+                        assert got == scans[m].substitute(at), case
     assert covered == set(STAT_FIELDS)
 
 
 @pytest.mark.parametrize("x", [LaurentPoly(), LaurentPoly.const(2),
                                LaurentPoly.var("q") + LaurentPoly.const(1),
                                LaurentPoly.var("x", 2),
-                               LaurentPoly.monomial(-1, x=1, q=1), -1, "-1"])
+                               LaurentPoly.monomial(-1, x=1, q=1), "-1"])
 def test_folding_a_non_unit_x_is_rejected(x):
-    with pytest.raises(ValueError, match="monomial in y, p, q and s"):
-        stat_polynomial("S", 3, QUINTUPLE_WEIGHT, x=x)
+    with pytest.raises(ValueError, match="cannot substitute .* for 'x'"):
+        stat_polynomial("S", 3, QUINTUPLE_WEIGHT, at={"x": x})
+
+
+_Q = LaurentPoly.var("q")
+
+
+@pytest.mark.parametrize("at,bad", [
+    ({"p": -1}, "p"),                                    # a sign on p
+    ({"p": LaurentPoly.monomial(-1, q=2)}, "p"),
+    ({"q": LaurentPoly.const(-1)}, "q"),
+    ({"p": _Q, "q": 1}, "p"),                            # q is substituted
+    ({"x": _Q ** -1, "q": LaurentPoly.var("s")}, "x"),
+    ({"p": LaurentPoly.var("p", 2)}, "p"),
+    ({"p": _Q + LaurentPoly.const(1)}, "p"),             # not a monomial
+    ({"q": 2}, "q"),
+    ({"q": LaurentPoly()}, "q"),
+    ({"p": 1, "z": 1}, "z"),                             # no such variable
+    ({"t": _Q}, "t"),
+])
+def test_a_bad_substitution_is_rejected(at, bad):
+    for call in (lambda: stat_polynomial("S", 3, QUINTUPLE_WEIGHT, at=at),
+                 lambda: stat_polynomials("A", 4, {"q": {"toht": 1}}, at)):
+        with pytest.raises(ValueError, match=f"for {bad!r}: want one of "):
+            call()
+
+
+def test_an_exponent_past_the_packed_range_is_refused_before_any_layer(
+        monkeypatch):
+    def no_layer(family, n):
+        def rule(p, used, a):
+            raise AssertionError(f"layer {p} of {family}_{n} was built")
+        return rule
+
+    monkeypatch.setattr(permstat, "_letter_rule", no_layer)
+    weight = dict(QUINTUPLE_WEIGHT, s={"inv": 10**24})
+    with pytest.raises(OverflowError, match="past the packed digit range"):
+        stat_polynomial("S", 11, weight)
+    with pytest.raises(OverflowError, match="past the packed digit range"):
+        stat_table(5, weight)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -581,7 +638,7 @@ def test_walk_and_scan_ignore_the_first_letter_at_n0(family):
     # the empty word has no first letter, and counts once where the family
     # holds it
     dp, scan = _dp_and_scan(family, 0, QUINTUPLE_WEIGHT)
-    empty = {(0,) * len(VARS): 1} if family_contains(family, ()) else {}
+    empty = LaurentPoly.const(1 if family_contains(family, ()) else 0)
     assert dp == scan == empty
 
 
@@ -592,7 +649,7 @@ def test_packed_keys_hold_large_coefficients():
     dp, scan = _dp_and_scan("S", 6, weight)
     assert dp == scan
     poly = stat_polynomial("S", 6, weight)
-    assert poly == LaurentPoly(scan)
+    assert poly == scan
     assert LaurentPoly.from_json(poly.to_json()) == poly
 
 
