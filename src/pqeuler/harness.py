@@ -52,7 +52,7 @@ from .qeuler import (
     AT_ONE,
     AT_Q,
     AT_QSTAR,
-    _e_pq_weight,
+    _e_pq_sums,
     e_pq,
     e_pq_upto,
     hrz_series,
@@ -175,17 +175,6 @@ def _check_signed(check_id: str, nmax: int):
 
 def _sums_over_s(weight: dict):
     return lambda order: stat_polynomials("S", order, weight)
-
-
-def _e_pq_sums(order: int, at: dict | None = None) -> list:
-    """E_n(p,q) by enumeration, as ``e_pq`` sums it, or its value ``at``,
-    for n = 0..order: one program over A for each parity, at its largest
-    size, the order's own first."""
-    sums = [LaurentPoly()] * (order + 1)
-    for top in (order, order - 1)[:order + 1]:
-        sums[top % 2::2] = stat_polynomials(
-            "A", top, _e_pq_weight(top), at)[top % 2::2]
-    return sums
 
 
 # check id -> (preset giving t^n at odd n, preset giving it at even n, the

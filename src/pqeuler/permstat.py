@@ -280,18 +280,19 @@ def _check_family_size(family: str, n: int) -> None:
     """Refuse a family of size n with more than ``MAX_OBJECTS`` words: S_m
     has m! words, and any other family is counted by ``stat_polynomial``."""
     _check_family(family, n)
-    if _letter_rule(family, n) is not None:     # else it has no word to count
-        _check_count(family + "_{}", n, math.factorial if family == "S" else
-                     lambda m: stat_polynomial(family, m, {}).as_int())
+    _check_count(family + "_{}", n, math.factorial if family == "S" else
+                 lambda m: stat_polynomial(family, m, {}).as_int())
+
+
+# each parity family is A at the sizes of its parity, and empty at the others
+_PARITY = {"Aprime": 1, "Adoubleprime": 0}
 
 
 def _letter_rule(family: str, n: int):
     """``rule(p, used, a)``: the mask (bit v for the value v) of the letters
     a word of the family of size n may take at position p after a prefix
-    with used-value mask ``used`` and last letter ``a`` (0 for none).  None
-    where the family has no word of size n."""
-    if family == "Aprime" and n % 2 == 0 or family == "Adoubleprime" and n % 2:
-        return None
+    with used-value mask ``used`` and last letter ``a`` (0 for none).  A
+    parity family has A's rule; ``_PARITY`` says at which sizes it holds."""
     full = (2 << n) - 2                  # bit v stands for the value v
     if family == "S":
         return lambda p, used, a: full & ~used
@@ -335,14 +336,14 @@ def family_iter(family: str, n: int):
     """An iterator over the family's words of size n in lexicographic order,
     as raw tuples, once their number is within ``MAX_OBJECTS``.  S_n comes
     from ``itertools.permutations``; any other family is walked by the
-    letter rule that ``_accumulate`` sums by."""
+    letter rule that ``_accumulate`` sums by, and a parity family has no
+    word at a size of the other parity."""
     _check_family_size(family, n)
-    rule = _letter_rule(family, n)
-    if rule is None:
-        return iter(())
     if family == "S":
         return itertools.permutations(range(1, n + 1))
-    return _walk(rule, n)
+    if n % 2 != _PARITY.get(family, n % 2):
+        return iter(())
+    return _walk(_letter_rule(family, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -378,42 +379,40 @@ def _weight_plan(weight: dict):
     return tuple(plan)
 
 
-# The statistics ``_accumulate`` updates letter by letter.  The other three
-# are linear in them: n is a constant, ndes = n - des and
+# The statistics ``_accumulate`` updates letter by letter; n grows by one at
+# each.  The other two are linear in them: ndes = n - des and
 # mad = des + toht + 2 thto.
-_LETTER_STATS = ("exc", "wex", "fix", "des", "maj", "inv", "cros", "nest",
-                 "toht", "thto", "thot", "fmax", "suc", "adj")
-_DERIVED = {"n": ({}, 1), "ndes": ({"des": -1}, 1),
-            "mad": ({"des": 1, "toht": 1, "thto": 2}, 0)}
+_LETTER_STATS = ("n", "exc", "wex", "fix", "des", "maj", "inv", "cros",
+                 "nest", "toht", "thto", "thot", "fmax", "suc", "adj")
+_DERIVED = {"ndes": {"n": 1, "des": -1},
+            "mad": {"des": 1, "toht": 1, "thto": 2}}
 
 
 def _packed_plan(plan, n: int):
-    """The plan over words of size n as (start key, {letter statistic: key
-    increment}, digit width, exponent bound).
+    """The plan over words of size n as ({letter statistic: key increment},
+    digit width, exponent bound).
 
     A key packs the exponent vector into one int: the exponent of VARS[i] is
-    digit i in balanced base 2**width.  No statistic exceeds n*n, so the
-    bound holds every exponent a word of size n can reach, the width holds
-    the bound, and no digit ever carries into the next.  A bound past the
-    algebra's digit range raises ``OverflowError`` before any layer.
+    digit i in balanced base 2**width.  A letter statistic counts letters,
+    pairs of positions, or (maj) the positions up to each descent, so on a
+    word of size n and its prefixes none exceeds max(n, n(n-1)/2); that
+    times a variable's absolute coefficients bounds its exponent.  The width
+    holds the bound, so no digit ever carries into the next.  A bound past
+    the algebra's digit range raises ``OverflowError`` before any layer.
     """
     coeffs = [dict.fromkeys(_LETTER_STATS, 0) for _ in VARS]
-    consts = [0] * len(VARS)
     for i, entries in enumerate(plan):
         for si, c in entries:
             name = STAT_FIELDS[si]
-            terms, per_n = _DERIVED.get(name, ({name: 1}, 0))
-            consts[i] += c * per_n * n
-            for stat, mult in terms.items():
+            for stat, mult in _DERIVED.get(name, {name: 1}).items():
                 coeffs[i][stat] += c * mult
-    bound = max(abs(k) + n * n * sum(abs(c) for c in cs.values())
-                for k, cs in zip(consts, coeffs))
+    bound = max(n, n * (n - 1) // 2) * max(
+        sum(abs(c) for c in cs.values()) for cs in coeffs)
     _check_bound(bound)
     width = (2 * bound + 1).bit_length()
-    start = sum(k << (width * i) for i, k in enumerate(consts))
     incs = {stat: sum(cs[stat] << (width * i) for i, cs in enumerate(coeffs))
             for stat in _LETTER_STATS}
-    return start, incs, width, bound
+    return incs, width, bound
 
 
 def _unpack(key: int, width: int) -> tuple:
@@ -446,28 +445,22 @@ def _too_large(family: str, n: int, p: int, name: str, bound: int,
         f"{family}_{n} would hold more than {name} = {bound} {what}")
 
 
-def _fold_x(key: int, width: int, sign: int | None):
-    """(key, count sign) with x evaluated at ``sign``, if any: the x digit is
-    cleared, and the count changes sign where it is odd and ``sign`` -1."""
-    half = 1 << (width - 1)
-    x_digit = ((key + half) & (2 * half - 1)) - half if sign else 0
-    return key - x_digit, -1 if x_digit & 1 and sign == -1 else 1
-
-
-def _size_readout(layer: dict, m: int, width: int, bound: int, shift: int,
-                  w_max: int, w_one: int, sign: int | None,
-                  drop: int) -> LaurentPoly:
+def _size_readout(layer: dict, m: int, width: int, bound: int, w_max: int,
+                  w_one: int, sign: int | None, drop: int) -> LaurentPoly:
     """The sum over the words of size m, read from layer m of the program
     over a larger size: its states whose used set is exactly 1..m.  Each
     such prefix is a word of size m, whose keys lack only what the larger
-    program adds at its own size or its own last letter: the constants'
-    ``shift``, ``w_max`` where the last letter is m and ``w_one`` where it is
-    1, with x folded in as at every letter.  Words ending on ``drop`` are
-    left out."""
+    program adds at its own last letter: ``w_max`` where the last letter is
+    m and ``w_one`` where it is 1, with x folded in as at every letter: its
+    digit cleared, and the count's sign changed where it is odd and ``sign``
+    is -1.  Words ending on ``drop`` are left out."""
     full = (2 << m) - 2
-    corrections = {a: _fold_x(shift + (w_max if a == m else 0)
-                              + (w_one if a == 1 else 0), width, sign)
-                   for a in {0, 1, m}}
+    half = 1 << (width - 1)
+    corrections = {}                     # last letter -> (key, count sign)
+    for a in {0, 1, m}:
+        k = (w_max if a == m else 0) + (w_one if a == 1 else 0)
+        x_digit = ((k + half) & (2 * half - 1)) - half if sign else 0
+        corrections[a] = k - x_digit, -1 if x_digit & 1 and sign == -1 else 1
     other = corrections[0]
     acc: dict = {}
     get = acc.get
@@ -528,8 +521,8 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
 
     With ``sign``, x is evaluated at each letter (see ``_fold``): the x
     digit of a key increment (the lowest) is cleared, and when it is odd and
-    ``sign`` is -1 the counts change sign; the start key likewise.  Keys
-    then never differ in x alone, so fewer of them stay apart.
+    ``sign`` is -1 the counts change sign.  Keys then never differ in x
+    alone, so fewer of them stay apart.
 
     A word's rank adds up letter by letter as well: appending v at position
     p adds (n - p)! for each unused value below v.  With ``ranked``, that
@@ -543,16 +536,12 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     the transfer-matrix method read at every layer.  The family's words of
     size m are the prefixes of length m whose used set is exactly 1..m, but
     that a coderangement may not end on its maximum (the rule checks it only
-    at letter n) and that Aprime and Adoubleprime have words only at sizes
-    of n's parity.  Their keys lack only what the program adds at size n
-    alone: the constants of n and ndes, which move by (m - n) times their
-    key at size 1, and fmax, suc and adj at the last letter.  The readout is
-    a function of its own: a closure here would make the hot loop's locals
-    cell variables.  ``_laurent`` makes each sum from the keys as they are.
+    at letter n).  Every statistic, n among them, is what the letters so far
+    add, so their keys lack only what the program adds at its last letter
+    alone: fmax, suc and adj.  The readout is a function of its own: a
+    closure here would make the hot loop's locals cell variables.
+    ``_laurent`` makes each sum from the keys as they are.
     """
-    rule = _letter_rule(family, n)
-    if rule is None:
-        return [LaurentPoly()] * (n + 1)
     if n == 0:
         return [(0,) * len(VARS) if ranked else LaurentPoly.const(1)]
     # the least size from 4 on (so 2 <= size // 2 < size) whose layer
@@ -564,16 +553,15 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     if n >= least:
         raise _too_large(family, n, n // 2, "DP_MAX_STATES", DP_MAX_STATES,
                          "states")
-    start, inc, width, bound = _packed_plan(plan, n)
-    per_size = start // n                # the constants' key at size 1
+    inc, width, bound = _packed_plan(plan, n)
+    rule = _letter_rule(family, n)
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
     x_half = 1 << (width - 1)
     x_mask = (1 << width) - 1
     odd = 1 if sign == -1 else 0         # what an odd x digit flips
-    start, start_count = _fold_x(start, width, sign)
-    w_des, w_maj, w_inv, w_cros, w_nest = (
-        inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
+    w_n, w_des, w_maj, w_inv, w_cros, w_nest = (
+        inc["n"], inc["des"], inc["maj"], inc["inv"], inc["cros"], inc["nest"])
     w_toht, w_thto, w_thot = inc["toht"], inc["thto"], inc["thot"]
     w_fmax, w_suc, w_adj = inc["fmax"], inc["suc"], inc["adj"]
     w_exc_wex = inc["exc"] + inc["wex"]
@@ -591,14 +579,11 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     digit = (1 << cw) - 1
     spread = [0]
 
-    # the sums at the sizes below n; Aprime and Adoubleprime have words only
-    # at every other size
-    step = 2 if family in ("Aprime", "Adoubleprime") else 1
-    sizes = [LaurentPoly() if n % step else LaurentPoly.const(1)]
+    sizes = [LaurentPoly.const(1)]       # the sums at the sizes below n
     final = [] if ranked else {}         # the keys of the words of size n
     # state: (used values, last letter, values u placed at a position > u,
     # crossing counts); fields the plan and family never read stay 0
-    layer = {(0, 0, 0, 0): [start] if ranked else {start: start_count}}
+    layer = {(0, 0, 0, 0): [0] if ranked else {0: 1}}
     for p in range(1, n + 1):
         nxt: dict = {}
         held = 0                         # the (state, key) entries of nxt
@@ -618,7 +603,7 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                 bv = free & -free
                 free ^= bv
                 v = bv.bit_length() - 1
-                k = 0
+                k = w_n
                 if ranked:
                     # the unused values below v
                     k += w_rank * (~used & (bv - 2)).bit_count()
@@ -705,9 +690,9 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                 raise _too_large(family, n, p, "DP_MAX_ENTRIES",
                                  DP_MAX_ENTRIES, "(state, key) entries")
         if p < n and not ranked:
-            sizes.append(LaurentPoly() if (n - p) % step else _size_readout(
-                nxt, p, width, bound, (p - n) * per_size, w_fmax + w_suc,
-                w_adj, sign, p if family == "Dstar" else -1))
+            sizes.append(_size_readout(nxt, p, width, bound, w_fmax + w_suc,
+                                       w_adj, sign,
+                                       p if family == "Dstar" else -1))
         layer = nxt
     if not ranked:
         return sizes + [_laurent(final, width, bound)]
@@ -798,23 +783,34 @@ def default_workers() -> int:
 def stat_polynomials(family: str, nmax: int, weight: dict,
                      at: dict | None = None) -> list:
     """Sums of the weight monomial over the family at the sizes 0..nmax,
-    from one ``_accumulate`` at the largest size that has words, so a size
-    too large for the program is refused before any work.  With ``at``, a
-    map as ``LaurentPoly.substitute`` takes, they are ``.substitute(at)`` of
-    the plain sums, evaluated inside the program (see ``_fold``)."""
+    from one ``_accumulate`` at nmax, so a size too large for the program is
+    refused before any work.  A parity family is A's sums at its parity (one
+    program at the largest such size <= nmax, none if there is no such size)
+    and 0 at the other.  With ``at``, a map as ``LaurentPoly.substitute``
+    takes, they are ``.substitute(at)`` of the plain sums, evaluated inside
+    the program (see ``_fold``)."""
     _check_family(family, nmax)
     plan, sign = _fold(_weight_plan(weight), at)
-    # Aprime and Adoubleprime have no word of the other parity's sizes
-    top = nmax - 1 if nmax and _letter_rule(family, nmax) is None else nmax
-    return (_accumulate(family, top, plan, sign=sign)
-            + [LaurentPoly()] * (nmax - top))
+    if family not in _PARITY:
+        return _accumulate(family, nmax, plan, sign=sign)
+    parity = _PARITY[family]
+    sums = [LaurentPoly()] * (nmax + 1)
+    top = nmax - (nmax - parity) % 2
+    if top >= 0:
+        sums[parity::2] = _accumulate("A", top, plan, sign=sign)[parity::2]
+    return sums
 
 
 def stat_polynomial(family: str, n: int, weight: dict,
                     workers: int | None = None,
                     parallel_threshold: int | None = None,
                     at: dict | None = None) -> LaurentPoly:
-    """The sum at size n of ``stat_polynomials``.  ``workers`` and
-    ``parallel_threshold`` are accepted and ignored: the benchmark under
-    ``perfbench/`` still passes them."""
-    return stat_polynomials(family, n, weight, at)[n]
+    """The sum at size n of ``stat_polynomials``; a parity family's sum at a
+    size of the other parity is 0, once the arguments are checked, with no
+    program.  ``workers`` and ``parallel_threshold`` are accepted and
+    ignored: the benchmark under ``perfbench/`` still passes them."""
+    if n % 2 == _PARITY.get(family, n % 2):
+        return stat_polynomials(family, n, weight, at)[n]
+    _check_family(family, n)
+    _fold(_weight_plan(weight), at)
+    return LaurentPoly()

@@ -24,7 +24,7 @@ from .algebra import (
     rising_factorial,
 )
 from .contfrac import preset
-from .permstat import stat_polynomial
+from .permstat import stat_polynomial, stat_polynomials
 
 # euler_table cross-checks its rows by enumeration up to this n; the rows
 # above it rest on the continued fraction alone
@@ -34,6 +34,17 @@ TABLE_ENUM_MAX = 9
 def _e_pq_weight(n: int) -> dict:
     # q marks 31-2 and p its companion pattern: 2-13 at odd n, 2-31 at even
     return {"p": {"thot" if n % 2 else "thto": 1}, "q": {"toht": 1}}
+
+
+def _e_pq_sums(order: int, at: dict | None = None) -> list:
+    """E_n(p,q) by enumeration, as ``e_pq`` sums it, or its value ``at``,
+    for n = 0..order: one program over A for each parity, at its largest
+    size, the order's own first."""
+    sums = [LaurentPoly()] * (order + 1)
+    for top in (order, order - 1)[:order + 1]:
+        sums[top % 2::2] = stat_polynomials(
+            "A", top, _e_pq_weight(top), at)[top % 2::2]
+    return sums
 
 
 def e_pq(n: int) -> LaurentPoly:
@@ -237,16 +248,16 @@ class EulerTableRow:
 
 def euler_table(nmax: int) -> list[EulerTableRow]:
     """Rows 0..nmax; every value cross-checked between the methods available
-    at that n (enumeration up to TABLE_ENUM_MAX, continued fraction
-    everywhere)."""
+    at that n (enumeration up to TABLE_ENUM_MAX, one program per parity,
+    and continued fraction everywhere)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
+    by_enum = _e_pq_sums(min(nmax, TABLE_ENUM_MAX))
     rows = []
     for n, by_cf in enumerate(e_pq_upto(nmax)):
         methods = ["cf"]
-        if n <= TABLE_ENUM_MAX:
-            by_enum = e_pq(n)
-            if by_enum != by_cf:
+        if n < len(by_enum):
+            if by_enum[n] != by_cf:
                 raise AssertionError(f"method disagreement at n={n}")
             methods.insert(0, "enumeration")
         row = EulerTableRow(

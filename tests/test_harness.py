@@ -477,16 +477,18 @@ def test_series_check_names_the_smallest_failing_order(monkeypatch):
 
 @pytest.mark.parametrize("cid", list(harness.SIGNED))
 def test_signed_check_sums_from_the_largest_n_down(cid, monkeypatch):
-    # every sum is taken at 5 and read at every size below; only Aprime and
-    # Adoubleprime, which have no word of 5's other parity, run one below
+    # every sum is taken at 5 and read at every size below; only
+    # Adoubleprime, which has no word of 5's parity, runs as A one below
     calls = _record_calls(monkeypatch, harness, "stat_polynomials")
     programs = _record_calls(monkeypatch, permstat, "_accumulate")
     assert harness.check(cid, 5).passed
     assert calls and {n for _, n, _ in calls} == {5}
     sums = [(family, n) for family, n, kw in programs if not kw.get("ranked")]
     assert len(sums) == len(calls)
-    for family, n in sums:
-        assert n == (4 if family == "Adoubleprime" else 5), family
+    for (called, _, _), (family, n) in zip(calls, sums):
+        assert (family, n) == (("A", 4) if called == "Adoubleprime" else
+                               ("A", 5) if called == "Aprime" else
+                               (called, 5)), called
 
 
 def test_signed_check_names_the_smallest_failing_n(monkeypatch):

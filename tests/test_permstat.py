@@ -444,9 +444,8 @@ def test_field_count():
 
 def _dp_and_scan(family, n, weight):
     """The program's sum at n and the scan's, each as a LaurentPoly."""
-    plan = permstat._weight_plan(weight)
-    return (permstat._accumulate(family, n, plan)[n],
-            LaurentPoly(permstat._accumulate_scan(family, n, plan)))
+    scan = permstat._accumulate_scan(family, n, permstat._weight_plan(weight))
+    return stat_polynomial(family, n, weight), LaurentPoly(scan)
 
 
 def _stat_weights():
@@ -618,19 +617,58 @@ def test_a_bad_substitution_is_rejected(at, bad):
             call()
 
 
+def _no_layer(family, n):
+    def rule(p, used, a):
+        raise AssertionError(f"layer {p} of {family}_{n} was built")
+    return rule
+
+
 def test_an_exponent_past_the_packed_range_is_refused_before_any_layer(
         monkeypatch):
-    def no_layer(family, n):
-        def rule(p, used, a):
-            raise AssertionError(f"layer {p} of {family}_{n} was built")
-        return rule
-
-    monkeypatch.setattr(permstat, "_letter_rule", no_layer)
+    monkeypatch.setattr(permstat, "_letter_rule", _no_layer)
     weight = dict(QUINTUPLE_WEIGHT, s={"inv": 10**24})
     with pytest.raises(OverflowError, match="past the packed digit range"):
         stat_polynomial("S", 11, weight)
     with pytest.raises(OverflowError, match="past the packed digit range"):
         stat_table(5, weight)
+
+
+def test_the_bound_is_what_a_letter_statistic_reaches(monkeypatch):
+    # inv <= 15 on S_6: 15 * 2**75 is inside the packed range, 15 * 2**76
+    # is not
+    dp, scan = _dp_and_scan("S", 6, {"q": {"inv": 2**75}})
+    assert dp == scan and len(dp.sorted_terms()) == 16
+    monkeypatch.setattr(permstat, "_letter_rule", _no_layer)
+    with pytest.raises(OverflowError, match="past the packed digit range"):
+        stat_polynomial("S", 6, {"q": {"inv": 2**76}})
+
+
+def test_no_program_runs_for_a_parity_family_without_words(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a program ran for a size with no word")
+
+    monkeypatch.setattr(permstat, "_accumulate", forbidden)
+    assert stat_polynomial("Aprime", 12, QUINTUPLE_WEIGHT) == LaurentPoly()
+    assert stat_polynomials("Aprime", 0, {}) == [LaurentPoly()]
+    assert list(family_iter("Adoubleprime", 11)) == []
+    # the arguments are still checked
+    with pytest.raises(ValueError, match="nonnegative"):
+        stat_polynomial("Adoubleprime", -1, {})
+    with pytest.raises(ValueError, match="'inv'"):
+        stat_polynomial("Aprime", 12, {"x": {"inv": 0.5}})
+    with pytest.raises(ValueError, match="for 'p': want one of "):
+        stat_polynomial("Adoubleprime", 11, {}, at={"p": -1})
+
+
+@pytest.mark.parametrize("family", ["Aprime", "Adoubleprime"])
+def test_parity_families_are_a_at_their_parity(family):
+    parity = permstat._PARITY[family]
+    for weight in (QUINTUPLE_WEIGHT, LINEAR_QUINTUPLE_WEIGHT):
+        a_sums = stat_polynomials("A", 9, weight)
+        for nmax in range(10):
+            got = stat_polynomials(family, nmax, weight)
+            assert got == [e if m % 2 == parity else LaurentPoly()
+                           for m, e in enumerate(a_sums[:nmax + 1])], nmax
 
 
 @pytest.mark.parametrize("family", FAMILIES)

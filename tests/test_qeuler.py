@@ -118,6 +118,20 @@ def test_euler_table():
     assert payload["n"] == 4 and payload["E"] == "5"
 
 
+def test_euler_table_enumerates_one_program_per_parity(monkeypatch):
+    real = permstat._accumulate
+    programs = []
+
+    def recording(family, n, *args, **kwargs):
+        programs.append((family, n))
+        return real(family, n, *args, **kwargs)
+
+    monkeypatch.setattr(permstat, "_accumulate", recording)
+    euler_table(12)
+    assert programs == [("A", qeuler.TABLE_ENUM_MAX),
+                        ("A", qeuler.TABLE_ENUM_MAX - 1)]
+
+
 def test_euler_table_passes_its_cap_to_enumeration(monkeypatch):
     assert [row.methods for row in euler_table(10)][9:] == [
         ("enumeration", "cf"), ("cf",)]
