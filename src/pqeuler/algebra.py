@@ -335,7 +335,9 @@ _ONE = LaurentPoly.const(1)
 
 class TruncSeries:
     """Power series in t truncated at a fixed order N (coefficients 0..N),
-    with LaurentPoly coefficients.
+    with LaurentPoly coefficients.  ``recip`` and ``*`` serve the oracle
+    ``contfrac.expand_by_convergents`` and the tests only; no check calls
+    them.
 
     ``ring`` and the second argument of ``one`` are kept only for callers
     written against the former pluggable-ring API (perfbench's planted-fault
@@ -348,6 +350,8 @@ class TruncSeries:
     ring = LaurentPoly
 
     def __init__(self, order: int, coeffs=()):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         coeffs = list(coeffs)[: order + 1]
         coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.order = order

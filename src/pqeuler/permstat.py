@@ -264,9 +264,10 @@ def _check_family(family: str, n: int) -> None:
 
 def _check_count(what: str, n: int, count) -> None:
     """Raise ``EnumerationCapError`` if ``what.format(n)`` has more than
-    ``MAX_OBJECTS`` objects.  ``count(m)``, the exact number at size m,
-    grows with m over the sizes of n's parity: those are counted upward,
-    and the first one past the bound refuses n uncounted."""
+    ``MAX_OBJECTS`` objects.  The number at size m grows with m over the
+    sizes of n's parity: those are counted upward by ``count(m)``, and the
+    first one past the bound refuses n uncounted.  ``count(m)`` is exact,
+    or any number within the bound where the exact one cannot pass it."""
     for m in range(n % 2, n + 1, 2):
         found = count(m)
         if found > MAX_OBJECTS:
@@ -278,10 +279,12 @@ def _check_count(what: str, n: int, count) -> None:
 
 def _check_family_size(family: str, n: int) -> None:
     """Refuse a family of size n with more than ``MAX_OBJECTS`` words: S_m
-    has m! words, and any other family is counted by ``stat_polynomial``."""
+    has m! words, and any other family has at most m!, so it is counted by
+    ``stat_polynomial`` only at the sizes where m! passes the bound."""
     _check_family(family, n)
-    _check_count(family + "_{}", n, math.factorial if family == "S" else
-                 lambda m: stat_polynomial(family, m, {}).as_int())
+    _check_count(family + "_{}", n, lambda m: (
+        math.factorial(m) if family == "S" or math.factorial(m) <= MAX_OBJECTS
+        else stat_polynomial(family, m, {}).as_int()))
 
 
 # each parity family is A at the sizes of its parity, and empty at the others

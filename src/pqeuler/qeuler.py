@@ -2,10 +2,10 @@
 
 Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (``e_pq``, ``e_q`` and
 ``e_star_q`` by enumeration; ``e_pq_upto`` by continued fraction for every n
-up to a bound at once, and ``e_int`` from it), the exponential generating
-function of the (excedance, fixed point) distribution as n!-scaled integer
-polynomials, and the closed summation formulas (the rational series, the
-parity-independent double sum, and their q-analogues).
+up to a bound at once, and ``e_int`` from it), the (exc, fix) exponential
+generating function as n!-scaled integer polynomials, and the closed formulas:
+the parity-independent double sum and the rational series, each with its
+q-analogue; one routine sums both series, dividing out each factor in one pass.
 """
 
 from __future__ import annotations
@@ -114,17 +114,27 @@ def egf_exc_fix(order: int) -> list[LaurentPoly]:
 # closed formulas for E_n
 
 
-def rz_series(order: int) -> TruncSeries:
-    """Sum over m of m! t^m / prod_k (1 + (m-2k+1)^2 t^2), truncated."""
-    one, zero = LaurentPoly.const(1), LaurentPoly()
+def _rational_series(order: int, lead, factor) -> TruncSeries:
+    """Sum over m of lead(m) t^m / prod over k <= m/2 of (a + b t^2), with
+    (a, b) = factor(m - 2k + 1) and a a unit monomial, each factor divided out
+    in one pass: g_n <- (g_n - b g_(n-2)) / a for n = m, m+2, ..., order."""
     total = TruncSeries(order)
     for m in range(order + 1):
-        term = TruncSeries.const(LaurentPoly.const(math.factorial(m)), order).shift(m)
+        # g_(-2) and g_(-1) read the two spare zeros at the end
+        g = [LaurentPoly()] * m + [lead(m)] + [LaurentPoly()] * (order - m + 2)
         for k in range(m // 2 + 1):
-            c = LaurentPoly.const((m - 2 * k + 1) ** 2)
-            term = term * TruncSeries(order, [one, zero, c]).recip()
-        total = total + term
+            a, b = factor(m - 2 * k + 1)
+            inv = a.unit_inverse()
+            for n in range(m, order + 1, 2):
+                g[n] = inv * (g[n] - b * g[n - 2])
+        total = total + TruncSeries(order, g)
     return total
+
+
+def rz_series(order: int) -> TruncSeries:
+    """Sum over m of m! t^m / prod_k (1 + (m-2k+1)^2 t^2), truncated."""
+    return _rational_series(order, lambda m: LaurentPoly.const(math.factorial(m)),
+                            lambda j: (LaurentPoly.const(1), LaurentPoly.const(j * j)))
 
 
 def parity_formula(n: int) -> int:
@@ -156,17 +166,9 @@ def hrz_series(order: int) -> TruncSeries:
     """q-analogue of the rational series: sum over m of
     q^(m+1) [m]! t^m / prod_k (q^(m-2k+1) + [m-2k+1]^2 t^2),
     expanded exactly over Laurent polynomials in q."""
-    total = TruncSeries(order)
-    for m in range(order + 1):
-        lead = LaurentPoly.var("q", m + 1) * q_factorial(m)
-        term = TruncSeries.const(lead, order).shift(m)
-        for k in range(m // 2 + 1):
-            j = m - 2 * k + 1
-            factor = TruncSeries(
-                order, [LaurentPoly.var("q", j), LaurentPoly(), q_bracket(j) ** 2])
-            term = term * factor.recip()
-        total = total + term
-    return total
+    return _rational_series(
+        order, lambda m: LaurentPoly.var("q", m + 1) * q_factorial(m),
+        lambda j: (LaurentPoly.var("q", j), q_bracket(j) ** 2))
 
 
 def _q_parity_term(n: int, m: int, k: int):

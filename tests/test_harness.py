@@ -376,12 +376,16 @@ def test_contra_expands_each_even_contraction_once(monkeypatch):
     assert len(calls) == len(harness.SPECIALIZED) * 2 + harness.CONTRA_TRIALS
 
 
-def test_contra_takes_no_series_reciprocal(monkeypatch):
-    def no_recip(self):
-        raise AssertionError("contra took a series reciprocal")
+@pytest.mark.parametrize("cid", harness.CHECK_IDS)
+def test_no_check_takes_a_series_reciprocal_or_product(monkeypatch, cid):
+    # TruncSeries.recip and * serve the oracle expand_by_convergents and the
+    # tests only
+    def forbidden(*args):
+        raise AssertionError(f"{cid} did series arithmetic")
 
-    monkeypatch.setattr(TruncSeries, "recip", no_recip)
-    report = harness.check("contra", 6)
+    monkeypatch.setattr(TruncSeries, "recip", forbidden)
+    monkeypatch.setattr(TruncSeries, "__mul__", forbidden)
+    report = harness.check(cid, 6 if cid == "contra" else 5)
     assert report.passed, report.witness
 
 

@@ -813,6 +813,23 @@ def test_oversize_enumeration_is_refused_within_a_second(call, counted):
     assert float(elapsed) < 1, message
 
 
+@pytest.mark.parametrize("family,n,programs", [
+    ("D", 9, []), ("Adoubleprime", 12, [("A", 12)])])
+def test_no_size_within_the_bound_by_its_factorial_is_counted(
+        monkeypatch, family, n, programs):
+    # a family of size m has at most m! words, and 9! <= MAX_OBJECTS < 11!
+    real = permstat._accumulate
+    called = []
+
+    def recording(*args, **kwargs):
+        called.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(permstat, "_accumulate", recording)
+    family_iter(family, n)
+    assert called == programs
+
+
 def test_cli_oversize_verify_is_refused_within_a_second():
     # fv at 13 would walk A_13, 22,368,256 words
     proc, elapsed = _child("-m", "pqeuler.cli", "bij", "fv", "--verify",

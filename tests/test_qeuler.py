@@ -1,7 +1,17 @@
+import math
+import random
+
 import pytest
 
 from pqeuler import permstat, qeuler
-from pqeuler.algebra import LaurentPoly
+from pqeuler.algebra import (
+    LaurentPoly,
+    NotInvertibleError,
+    TruncSeries,
+    q_bracket,
+    q_factorial,
+)
+from pqeuler.contfrac import expand_by_convergents, preset
 from pqeuler.permstat import EnumerationCapError, stat_polynomial
 from pqeuler.qeuler import (
     e_int,
@@ -93,6 +103,63 @@ def test_hrz_series():
     series = hrz_series(8)
     for n, full in enumerate(e_pq_upto(8)):
         assert series.coeff(n) == full.substitute(qeuler.AT_Q)
+
+
+def _by_reciprocal_and_product(order, lead, factor):
+    """The reference for ``_rational_series``: each factor a + b t^2 inverted
+    as a whole truncated series, and the term multiplied by that inverse."""
+    total = TruncSeries(order)
+    for m in range(order + 1):
+        term = TruncSeries.const(lead(m), order).shift(m)
+        for k in range(m // 2 + 1):
+            a, b = factor(m - 2 * k + 1)
+            term = term * TruncSeries(order, [a, LaurentPoly(), b]).recip()
+        total = total + term
+    return total
+
+
+def test_rational_series_match_reciprocal_and_product():
+    rz = (lambda m: LaurentPoly.const(math.factorial(m)),
+          lambda j: (LaurentPoly.const(1), LaurentPoly.const(j * j)))
+    hrz = (lambda m: LaurentPoly.var("q", m + 1) * q_factorial(m),
+           lambda j: (LaurentPoly.var("q", j), q_bracket(j) ** 2))
+    for order in range(15):
+        assert rz_series(order) == _by_reciprocal_and_product(order, *rz)
+        assert hrz_series(order) == _by_reciprocal_and_product(order, *hrz)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_division_matches_reciprocal_and_product(seed):
+    # a is +-q^e, e possibly negative; b is a signed q-polynomial or 0
+    rng = random.Random(seed)
+    order = rng.randint(4, 10)
+
+    def poly():
+        return sum((LaurentPoly.var("q", e, coeff=rng.randint(-3, 3))
+                    for e in range(-2, 4)), LaurentPoly())
+
+    leads = [poly() for _ in range(order + 1)]
+    factors = {j: (LaurentPoly.var("q", rng.randint(-3, 3),
+                                   coeff=rng.choice((1, -1))),
+                   poly() if rng.random() < 0.7 else LaurentPoly())
+               for j in range(1, order + 2)}
+    lead, factor = leads.__getitem__, factors.__getitem__
+    assert (qeuler._rational_series(order, lead, factor)
+            == _by_reciprocal_and_product(order, lead, factor))
+
+
+def test_rational_series_refuses_a_factor_without_a_unit_constant_term():
+    with pytest.raises(NotInvertibleError):
+        qeuler._rational_series(3, lambda m: LaurentPoly.const(1),
+                                lambda j: (LaurentPoly.const(2), LaurentPoly()))
+
+
+def test_a_negative_order_is_refused():
+    for call in (lambda: rz_series(-1), lambda: hrz_series(-2),
+                 lambda: TruncSeries(-3),
+                 lambda: expand_by_convergents(preset("cf-A").fraction, -1)):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            call()
 
 
 def test_q_parity_formula():
