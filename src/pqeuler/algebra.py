@@ -2,8 +2,8 @@
 
 Multivariate Laurent polynomials over the fixed variable universe
 ``(x, y, p, q, s)`` with big-integer coefficients, truncated power series in
-``t`` over them, exact division of q-only polynomials, and the small
-q-calculus toolbox (brackets, factorials, rising factorials).
+``t`` over them, and the small q-calculus toolbox (brackets, factorials,
+rising factorials).
 
 A LaurentPoly stores each exponent vector as one packed int (Kronecker
 substitution): the five exponents are balanced digits base 2**EXP_BITS
@@ -395,7 +395,9 @@ class TruncSeries:
         return TruncSeries(self.order, [c * a for a in self.coeffs])
 
     def shift(self, k: int):
-        """Multiply by t^k; coefficients beyond the order are dropped."""
+        """Multiply by t^k, k >= 0; coefficients beyond the order are dropped."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
         return TruncSeries(self.order, [_ZERO] * k + self.coeffs)
 
     def recip(self) -> "TruncSeries":
@@ -466,6 +468,9 @@ def q_bracket(n: int) -> LaurentPoly:
 
 
 def q_factorial(n: int) -> LaurentPoly:
+    """[n]_q! = [1]_q [2]_q ... [n]_q; 1 for n = 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     acc = LaurentPoly.const(1)
     for i in range(1, n + 1):
         acc = acc * q_bracket(i)
@@ -484,7 +489,7 @@ def rising_factorial(a, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact division in q
+# q-only polynomials as {exponent: coefficient}
 
 _Q_IDX = VAR_INDEX["q"]
 _Q_PLACE = _PLACE[_Q_IDX]
@@ -508,37 +513,3 @@ def _from_q_dict(d: dict) -> LaurentPoly:
     bound = max(map(abs, d), default=0)
     _check_bound(bound)
     return LaurentPoly._packed({k * _Q_PLACE: c for k, c in d.items() if c}, bound)
-
-
-def q_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient of q-only Laurent polynomials, or None if the quotient
-    is not a Laurent polynomial with integer coefficients."""
-    nd, dd = _q_only(num), _q_only(den)
-    if not dd:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not nd:
-        return LaurentPoly()
-    nmin, nmax = min(nd), max(nd)
-    dmin, dmax = min(dd), max(dd)
-    rem = [nd.get(k, 0) for k in range(nmin, nmax + 1)]
-    b = [dd.get(k, 0) for k in range(dmin, dmax + 1)]
-    qlen = len(rem) - len(b) + 1
-    if qlen < 1:
-        return None
-    # long division from the top; each quotient coefficient is final once
-    # computed, so a fractional one means no integer quotient exists
-    quot = [0] * qlen
-    lead = b[-1]
-    for i in range(qlen - 1, -1, -1):
-        coef, r = divmod(rem[i + len(b) - 1], lead)
-        if r:
-            return None
-        quot[i] = coef
-        if coef:
-            for j, bc in enumerate(b):
-                rem[i + j] -= coef * bc
-    if any(rem):
-        return None
-    shift = nmin - dmin
-    return _from_q_dict({i + shift: c for i, c in enumerate(quot)})
-

@@ -5,7 +5,9 @@ Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (``e_pq``, ``e_q`` and
 up to a bound at once, and ``e_int`` from it), the (exc, fix) exponential
 generating function as n!-scaled integer polynomials, and the closed formulas:
 the parity-independent double sum and the rational series, each with its
-q-analogue; one routine sums both series, dividing out each factor in one pass.
+q-analogue; one routine sums both series, dividing out each factor in one pass,
+and the q double sum multiplies and divides coefficient lists by one binomial
+1 - q^i at a time.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import (
     LaurentPoly,
     TruncSeries,
+    _from_q_dict,
     q_bracket,
-    q_div_exact,
     q_factorial,
     rising_factorial,
 )
@@ -171,60 +174,76 @@ def hrz_series(order: int) -> TruncSeries:
         lambda j: (LaurentPoly.var("q", j), q_bracket(j) ** 2))
 
 
+def _times(g: list, i: int) -> list:
+    """g (1 - q^i), g a coefficient list from q^0 up."""
+    return [a - b for a, b in zip(g + [0] * i, [0] * i + g)]
+
+
+def _over(g: list, i: int) -> list | None:
+    """g / (1 - q^i) from the low end, f_r = g_r + f_(r-i); None unless the
+    top i coefficients vanish, i.e. unless the quotient is a polynomial."""
+    f = list(g)
+    for r in range(i, len(f)):
+        f[r] += f[r - i]
+    cut = max(len(f) - i, 0)
+    return None if any(f[cut:]) else f[:cut]
+
+
 def _q_parity_term(n: int, m: int, k: int):
-    """One term of the q double sum as (numerator, Counter of the j whose
-    factors 1 - q^(2j) make up its denominator)."""
-    one_minus_q = LaurentPoly.const(1) - LaurentPoly.var("q")
-    a_exp = (k * k + k * (n - m + 1) - (n - m) // 2
-             + (m // 2) ** 2 - m * (n // 2))
-    num = (LaurentPoly.const((-1) ** ((n - m) // 2 + k))
-           * one_minus_q ** (2 * (m // 2))
-           * q_bracket(m - 2 * k + 1) ** (2 * (n // 2))
-           * LaurentPoly.var("q", a_exp))
+    """One term of the q double sum as (a, numerator, denominator): the term
+    is q^a times the coefficient list numerator over the product of the
+    factors 1 - q^i, with i counted in the Counter denominator.
+
+    With j = m - 2k + 1, its numerator (1-q)^(2h) [j]^(2N), h = m/2 and
+    N = n/2 rounded down, is (1 - q^j)^(2N) / (1 - q)^(2(N - h))."""
+    half, top, big = m // 2, (m + 1) // 2, n // 2
+    a = k * k + k * (n - m + 1) - (n - m) // 2 + half * half - m * big
+    j = m - 2 * k + 1
+    sign = (-1) ** ((n - m) // 2 + k)
+    num = [0] * (2 * big * j + 1)
+    for r in range(2 * big + 1):
+        num[r * j] = sign * (-1) ** r * math.comb(2 * big, r)
     # (q^2;q^2)_k (q^2;q^2)_(m/2-k) (q^(2(m-2k+2));q^2)_k
-    # (q^(2((m+1)/2-k+1));q^2)_(m/2-k), each factor 1 - q^(2j)
-    half, top = m // 2, (m + 1) // 2
-    den = Counter(range(1, k + 1))
-    den.update(range(1, half - k + 1))
-    den.update(range(m - 2 * k + 2, m - k + 2))
-    den.update(range(top - k + 1, top + half - 2 * k + 1))
-    return num, den
-
-
-def _q_factor(j: int) -> LaurentPoly:
-    return LaurentPoly.const(1) - LaurentPoly.var("q", 2 * j)
+    # (q^(2((m+1)/2-k+1));q^2)_(m/2-k), each factor 1 - q^(2i)
+    den = Counter(2 * i for i in range(1, k + 1))
+    den.update(2 * i for i in range(1, half - k + 1))
+    den.update(2 * i for i in range(m - 2 * k + 2, m - k + 2))
+    den.update(2 * i for i in range(top - k + 1, top + half - 2 * k + 1))
+    den[1] = 2 * (big - half)
+    return a, num, den
 
 
 def q_parity_formula(n: int) -> LaurentPoly:
-    """The parity-independent double sum for E_n(q).  The terms of each m are
-    summed over their least common denominator, a product of factors
-    1 - q^(2j), which must then clear to a polynomial."""
+    """The parity-independent double sum for E_n(q), on coefficient lists.
+    Every factor in it is a binomial 1 - q^i, as [j] = (1 - q^j) / (1 - q),
+    and multiplying or exactly dividing by one takes one pass.  The terms of
+    each m are brought to their least common denominator and summed; each
+    factor of that denominator is divided out, which must leave a
+    polynomial, and [m]! is multiplied in one factor at a time."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return LaurentPoly.const(1)
-    total = LaurentPoly()
-    for m in range(n + 1):
-        if (n - m) % 2:
-            continue
+    total = Counter()
+    for m in range(n % 2, n + 1, 2):
         terms = [_q_parity_term(n, m, k) for k in range(m // 2 + 1)]
         common = Counter()
-        for _, den in terms:
+        for _, _, den in terms:
             common |= den
-        num = LaurentPoly()
-        for part, den in terms:
-            for j, mult in (common - den).items():
-                part = part * _q_factor(j) ** mult
-            num = num + part
-        den = LaurentPoly.const(1)
-        for j, mult in common.items():
-            den = den * _q_factor(j) ** mult
-        quot = q_div_exact(num, den)
-        if quot is None:
-            raise ArithmeticError(
-                f"q double sum at n={n}, m={m} does not clear to a polynomial")
-        total = total + q_factorial(m) * quot
-    return total
+        low = min(a for a, _, _ in terms)
+        g = []
+        for a, part, den in terms:
+            for i in (common - den).elements():
+                part = _times(part, i)
+            part = [0] * (a - low) + part
+            g = [x + y for x, y in zip_longest(g, part, fillvalue=0)]
+        for i in common.elements():
+            g = _over(g, i)
+            if g is None:
+                raise ArithmeticError(
+                    f"q double sum at n={n}, m={m} does not clear to a polynomial")
+        for i in range(1, m + 1):
+            g = _over(_times(g, i), 1)
+        total.update(dict(enumerate(g, low)))
+    return _from_q_dict(total)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def test_contra_at_16():
     assert report.elapsed < 30, f"contra@16 took {report.elapsed:.2f}s"
 
 
+def test_sec7_at_24():
+    report = harness.check("sec7", 24)
+    assert report.passed, report.witness
+    assert report.elapsed < 30, f"sec7@24 took {report.elapsed:.2f}s"
+
+
 def test_thm4_1_at_12_in_one_process():
     # every sum runs in the calling process (test_permstat checks that no
     # process module is loaded)

@@ -14,7 +14,6 @@ from pqeuler.algebra import (
     bracket,
     pq_bracket,
     q_bracket,
-    q_div_exact,
     q_factorial,
     rising_factorial,
     unpack,
@@ -220,10 +219,9 @@ def test_series_json():
     assert len(data["coeffs"]) == 3
 
 
-def test_q_div_exact():
-    num = q_bracket(6) * q_bracket(4)
-    assert q_div_exact(num, q_bracket(4)) == q_bracket(6)
-    assert q_div_exact(q_bracket(3), q_bracket(2)) is None
-    shifted = num * LaurentPoly.var("q", -2)
-    den = q_bracket(4) * LaurentPoly.var("q", -1)
-    assert q_div_exact(shifted, den) == q_bracket(6) * LaurentPoly.var("q", -1)
+def test_a_negative_shift_or_factorial_is_refused():
+    # like q_bracket(-1) and pq_bracket(-1), rather than a silent wrong answer
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        TruncSeries.one(3).shift(-1)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        q_factorial(-1)

@@ -8,6 +8,7 @@ from pqeuler.algebra import (
     LaurentPoly,
     NotInvertibleError,
     TruncSeries,
+    _from_q_dict,
     q_bracket,
     q_factorial,
 )
@@ -163,17 +164,52 @@ def test_a_negative_order_is_refused():
 
 
 def test_q_parity_formula():
-    for n, full in enumerate(e_pq_upto(8)):
+    for n, full in enumerate(e_pq_upto(16)):
         got = q_parity_formula(n)
         assert got == full.substitute(qeuler.AT_Q)
         assert got.substitute({"q": 1}).as_int() == parity_formula(n)
 
 
 def test_q_parity_formula_must_clear(monkeypatch):
-    # the summed terms of each m must divide out to a polynomial
-    monkeypatch.setattr(qeuler, "q_div_exact", lambda num, den: None)
-    with pytest.raises(ArithmeticError):
+    # one coefficient off in one term leaves a sum of the terms of m = 4
+    # that does not divide out to a polynomial
+    real = qeuler._q_parity_term
+
+    def planted(n, m, k):
+        a, num, den = real(n, m, k)
+        if (m, k) == (4, 1):
+            num[0] += 1
+        return a, num, den
+
+    monkeypatch.setattr(qeuler, "_q_parity_term", planted)
+    with pytest.raises(ArithmeticError, match="m=4 does not clear"):
         q_parity_formula(4)
+
+
+def _q_poly(g):
+    return _from_q_dict(dict(enumerate(g)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_times_and_over_multiply_and_divide_by_one_binomial(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(0, 12))]
+        i = rng.randint(1, 7)
+        prod = qeuler._times(g, i)
+        assert _q_poly(prod) == _q_poly(g) * _from_q_dict({0: 1, i: -1})
+        assert qeuler._over(prod, i) == g
+        # plus a constant, it is no longer a multiple of 1 - q^i
+        assert qeuler._over([prod[0] + 1] + prod[1:], i) is None
+
+
+def test_over_refuses_a_non_multiple():
+    assert qeuler._over([1, 0, 1], 1) is None
+    assert qeuler._over([1, 2, 3], 4) is None      # shorter than i
+    assert qeuler._over([1, 0, -1], 2) == [1]
+    # zero, empty or not, is a multiple of everything
+    assert qeuler._over([], 3) == []
+    assert qeuler._over([0, 0], 3) == []
 
 
 def test_euler_table():
