@@ -36,6 +36,8 @@ EXP_LIMIT = 1 << (EXP_BITS - 1)
 _DIGIT_MASK = (1 << EXP_BITS) - 1
 # the packed key of the monomial VARS[i]; x is the most significant digit
 _PLACE = tuple(1 << (EXP_BITS * (NVARS - 1 - i)) for i in range(NVARS))
+# added to a key, it makes every digit nonnegative, so each reads off alone
+_BIAS = EXP_LIMIT * sum(_PLACE)
 
 
 class NotInvertibleError(ArithmeticError):
@@ -248,45 +250,53 @@ class LaurentPoly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, assignment: dict) -> "LaurentPoly":
-        """Simultaneous substitution of variables by polynomials.
+        """Simultaneous substitution of variables by ints and c * monomials.
 
-        Values may be ints or LaurentPoly.  A variable occurring with a
-        negative exponent may only receive a +/- monomial (so the negative
-        power stays representable).
+        Each term moves its key: the exponent k of a substituted variable,
+        read off the biased key, is replaced by k times the value's key, and
+        the coefficient is multiplied by c**k.  A value of more than one term
+        raises ValueError; a variable occurring with a negative exponent may
+        only receive a +/- monomial (so the negative power stays
+        representable), else NotInvertibleError.
         """
         if not assignment:
             return self
         subs = []
         for name, val in assignment.items():
             idx = VAR_INDEX[name]
-            subs.append((idx, LaurentPoly.const(val) if isinstance(val, int) else val))
-        powers: dict = {}
+            if isinstance(val, int):
+                val = LaurentPoly.const(val)
+            if len(val.terms) > 1:
+                raise ValueError(f"cannot substitute {val} for {name}: want "
+                                 f"an int or a monomial")
+            ((vkey, vc),) = val.terms.items() or ((0, 0),)
+            subs.append((name, EXP_BITS * (NVARS - 1 - idx), vkey - _PLACE[idx],
+                         vc, val.bound))
         out: dict = {}
-        bound = 0
+        extra = 0
         for key, c in self.terms.items():
-            e = unpack(key)
-            term = LaurentPoly.const(c)
-            for idx, val in subs:
-                k = e[idx]
-                if k == 0:
-                    continue
-                key -= k * _PLACE[idx]
-                power = powers.get((idx, k))
-                if power is None:
-                    if k < 0 and not val.is_unit_monomial():
+            biased = key + _BIAS
+            moved = 0
+            for name, shift, move, vc, vbound in subs:
+                k = (biased >> shift & _DIGIT_MASK) - EXP_LIMIT
+                if k:
+                    if k < 0 and vc not in (1, -1):
                         raise NotInvertibleError(
-                            f"non-invertible substitution {VARS[idx]} -> {val} "
-                            f"at exponent {k}")
-                    power = powers[idx, k] = val ** k
-                term = term * power
-            term = term * LaurentPoly._packed({key: 1}, self.bound)
-            bound = max(bound, term.bound)
-            for e2, c2 in term.terms.items():
-                v = out.get(e2, 0) + c2
+                            f"non-invertible substitution {name} -> "
+                            f"{assignment[name]} at exponent {k}")
+                    key += k * move
+                    # at k < 0, vc is +/-1 and its own inverse
+                    c *= vc ** abs(k)
+                    moved += abs(k) * vbound
+            extra = max(extra, moved)
+            if c:
+                v = out.get(key, 0) + c
                 if v:
-                    out[e2] = v
+                    out[key] = v
                 else:
-                    del out[e2]
+                    del out[key]
+        bound = self.bound + extra
+        _check_bound(bound)
         return LaurentPoly._packed(out, bound)
 
     # -- presentation ------------------------------------------------------

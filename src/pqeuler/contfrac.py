@@ -14,8 +14,9 @@ at a depth; neither runs on the fast path, and they hold the only depths.
 ``expand_by_convergents`` does it with series reciprocals over the Laurent
 polynomials and is the definition the tests check against.
 ``convergents_at`` does it for an S-fraction over Z[q] at one integer q,
-over plain ints; ``contra`` compares the contractions with it at enough
-points to fix every coefficient.
+over plain ints; ``contra`` compares the contractions with it at one point
+q = 2^B, with 2^(B-1) above every |coefficient| on both sides, where
+balanced base-2^B digits fix every coefficient.
 """
 
 from __future__ import annotations

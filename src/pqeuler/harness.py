@@ -19,7 +19,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 
 from .algebra import LaurentPoly, TruncSeries, _from_q_dict, _q_only
 from .contfrac import (
@@ -312,30 +311,40 @@ def _contraction_agrees(sf: SFraction, even: TruncSeries, order: int):
 def _matches_convergents(sf: SFraction, series: TruncSeries, order: int) -> bool:
     """Whether ``series`` is the S-fraction's expansion up to t^order.
 
-    With d the largest q-degree among c_1..c_order, each t carries one c_k,
-    so the t^n coefficient of the fraction is a polynomial in q of degree at
-    most n d.  If that of ``series`` is one too, the two are equal exactly
-    when they agree at the points q = 0, 1, ..., order d, more than either
-    degree, where the oracle ``convergents_at`` evaluates the fraction over
-    plain ints."""
-    d = max((max(_q_only(sf.c(k)), default=0) for k in range(1, order + 1)),
-            default=0)
-    # row n: the coefficients of q^0..q^(n d) in t^n
+    Two polynomials in q whose coefficients are all below 2^(B-1) in
+    absolute value are equal exactly when they agree at q = 2^B, since
+    balanced base-2^B digits are unique.  Each t^n coefficient of
+    ``series`` must be a polynomial in q, and B is taken above its own
+    coefficients and above those of the fraction's (``_point_bits``); the
+    two are then compared at that one point, where the oracle
+    ``convergents_at`` evaluates the fraction over plain ints."""
     rows = []
     for n in range(order + 1):
         try:
             coeffs = _q_only(series.coeff(n))
         except ValueError:
             return False
-        if any(not 0 <= e <= n * d for e in coeffs):
+        if any(e < 0 for e in coeffs):
             return False
-        rows.append([coeffs.get(e, 0) for e in range(n * d + 1)])
-    for q in range(order * d + 1):
-        powers = [q ** e for e in range(order * d + 1)]
-        if [sum(map(mul, row, powers)) for row in rows] != convergents_at(
-                sf, order, q):
-            return False
-    return True
+        rows.append(coeffs)
+    bits = _point_bits(sf, rows, order)
+    return [sum(c << bits * e for e, c in row.items()) for row in rows] == (
+        convergents_at(sf, order, 1 << bits))
+
+
+def _point_bits(sf: SFraction, rows: list, order: int) -> int:
+    """B with 2^(B-1) above every |coefficient| in ``rows`` (maps of q
+    exponents to coefficients) and in the fraction's t^0..t^order.
+
+    Each coefficient of the fraction's t^n is a signed sum of products of
+    coefficients of c_1..c_order, one per path, so it is at most in absolute
+    value the t^n of the fraction with each c_k replaced by the sum of its
+    absolute coefficients, at q = 1."""
+    absolute = SFraction(c=lambda k: LaurentPoly.const(
+        sum(map(abs, _q_only(sf.c(k)).values()))))
+    top = max(convergents_at(absolute, order, 1)
+              + [abs(c) for row in rows for c in row.values()])
+    return top.bit_length() + 1
 
 
 # contra's specialized presets, by the signed identity whose tangent and

@@ -11,6 +11,7 @@ from pqeuler.algebra import (
     LaurentPoly,
     NotInvertibleError,
     TruncSeries,
+    VARS,
     bracket,
     pq_bracket,
     q_bracket,
@@ -144,7 +145,87 @@ def test_negative_power_substitution_guard():
     p = LaurentPoly.var("q", -1)
     assert p.substitute({"q": LaurentPoly.var("s")}) == LaurentPoly.var("s", -1)
     with pytest.raises(NotInvertibleError):
+        p.substitute({"q": 2})
+    with pytest.raises(NotInvertibleError):
+        p.substitute({"q": LaurentPoly.var("s", coeff=3)})
+    # a value is an int or a monomial: a polynomial is refused outright
+    with pytest.raises(ValueError, match="cannot substitute s \\+ 1 for q"):
         p.substitute({"q": LaurentPoly.var("s") + 1})
+
+
+def _substituted(poly, assignment):
+    """Reference for ``substitute`` on exponent tuples: each term's
+    substituted exponents k are read before any is replaced, and the term
+    gains k times each value's exponents and its coefficient to the k.  None
+    where a negative power of a non-unit is asked for."""
+    values = {}
+    for name, val in assignment.items():
+        if isinstance(val, int):
+            values[VARS.index(name)] = (val, (0,) * 5)
+        else:
+            ((exps, c),) = val.sorted_terms()
+            values[VARS.index(name)] = (c, exps)
+    out = {}
+    for e, c in poly.sorted_terms():
+        coeff = Fraction(c)
+        new = [0 if i in values else k for i, k in enumerate(e)]
+        for i, (vc, vexps) in values.items():
+            k = e[i]
+            if k < 0 and vc not in (1, -1):
+                return None
+            coeff *= Fraction(vc) ** k
+            new = [a + k * b for a, b in zip(new, vexps)]
+        assert coeff.denominator == 1
+        out[tuple(new)] = out.get(tuple(new), 0) + int(coeff)
+    return LaurentPoly(out)
+
+
+_Q_INV = LaurentPoly.var("q", -1, coeff=-1)
+substituted_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0, -1, _Q_INV, LaurentPoly.var("q", 2)]),
+    st.builds(lambda c, e: LaurentPoly({e: c}),
+              st.sampled_from([1, -1, 2, -3]),
+              st.tuples(*[st.integers(-2, 2)] * 5)))
+
+
+@given(laurent_polys(),
+       st.dictionaries(st.sampled_from(VARS), substituted_values, max_size=3))
+def test_substitute_matches_the_reference_on_exponent_tuples(poly, assignment):
+    want = _substituted(poly, assignment)
+    if want is None:
+        with pytest.raises(NotInvertibleError):
+            poly.substitute(assignment)
+        return
+    got = poly.substitute(assignment)
+    assert got == want
+    assert all(abs(k) <= got.bound for e, _ in got.sorted_terms() for k in e)
+
+
+@pytest.mark.parametrize("assignment", [
+    {"p": LaurentPoly.var("q", 2), "q": 2},        # a value names q, also mapped
+    {"q": LaurentPoly.var("p"), "p": LaurentPoly.var("q")},   # a swap
+    {"q": _Q_INV, "s": -1},
+    {"p": 0, "q": 1}])
+def test_substitute_is_simultaneous(assignment):
+    poly = LaurentPoly({(1, 0, 2, 1, 0): 5, (0, 0, 0, 3, 1): -2,
+                        (0, 0, 1, 1, 0): 1, (0, 1, 0, 0, -1): 7})
+    want = _substituted(poly, assignment)
+    assert want is not None
+    assert poly.substitute(assignment) == want
+
+
+def test_substitute_keeps_its_overflow_bound():
+    # the bound is the polynomial's plus, over its terms, the substituted
+    # exponents times their values' bounds; not the polynomial's times them
+    wide = LaurentPoly.monomial(1, x=EXP_LIMIT - 2) + LaurentPoly.var("q")
+    assert wide.substitute({"q": LaurentPoly.var("s")}) == (
+        LaurentPoly.monomial(1, x=EXP_LIMIT - 2) + LaurentPoly.var("s"))
+    with pytest.raises(OverflowError):
+        wide.substitute({"q": LaurentPoly.var("s", 2)})
+    with pytest.raises(OverflowError):
+        LaurentPoly.var("q", -(EXP_LIMIT // 2)).substitute(
+            {"q": LaurentPoly.var("q", -2)})
 
 
 def test_substitute_numeric():

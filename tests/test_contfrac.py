@@ -136,8 +136,8 @@ def test_transfer_matches_convergents_on_random_s_fractions():
         _assert_matches_convergents(sf)
 
 
-# integer points, negative ones among them
-ORACLE_POINTS = (-3, -2, -1, 0, 1, 2, 3, 7)
+# integer points, negative ones among them, and one past a machine word
+ORACLE_POINTS = (-3, -2, -1, 0, 1, 2, 3, 7, 2 ** 64)
 
 
 @pytest.mark.parametrize("name", ["random", "jv-tangent", "sz-tangent"])
@@ -150,6 +150,24 @@ def test_evaluated_oracle_is_the_convergents_at_each_point(name):
             for q in ORACLE_POINTS:
                 want = [c.substitute({"q": q}).as_int() for c in series.coeffs]
                 assert convergents_at(sf, order, q) == want, (order, q)
+
+
+@pytest.mark.parametrize("name", ["random", "jv-tangent", "sz-tangent"])
+def test_absolute_fraction_at_one_bounds_every_coefficient(name):
+    # each q coefficient of t^n is a signed sum of products along paths, so
+    # it is at most the t^n of the fraction with every c_k replaced by the
+    # sum of its absolute coefficients, at q = 1: what contra's one-point
+    # check rests on
+    fractions = (_random_s_fractions() if name == "random"
+                 else [preset(name).s_form])
+    for sf in fractions:
+        absolute = SFraction(c=lambda k, _sf=sf: LaurentPoly.const(
+            sum(abs(c) for _, c in _sf.c(k).sorted_terms())))
+        series = expand_by_convergents(sf, MAX_ORDER)
+        bound = convergents_at(absolute, MAX_ORDER, 1)
+        for n in range(MAX_ORDER + 1):
+            assert all(abs(c) <= bound[n]
+                       for _, c in series.coeff(n).sorted_terms()), n
 
 
 def test_evaluated_oracle_refuses_what_is_not_in_z_q():

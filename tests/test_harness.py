@@ -9,7 +9,7 @@ import pytest
 from pqeuler import harness, permstat, qeuler
 from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
-from pqeuler.contfrac import expand_s
+from pqeuler.contfrac import SFraction, convergents_at, expand_s
 from pqeuler.permstat import basic_stats, family_iter, word_str
 
 
@@ -274,8 +274,9 @@ def _contra_fraction():
 
 
 def _vanishing_at_the_points(d):
-    # prod (q - x) over the evaluation points 0..order d: of degree
-    # order d + 1, so only the degree bound sees it
+    # prod (q - x) over the points 0..order d, of degree order d + 1: it
+    # vanishes wherever a check by as many points as the degree bound would
+    # look, but not at q = 2^B
     out = LaurentPoly.const(1)
     for x in range(CONTRA_ORDER * d + 1):
         out = out * (LaurentPoly.var("q") - x)
@@ -322,6 +323,34 @@ def test_oracle_comparison_catches_a_planted_fault(name, monkeypatch):
     _plant_in_the_odd_contraction(monkeypatch, fault)
     assert (harness._contraction_agrees(sf, even, CONTRA_ORDER)
             == "even contraction mismatch")
+
+
+def _collision_bits(sf, series):
+    """B as the one-point check should pick it: 2^(B-1) above every
+    |coefficient| of ``series`` and of the fraction with each c_k replaced
+    by the sum of its absolute coefficients, at q = 1."""
+    absolute = SFraction(c=lambda k: LaurentPoly.const(
+        sum(abs(c) for _, c in sf.c(k).sorted_terms())))
+    top = max(convergents_at(absolute, CONTRA_ORDER, 1)
+              + [abs(c) for coeff in series.coeffs
+                 for _, c in coeff.sorted_terms()])
+    return top.bit_length() + 1
+
+
+@pytest.mark.parametrize("k", (0, 2))
+def test_oracle_comparison_rejects_a_collision_at_the_point(k):
+    # P + (q - 2^B) q^k equals P at q = 2^B for the B that the unperturbed
+    # series picks; its own coefficient -2^B raises B, so it must fail
+    sf, _ = _contra_fraction()
+    even = expand_s(sf, CONTRA_ORDER)
+    bits = _collision_bits(sf, even)
+    rows = [dict((e[3], c) for e, c in coeff.sorted_terms())
+            for coeff in even.coeffs]
+    assert harness._point_bits(sf, rows, CONTRA_ORDER) == bits
+    fault = (LaurentPoly.var("q") - (1 << bits)) * LaurentPoly.var("q", k)
+    assert fault.substitute({"q": 1 << bits}).is_zero()
+    assert not harness._matches_convergents(sf, _planted(even, fault),
+                                            CONTRA_ORDER)
 
 
 def test_the_vanishing_fault_hides_from_every_point():
