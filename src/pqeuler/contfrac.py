@@ -14,9 +14,13 @@ at a depth; neither runs on the fast path, and they hold the only depths.
 ``expand_by_convergents`` does it with series reciprocals over the Laurent
 polynomials and is the definition the tests check against.
 ``convergents_at`` does it for an S-fraction over Z[q] at one integer q,
-over plain ints; ``contra`` compares the contractions with it at one point
-q = 2^B, with 2^(B-1) above every |coefficient| on both sides, where
-balanced base-2^B digits fix every coefficient.
+over plain ints.  ``contra`` compares both contractions with it at one
+point q = 2^B: c_1..c_(order+4) are evaluated there once (``value_at``),
+and the contractions of that int-valued fraction are expanded by the same
+transfer pass over ints.  The contractions and the pass only add and
+multiply, so each int pass is its Laurent polynomial series at 2^B; with
+2^(B-1) above every |coefficient| of every side, balanced base-2^B digits
+make agreement there equality.
 """
 
 from __future__ import annotations
@@ -94,16 +98,22 @@ def convergents_at(sf: SFraction, order: int, q: int) -> list[int]:
     h_0).  The level-k series is needed only to t^(order - k + 1)."""
     f = [1]
     for k in range(order, 0, -1):
-        c = 0
-        for e, coeff in _q_only(sf.c(k)).items():
-            if e < 0:
-                raise ValueError(f"c_{k} = {sf.c(k)} is not in Z[q]")
-            c += coeff * q ** e
+        c = value_at(sf.c(k), q)
         h = [1]
         for _ in range(order - k + 1):
             h.append(c * sum(map(mul, f, reversed(h))))
         f = h
     return f
+
+
+def value_at(poly: LaurentPoly, q: int) -> int:
+    """A polynomial in Z[q] at the integer q."""
+    value = 0
+    for e, coeff in _q_only(poly).items():
+        if e < 0:
+            raise ValueError(f"{poly} is not in Z[q]")
+        value += coeff * q ** e
+    return value
 
 
 def contract_even(sf: SFraction) -> JFraction:

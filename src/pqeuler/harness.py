@@ -30,8 +30,9 @@ from .contfrac import (
     expand_odd_contraction,
     expand_s,
     preset,
+    value_at,
 )
-from .lattice import enumerate_objects
+from .lattice import enumerate_objects, transfer
 from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
 # stat_polynomial and e_pq are not called here, but perfbench/spans.py wraps
 # them under this module's names
@@ -292,32 +293,53 @@ def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
     return SFraction(c=lambda k, _p=tuple(polys): _p[k - 1])
 
 
-def _contraction_agrees(sf: SFraction, even: TruncSeries, order: int):
-    """Witness that the even and odd contractions of an S-fraction over Z[q]
-    do not expand to its convergents up to t^order, or None if they do.
+def _contraction_agrees(sf: SFraction, order: int):
+    """Witness that the even or the odd contraction of an S-fraction over
+    Z[q] does not expand to its convergents up to t^order, or None if both
+    do.
 
-    ``even`` is the even contraction's expansion up to t^order, which the
-    caller has already made.  The odd one is expanded by the transfer pass
-    and compared with it; the even one is then compared with the convergent
-    oracle (``_matches_convergents``)."""
-    c1, jf = contract_odd(sf)
-    if even != expand_odd_contraction(c1, jf, order):
-        return "odd contraction mismatch"
-    if not _matches_convergents(sf, even, order):
+    Both are compared with the oracle at one point, q = 2^B
+    (``_point_bits``), over plain ints: c_1..c_(order+4) are evaluated there
+    once, both contractions of that int-valued fraction are expanded by the
+    transfer pass (``_contractions_at``), and each is compared with
+    ``convergents_at``.  Evaluation at an integer is a ring homomorphism and
+    the contractions and the pass only add and multiply, so each int pass
+    is its Laurent polynomial series at 2^B, and the oracle's values are the
+    fraction's.  Two polynomials in q whose coefficients are all below
+    2^(B-1) in absolute value are equal exactly when they agree at 2^B,
+    since balanced base-2^B digits are unique."""
+    point = 1 << _point_bits(sf, order)
+    even, odd = _contractions_at(sf, order, partial(value_at, q=point))
+    oracle = convergents_at(sf, order, point)
+    if even != oracle:
         return "even contraction mismatch"
+    if odd != oracle:
+        return "odd contraction mismatch"
     return None
 
 
-def _matches_convergents(sf: SFraction, series: TruncSeries, order: int) -> bool:
-    """Whether ``series`` is the S-fraction's expansion up to t^order.
+def _contractions_at(sf: SFraction, order: int, value):
+    """The even and the odd contraction of the S-fraction, as lists of the
+    ints at t^0..t^order, with each of c_1..c_(order+4) replaced once by the
+    int ``value(c_k)``.  Both are expanded by the transfer pass over ints,
+    the odd one as 1 + c_1 t J."""
+    cs = [value(sf.c(k)) for k in range(1, order + 5)]
+    at = SFraction(c=lambda k: cs[k - 1])
+    jf = contract_even(at)
+    even = transfer(jf.ac, jf.b, None, order)
+    c1, jf = contract_odd(at)
+    odd = [1] + [c1 * v for v in transfer(jf.ac, jf.b, None, order)[:order]]
+    return even, odd
 
-    Two polynomials in q whose coefficients are all below 2^(B-1) in
-    absolute value are equal exactly when they agree at q = 2^B, since
-    balanced base-2^B digits are unique.  Each t^n coefficient of
-    ``series`` must be a polynomial in q, and B is taken above its own
-    coefficients and above those of the fraction's (``_point_bits``); the
-    two are then compared at that one point, where the oracle
-    ``convergents_at`` evaluates the fraction over plain ints."""
+
+def _matches_convergents(sf: SFraction, series: TruncSeries, order: int) -> bool:
+    """Whether ``series``, a Laurent polynomial series, is the S-fraction's
+    expansion up to t^order.
+
+    Each t^n coefficient of ``series`` must be a polynomial in q, and B is
+    taken above its own coefficients too (``_point_bits``); its rows are
+    then compared at q = 2^B with the oracle ``convergents_at``, by the
+    argument of ``_contraction_agrees``."""
     rows = []
     for n in range(order + 1):
         try:
@@ -327,24 +349,33 @@ def _matches_convergents(sf: SFraction, series: TruncSeries, order: int) -> bool
         if any(e < 0 for e in coeffs):
             return False
         rows.append(coeffs)
-    bits = _point_bits(sf, rows, order)
+    bits = _point_bits(sf, order, rows)
     return [sum(c << bits * e for e, c in row.items()) for row in rows] == (
         convergents_at(sf, order, 1 << bits))
 
 
-def _point_bits(sf: SFraction, rows: list, order: int) -> int:
+def _point_bits(sf: SFraction, order: int, rows=()) -> int:
     """B with 2^(B-1) above every |coefficient| in ``rows`` (maps of q
-    exponents to coefficients) and in the fraction's t^0..t^order.
+    exponents to coefficients) and in the t^0..t^order of the fraction and
+    of its even and odd contractions.
 
-    Each coefficient of the fraction's t^n is a signed sum of products of
-    coefficients of c_1..c_order, one per path, so it is at most in absolute
-    value the t^n of the fraction with each c_k replaced by the sum of its
-    absolute coefficients, at q = 1."""
-    absolute = SFraction(c=lambda k: LaurentPoly.const(
-        sum(map(abs, _q_only(sf.c(k)).values()))))
-    top = max(convergents_at(absolute, order, 1)
+    Each coefficient of a t^n is a signed sum of products of coefficients
+    of the c_k, one per path, so it is at most in absolute value the t^n of
+    the same expansion with each c_k replaced by the sum of its absolute
+    coefficients, at q = 1.  That takes three int passes: the fraction's
+    convergents and each contraction's transfer pass.  The contractions'
+    bounds come from their own passes, not from the contraction identity
+    that ``contra`` tests."""
+    absolute = SFraction(c=lambda k: LaurentPoly.const(_size(sf.c(k))))
+    even, odd = _contractions_at(sf, order, _size)
+    top = max(convergents_at(absolute, order, 1) + even + odd
               + [abs(c) for row in rows for c in row.values()])
     return top.bit_length() + 1
+
+
+def _size(poly: LaurentPoly) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, poly.terms.values()))
 
 
 # contra's specialized presets, by the signed identity whose tangent and
@@ -373,9 +404,11 @@ def _check_contra(order: int):
             if j_series != s_series:
                 return f"{name}: level form disagrees with contracted form"
             if is_s:
-                why = _contraction_agrees(pr.s_form, s_series, order)
-                if why:
-                    return f"{name}: {why}"
+                c1, jf = contract_odd(pr.s_form)
+                if s_series != expand_odd_contraction(c1, jf, order):
+                    return f"{name}: odd contraction mismatch"
+                if not _matches_convergents(pr.s_form, s_series, order):
+                    return f"{name}: even contraction mismatch"
             target = TruncSeries(series_order, [LaurentPoly.const(1)] + [
                 side.value(n, bases[n]) for n in range(1, series_order + 1)])
             if big != target:
@@ -383,9 +416,7 @@ def _check_contra(order: int):
     rng = random.Random(CONTRA_SEED)
     levels = order + 4
     for t in range(CONTRA_TRIALS):
-        sf = _random_s_fraction(rng, levels)
-        even = expand_j(contract_even(sf), order)
-        why = _contraction_agrees(sf, even, order)
+        why = _contraction_agrees(_random_s_fraction(rng, levels), order)
         if why:
             return f"random trial {t}: {why}"
     return None

@@ -9,10 +9,11 @@ says for every kind whether it allows level steps and whether it carries xi.
 Weighted sums come in two independent flavours: direct enumeration of the
 objects (the oracle), which joins listed prefixes and suffixes without ever
 merging them and so makes one update per object, and a transfer computation
-over (position, height) with polynomial-valued state (the fast path).
+over (position, height) with ring-valued state (the fast path).
 ``transfer`` is that computation; it gives the sums for every length up to
-an order in one pass and also expands every continued fraction in
-``contfrac``.  The height of a step is always its starting ordinate.
+an order in one pass, over Laurent polynomials or plain ints, and also
+expands every continued fraction in ``contfrac``.  The height of a step is
+always its starting ordinate.
 """
 
 from __future__ import annotations
@@ -284,15 +285,16 @@ def _required(fn, step: str):
     return missing
 
 
-_ONE = LaurentPoly.const(1)
+_UNIT = object()   # a unit weight: the step costs no product
 
 
-def _prepared(w: LaurentPoly):
-    """None for a zero weight (the step is skipped), _ONE for a unit weight
-    (the step costs no product), else the weight itself."""
-    if w.is_zero():
+def _prepared(w):
+    """None for a zero weight (the step is skipped), _UNIT for a unit weight
+    (the step costs no product), else the weight itself.  An int and a
+    LaurentPoly both compare with the ints 0 and 1."""
+    if w == 0:
         return None
-    return _ONE if w == _ONE else w
+    return _UNIT if w == 1 else w
 
 
 def transfer(up: Callable[[int], LaurentPoly],
@@ -311,23 +313,33 @@ def transfer(up: Callable[[int], LaurentPoly],
     that cannot return to 0 within the order are pruned, every weight is
     built once per height, and each pass step costs one product of a path
     sum with a (small) weight.
+
+    The pass only adds and multiplies, so it runs over any ring whose
+    elements compare with the ints 0 and 1: ``LaurentPoly`` weights give
+    ``LaurentPoly`` sums, and int weights int sums.  Its 1 and 0 are read
+    off up(0), which is built even where no up step fits; each int pass is
+    then the ``LaurentPoly`` pass at the point its weights were evaluated
+    at.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     top = order // 2
     # a step starting at h is used only if the path can still come back:
     # up needs 2h + 2 <= order, level 2h + 1 <= order, down h <= order / 2
-    ups = [_prepared(up(h)) for h in range(top)]
+    ups = [up(h) for h in range(max(top, 1))]
+    one = ups[0] ** 0
+    zero = one - one
+    ups = [_prepared(w) for w in ups[:top]]
     levels = ([_prepared(level(h)) for h in range((order + 1) // 2)]
               if level is not None else [])
-    downs = [None] + [_ONE if down is None else _prepared(down(h))
+    downs = [None] + [_UNIT if down is None else _prepared(down(h))
                       for h in range(1, top + 1)]
     moves = [((1, ups[h] if h < len(ups) else None),
               (0, levels[h] if h < len(levels) else None),
               (-1, downs[h]))
              for h in range(top + 1)]
-    sums = [_ONE]
-    state = {0: _ONE}
+    sums = [one]
+    state = {0: one}
     for pos in range(order):
         remaining = order - pos - 1   # steps left after this one
         nxt: dict = {}
@@ -336,11 +348,11 @@ def transfer(up: Callable[[int], LaurentPoly],
                 target = h + delta
                 if w is None or target > remaining:
                     continue
-                term = val if w is _ONE else val * w
+                term = val if w is _UNIT else val * w
                 prev = nxt.get(target)
                 nxt[target] = term if prev is None else prev + term
         state = nxt
-        sums.append(state.get(0, LaurentPoly()))
+        sums.append(state.get(0, zero))
     return sums
 
 

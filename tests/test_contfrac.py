@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from pqeuler.contfrac import (
     expand_s,
     preset,
 )
-from pqeuler.lattice import WeightSpec, weighted_sum
+from pqeuler.lattice import WeightSpec, transfer, weighted_sum
 from pqeuler.permstat import QUINTUPLE_WEIGHT, stat_polynomial
 
 
@@ -168,6 +169,100 @@ def test_absolute_fraction_at_one_bounds_every_coefficient(name):
         for n in range(MAX_ORDER + 1):
             assert all(abs(c) <= bound[n]
                        for _, c in series.coeff(n).sorted_terms()), n
+
+
+def _sizes(sf, levels):
+    """The fraction with each of c_1..c_levels replaced by the sum of its
+    absolute coefficients, an int."""
+    sizes = [sum(abs(c) for _, c in sf.c(k).sorted_terms())
+             for k in range(1, levels + 1)]
+    return SFraction(c=lambda k: sizes[k - 1])
+
+
+@pytest.mark.parametrize("name", ["random", "jv-tangent", "sz-tangent"])
+def test_absolute_passes_at_one_bound_each_contraction(name):
+    # the same lemma for each contraction's own transfer pass: each q
+    # coefficient of its t^n is a signed sum of products along its paths,
+    # so its int pass at q = 1 on the absolute values bounds it
+    fractions = (_random_s_fractions() if name == "random"
+                 else [preset(name).s_form])
+    for sf in fractions:
+        absolute = _sizes(sf, MAX_ORDER + 2)
+        even = contract_even(absolute)
+        c1, odd = contract_odd(absolute)
+        bounds = (transfer(even.ac, even.b, None, MAX_ORDER),
+                  [1] + [c1 * v for v in transfer(odd.ac, odd.b, None,
+                                                   MAX_ORDER)[:MAX_ORDER]])
+        c1, odd = contract_odd(sf)
+        sides = (expand_s(sf, MAX_ORDER),
+                 expand_odd_contraction(c1, odd, MAX_ORDER))
+        for series, bound in zip(sides, bounds):
+            for n in range(MAX_ORDER + 1):
+                assert all(abs(c) <= bound[n]
+                           for _, c in series.coeff(n).sorted_terms()), n
+
+
+# the presets whose weights are in q alone; jv-secant's have q^-1, which is
+# an int only at q = +-1
+Q_PRESETS = ("tangent-q", "secant-q", "tangent-qstar", "secant-qstar",
+             "jv-tangent", "jv-secant", "sz-tangent", "sz-secant")
+HOMOMORPHISM_POINTS = (-2, -1, 0, 1, 2, 2 ** 64)
+
+
+def _passes(fraction, value):
+    """The transfer passes to MAX_ORDER of a fraction's J-forms, with each
+    weight of a J-fraction, or each c_k of an S-fraction before its even
+    and odd contractions, replaced by ``value`` of it."""
+    if isinstance(fraction, JFraction):
+        forms = [JFraction(b=lambda h: value(fraction.b(h)),
+                           ac=lambda h: value(fraction.ac(h)))]
+    else:
+        at = SFraction(c=lambda k: value(fraction.c(k)))
+        forms = [contract_even(at), contract_odd(at)[1]]
+    return [transfer(jf.ac, jf.b, None, MAX_ORDER) for jf in forms]
+
+
+@pytest.mark.parametrize("name", ("random",) + Q_PRESETS)
+def test_the_int_pass_is_the_laurent_pass_at_each_point(name):
+    # the contractions and the pass only add and multiply, so running them
+    # over ints at q commutes with evaluating their Laurent series at q
+    if name == "random":
+        fractions = _random_s_fractions()
+    else:
+        pr = preset(name)
+        fractions = [f for f in (pr.fraction, pr.s_form) if f is not None]
+    points = (-1, 1) if name == "jv-secant" else HOMOMORPHISM_POINTS
+    for fraction in fractions:
+        laurent = _passes(fraction, lambda w: w)
+        for q in points:
+            def at_q(w):
+                return w.substitute({"q": q}).as_int()
+
+            ints = _passes(fraction, at_q)
+            assert ints == [[at_q(c) for c in p] for p in laurent], q
+            assert all(type(v) is int for p in ints for v in p)
+
+
+# sha256 prefixes of str(preset(name).expand(12)): the pass's 0 and 1, now
+# read off the weights, must leave every Laurent series printing as it did
+PRESET_TEXT_AT_12 = {
+    "tangent-pq": "7b08f0ae49884321", "secant-pq": "eda909e7133017d0",
+    "tangent-q": "f8a5d11d57a4bf3a", "secant-q": "aeee0dcca7b2c179",
+    "tangent-qstar": "cef350bde78b39d8", "secant-qstar": "38a04f3c48f7c55a",
+    "thm4.1": "2756400f275ff16f", "cf-A": "2e1a24d7485a2a11",
+    "cf-SZ": "29740b31f2214e56", "jv-tangent": "2f01b00274eeac63",
+    "jv-secant": "ccd9df9b2816ca62", "sz-tangent": "e08587c2c647fed6",
+    "sz-secant": "ef0f020a0e9859c6",
+}
+
+
+def test_preset_expansions_print_as_before():
+    assert set(PRESET_TEXT_AT_12) == set(PRESET_NAMES)
+    for name, digest in PRESET_TEXT_AT_12.items():
+        series = preset(name).expand(12)
+        assert all(isinstance(c, LaurentPoly) for c in series.coeffs), name
+        text = str(series).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest, name
 
 
 def test_evaluated_oracle_refuses_what_is_not_in_z_q():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from pqeuler import harness, permstat, qeuler
 from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
-from pqeuler.contfrac import SFraction, convergents_at, expand_s
+from pqeuler.contfrac import (SFraction, contract_odd, expand_by_convergents,
+                              expand_odd_contraction, expand_s, value_at)
 from pqeuler.permstat import basic_stats, family_iter, word_str
 
 
@@ -259,7 +261,7 @@ def test_contra_compares_the_presets_past_order_ten(monkeypatch):
 
 
 CONTRA_ORDER = 4
-# t^3 of the even contraction, the only coefficient a planted fault touches
+# t^3 of a contraction, the only coefficient a planted fault touches
 FAULT_AT = 3
 
 
@@ -304,53 +306,98 @@ def _plant_in_the_odd_contraction(monkeypatch, fault):
                                                        fault))
 
 
+EVEN, ODD = 0, 1
+
+
+def _plant_in_the_passes(monkeypatch, fault, sides):
+    """Add the fault at t^FAULT_AT to the given sides of every int pass of
+    contra's random trials, as the pass would carry it: by its image under
+    the map the pass applies to each c_k, its size in the bound passes at
+    q = 1 and its value in the passes at q = 2^B.  A fault outside Z[q]
+    has no value there, so it is added as it is and the pass leaves the
+    ints."""
+    real = harness._contractions_at
+
+    def planted(sf, order, value):
+        passes = real(sf, order, value)
+        try:
+            image = value(fault)
+        except ValueError:
+            image = fault
+        for side in sides:
+            passes[side][FAULT_AT] += image
+        return passes
+
+    monkeypatch.setattr(harness, "_contractions_at", planted)
+
+
 def test_oracle_comparison_passes_the_even_contraction():
     sf, d = _contra_fraction()
     assert d == 2
     even = expand_s(sf, CONTRA_ORDER)
     assert harness._matches_convergents(sf, even, CONTRA_ORDER)
-    assert harness._contraction_agrees(sf, even, CONTRA_ORDER) is None
+    assert harness._contraction_agrees(sf, CONTRA_ORDER) is None
+    # each int pass is the Laurent polynomial series at the point
+    point = 1 << harness._point_bits(sf, CONTRA_ORDER)
+    passes = harness._contractions_at(sf, CONTRA_ORDER,
+                                      partial(value_at, q=point))
+    want = [c.substitute({"q": point}).as_int() for c in even.coeffs]
+    assert passes == (want, want)
 
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_oracle_comparison_catches_a_planted_fault(name, monkeypatch):
     sf, d = _contra_fraction()
     fault = FAULTS[name](d)
-    even = _planted(expand_s(sf, CONTRA_ORDER), fault)
-    assert not harness._matches_convergents(sf, even, CONTRA_ORDER)
-    # the same fault in both contractions passes their comparison with each
-    # other, so only the oracle can catch it
-    _plant_in_the_odd_contraction(monkeypatch, fault)
-    assert (harness._contraction_agrees(sf, even, CONTRA_ORDER)
+    # the specialised presets' Laurent polynomial series
+    assert not harness._matches_convergents(
+        sf, _planted(expand_s(sf, CONTRA_ORDER), fault), CONTRA_ORDER)
+    # the same fault in both contractions' int passes keeps them equal to
+    # each other, so only the oracle can catch it
+    _plant_in_the_passes(monkeypatch, fault, (EVEN, ODD))
+    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
             == "even contraction mismatch")
 
 
 def _collision_bits(sf, series):
     """B as the one-point check should pick it: 2^(B-1) above every
-    |coefficient| of ``series`` and of the fraction with each c_k replaced
-    by the sum of its absolute coefficients, at q = 1."""
+    |coefficient| of ``series`` and of the fraction and its even and odd
+    contractions with each c_k replaced by the sum of its absolute
+    coefficients, at q = 1, each expanded here as a Laurent series."""
     absolute = SFraction(c=lambda k: LaurentPoly.const(
         sum(abs(c) for _, c in sf.c(k).sorted_terms())))
-    top = max(convergents_at(absolute, CONTRA_ORDER, 1)
+    c1, jf = contract_odd(absolute)
+    sides = (expand_by_convergents(absolute, CONTRA_ORDER),
+             expand_s(absolute, CONTRA_ORDER),
+             expand_odd_contraction(c1, jf, CONTRA_ORDER))
+    top = max([coeff.as_int() for side in sides for coeff in side.coeffs]
               + [abs(c) for coeff in series.coeffs
                  for _, c in coeff.sorted_terms()])
     return top.bit_length() + 1
 
 
 @pytest.mark.parametrize("k", (0, 2))
-def test_oracle_comparison_rejects_a_collision_at_the_point(k):
+def test_oracle_comparison_rejects_a_collision_at_the_point(k, monkeypatch):
     # P + (q - 2^B) q^k equals P at q = 2^B for the B that the unperturbed
-    # series picks; its own coefficient -2^B raises B, so it must fail
+    # sides pick; its own coefficient -2^B raises B, so it must fail, in
+    # a Laurent series and in either contraction's int passes
     sf, _ = _contra_fraction()
     even = expand_s(sf, CONTRA_ORDER)
     bits = _collision_bits(sf, even)
     rows = [dict((e[3], c) for e, c in coeff.sorted_terms())
             for coeff in even.coeffs]
-    assert harness._point_bits(sf, rows, CONTRA_ORDER) == bits
+    assert harness._point_bits(sf, CONTRA_ORDER, rows) == bits
+    assert harness._point_bits(sf, CONTRA_ORDER) == bits
     fault = (LaurentPoly.var("q") - (1 << bits)) * LaurentPoly.var("q", k)
     assert fault.substitute({"q": 1 << bits}).is_zero()
     assert not harness._matches_convergents(sf, _planted(even, fault),
                                             CONTRA_ORDER)
+    for side, witness in ((EVEN, "even contraction mismatch"),
+                          (ODD, "odd contraction mismatch")):
+        with monkeypatch.context() as m:
+            _plant_in_the_passes(m, fault, (side,))
+            assert harness._point_bits(sf, CONTRA_ORDER) > bits
+            assert harness._contraction_agrees(sf, CONTRA_ORDER) == witness
 
 
 def test_the_vanishing_fault_hides_from_every_point():
@@ -363,12 +410,8 @@ def test_the_vanishing_fault_hides_from_every_point():
 
 def test_an_odd_only_fault_is_an_odd_contraction_mismatch(monkeypatch):
     sf, _ = _contra_fraction()
-    real = harness.expand_odd_contraction
-    monkeypatch.setattr(harness, "expand_odd_contraction",
-                        lambda c1, jf, order: _planted(
-                            real(c1, jf, order), LaurentPoly.const(1)))
-    assert (harness._contraction_agrees(sf, expand_s(sf, CONTRA_ORDER),
-                                        CONTRA_ORDER)
+    _plant_in_the_passes(monkeypatch, LaurentPoly.const(1), (ODD,))
+    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
             == "odd contraction mismatch")
 
 
@@ -393,16 +436,21 @@ def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
 
 
 def test_contra_expands_each_even_contraction_once(monkeypatch):
-    # one expansion per specialised preset's contracted form, and one per
-    # random trial; the trial's and the S-form preset's even contraction
-    # serve both the level-form comparison and the oracle
-    calls = []
+    # one Laurent series per specialised preset's contracted form, which
+    # serves both the level-form comparison and the oracle, and none per
+    # random trial: a trial's int passes run once at q = 1 for B and once
+    # at q = 2^B, and each S-form preset's B takes one more
+    calls, passes = [], []
     for attr in ("expand_j", "expand_s"):
         real = getattr(harness, attr)
         monkeypatch.setattr(harness, attr, lambda f, order, _real=real:
                             calls.append(1) or _real(f, order))
+    real_passes = harness._contractions_at
+    monkeypatch.setattr(harness, "_contractions_at", lambda sf, order, value:
+                        passes.append(1) or real_passes(sf, order, value))
     assert harness.check("contra", CONTRA_ORDER).passed
-    assert len(calls) == len(harness.SPECIALIZED) * 2 + harness.CONTRA_TRIALS
+    assert len(calls) == len(harness.SPECIALIZED) * 2
+    assert len(passes) == 2 * harness.CONTRA_TRIALS + 2
 
 
 @pytest.mark.parametrize("cid", harness.CHECK_IDS)

@@ -258,6 +258,21 @@ def test_transfer_zero_weights_cut_the_fraction():
     motzkin = transfer(below_1, below_1, None, 4)
     # 1/(1 - t - t^2) : Fibonacci
     assert [s.as_int() for s in motzkin] == [1, 1, 2, 3, 5]
+    for sums in (dyck, motzkin, transfer(lambda h: zero, None, None, 0)):
+        assert all(isinstance(s, LaurentPoly) for s in sums)
+
+    # the same pass over plain ints gives plain ints
+    def int_below_1(h):
+        return 1 if h < 1 else 0
+
+    for sums, want in ((transfer(int_below_1, None, None, 8),
+                        [1, 0, 1, 0, 1, 0, 1, 0, 1]),
+                       (transfer(lambda h: 0, None, None, 4), [1, 0, 0, 0, 0]),
+                       (transfer(lambda h: 0, None, None, 0), [1]),
+                       (transfer(int_below_1, int_below_1, None, 4),
+                        [1, 1, 2, 3, 5])):
+        assert sums == want
+        assert all(type(s) is int for s in sums)
 
 
 def test_transfer_rejects_negative_sizes():
