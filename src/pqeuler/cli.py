@@ -87,6 +87,8 @@ def _cmd_cf(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.what == "euler":
+        if args.family is not None or args.weight is not None:
+            raise UsageError("table --what euler takes no --family or --weight")
         rows = euler_table(args.n)
         print(json.dumps([row.to_json() for row in rows]))
         return 0
@@ -117,6 +119,8 @@ def _cmd_bij(args) -> int:
     if args.verify:
         if args.n is None:
             raise UsageError("bij --verify needs --n")
+        if args.perm is not None:
+            raise UsageError("bij --verify takes no permutation")
         why = _BIJECTIONS[args.name][1](args.n)
         if why is None:
             print(f"{args.name} verified at n={args.n}")
@@ -125,6 +129,8 @@ def _cmd_bij(args) -> int:
         return 1
     if args.perm is None:
         raise UsageError("bij needs a permutation (or --verify)")
+    if args.n is not None:
+        raise UsageError("bij --n needs --verify")
     sigma = parse_word(args.perm)
     if args.name == "csz":
         fw, gw = csz_biwords(sigma)

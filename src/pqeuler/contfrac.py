@@ -1,6 +1,13 @@
 """J- and S-fraction expansion, the two contraction transforms, and named
 presets for every continued fraction used by the library.
 
+Five fractions are stated: the (p,q) tangent and secant, Thm 4.1's, cf-A
+and cf-SZ.  The other presets substitute into their weights
+(``JFraction.at``): ``*-q`` and ``*-qstar`` are the (p,q) pair at ``AT_Q``
+and ``AT_QSTAR`` (Cor 2.2 and 2.3), and ``jv-*`` and ``sz-*`` are cf-A and
+cf-SZ at the x of the signed sides, y = 1 for the tangent and 0 for the
+secant, each with the displayed S-form that ``contra`` checks.
+
 The fast path reads a fraction as weighted lattice paths (Flajolet) and gets
 every coefficient up to the order from one forward pass of
 ``lattice.transfer``: ``expand_j`` is the one expansion routine.  A fraction
@@ -47,6 +54,16 @@ class JFraction:
 
     def expand(self, order: int) -> TruncSeries:
         return expand_j(self, order)
+
+    def at(self, values: dict | None) -> "JFraction":
+        """Every b_h and ac_h substituted by ``values``, a map as
+        ``LaurentPoly.substitute`` takes; a ring homomorphism commutes with
+        the pass, so this expands to the substituted expansion."""
+        if not values:
+            return self
+        b, ac = self.b, self.ac
+        return JFraction(b=lambda h: b(h).substitute(values),
+                         ac=lambda h: ac(h).substitute(values))
 
 
 @dataclass(frozen=True)
@@ -155,7 +172,6 @@ def expand_odd_contraction(c1: LaurentPoly, jf: JFraction, order: int) -> TruncS
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     fraction: JFraction
     t_prefix: int = 0          # multiply the expansion by t^t_prefix
     s_form: JFraction | SFraction | None = None  # an equivalent form, when one exists
@@ -163,6 +179,11 @@ class Preset:
     def expand(self, order: int) -> TruncSeries:
         series = self.fraction.expand(order)
         return series.shift(self.t_prefix) if self.t_prefix else series
+
+    def at(self, values: dict | None,
+           s_form: JFraction | SFraction | None = None) -> "Preset":
+        """This preset's fraction at ``values``, with the form ``s_form``."""
+        return Preset(self.fraction.at(values), self.t_prefix, s_form)
 
 
 _ONE = LaurentPoly.const(1)
@@ -179,40 +200,25 @@ def _zero(h: int) -> LaurentPoly:
     return _ZERO
 
 
-# The tangent and secant fractions are in t^2 alone (Thm 2.1, Cor 2.2 and
-# 2.3): 1 / (1 - c_1 t^2 / (1 - c_2 t^2 / ...)) is the J-fraction with every
-# level weight 0 and ac_h = c_(h+1).
+# The tangent and secant fractions are in t^2 alone (Thm 2.1):
+# 1 / (1 - c_1 t^2 / (1 - c_2 t^2 / ...)) is the J-fraction with every level
+# weight 0 and ac_h = c_(h+1).
 
 
 def _tangent_pq() -> Preset:
-    return Preset("tangent-pq", JFraction(
+    return Preset(JFraction(
         b=_zero, ac=lambda h: pq_bracket(h + 1) * pq_bracket(h + 2)), t_prefix=1)
 
 
 def _secant_pq() -> Preset:
-    return Preset("secant-pq", JFraction(
+    return Preset(JFraction(
         b=_zero, ac=lambda h: pq_bracket(h + 1) * pq_bracket(h + 1)))
 
 
-def _tangent_q() -> Preset:
-    return Preset("tangent-q", JFraction(
-        b=_zero, ac=lambda h: q_bracket(h + 1) * q_bracket(h + 2)), t_prefix=1)
-
-
-def _secant_q() -> Preset:
-    return Preset("secant-q", JFraction(
-        b=_zero, ac=lambda h: q_bracket(h + 1) * q_bracket(h + 1)))
-
-
-def _tangent_qstar() -> Preset:
-    return Preset("tangent-qstar", JFraction(
-        b=_zero, ac=lambda h: _qpow(2 * h + 1) * q_bracket(h + 1) * q_bracket(h + 2)),
-        t_prefix=1)
-
-
-def _secant_qstar() -> Preset:
-    return Preset("secant-qstar", JFraction(
-        b=_zero, ac=lambda h: _qpow(2 * h) * q_bracket(h + 1) ** 2))
+# E_n(p,q) at these is E_n(q) (Cor 2.2), E*_n(q) (Cor 2.3) and E_n
+AT_Q = {"p": 1}
+AT_QSTAR = {"p": LaurentPoly.var("q", 2)}
+AT_ONE = {"p": 1, "q": 1}
 
 
 def _thm41() -> Preset:
@@ -226,13 +232,11 @@ def _thm41() -> Preset:
         br = bracket(_Q, _PS, h + 1)
         return LaurentPoly.monomial(1, x=1, s=2 * h + 1) * br * br
 
-    return Preset("thm4.1", JFraction(b=b, ac=ac))
+    return Preset(JFraction(b=b, ac=ac))
 
 
-def _cf_a(x_val: LaurentPoly | None = None, y_val: LaurentPoly | None = None,
-          name: str = "cf-A") -> Preset:
-    xm = LaurentPoly.var("x") if x_val is None else x_val
-    ym = LaurentPoly.var("y") if y_val is None else y_val
+def _cf_a() -> Preset:
+    xm, ym = LaurentPoly.var("x"), LaurentPoly.var("y")
 
     def b(h):
         return xm * ym + (_ONE + xm * _Q) * q_bracket(h)
@@ -240,13 +244,11 @@ def _cf_a(x_val: LaurentPoly | None = None, y_val: LaurentPoly | None = None,
     def ac(h):
         return xm * q_bracket(h + 1) ** 2
 
-    return Preset(name, JFraction(b=b, ac=ac))
+    return Preset(JFraction(b=b, ac=ac))
 
 
-def _cf_sz(x_val: LaurentPoly | None = None, y_val: LaurentPoly | None = None,
-           name: str = "cf-SZ") -> Preset:
-    xm = LaurentPoly.var("x") if x_val is None else x_val
-    ym = LaurentPoly.var("y") if y_val is None else y_val
+def _cf_sz() -> Preset:
+    xm, ym = LaurentPoly.var("x"), LaurentPoly.var("y")
 
     def b(h):
         return ym * _qpow(2 * h) + (_ONE + xm) * _qpow(h) * q_bracket(h)
@@ -254,62 +256,53 @@ def _cf_sz(x_val: LaurentPoly | None = None, y_val: LaurentPoly | None = None,
     def ac(h):
         return xm * _qpow(2 * h + 1) * q_bracket(h + 1) ** 2
 
-    return Preset(name, JFraction(b=b, ac=ac))
+    return Preset(JFraction(b=b, ac=ac))
 
 
-_MINUS_ONE = LaurentPoly.const(-1)
 _MINUS_INV_Q = LaurentPoly.var("q", -1, coeff=-1)
 
 
 def _jv_tangent() -> Preset:
-    base = _cf_a(x_val=_MINUS_ONE, y_val=LaurentPoly.const(1), name="jv-tangent")
-
     # the displayed alternating level sequence: c_(2i-1) = -[i], c_2i = [i]
     def c(k):
         i = (k + 1) // 2
         return -q_bracket(i) if k % 2 else q_bracket(i)
 
-    return Preset(base.name, base.fraction, s_form=SFraction(c=c))
+    return _cf_a().at({"x": -1, "y": 1}, SFraction(c=c))
 
 
 def _jv_secant() -> Preset:
-    base = _cf_a(x_val=_MINUS_INV_Q, y_val=LaurentPoly(), name="jv-secant")
-
     # all b_h vanish, so this is already a fraction in t^2
     def ac(h):
         return _qpow(-1) * q_bracket(h + 1) ** 2 * (-1)
 
-    return Preset(base.name, base.fraction, s_form=JFraction(b=_zero, ac=ac))
+    return _cf_a().at({"x": _MINUS_INV_Q, "y": 0}, JFraction(b=_zero, ac=ac))
 
 
 def _sz_tangent() -> Preset:
-    base = _cf_sz(x_val=_MINUS_INV_Q, y_val=LaurentPoly.const(1), name="sz-tangent")
-
     # c_(2i-1) = q^(i-1) [i], c_2i = -q^(i-1) [i]
     def c(k):
         i = (k + 1) // 2
         mono = _qpow(i - 1) * q_bracket(i)
         return mono if k % 2 else -mono
 
-    return Preset(base.name, base.fraction, s_form=SFraction(c=c))
+    return _cf_sz().at({"x": _MINUS_INV_Q, "y": 1}, SFraction(c=c))
 
 
 def _sz_secant() -> Preset:
-    base = _cf_sz(x_val=_MINUS_ONE, y_val=LaurentPoly(), name="sz-secant")
-
     def ac(h):
         return -(_qpow(2 * h + 1) * q_bracket(h + 1) ** 2)
 
-    return Preset(base.name, base.fraction, s_form=JFraction(b=_zero, ac=ac))
+    return _cf_sz().at({"x": -1, "y": 0}, JFraction(b=_zero, ac=ac))
 
 
 _PRESET_BUILDERS = {
     "tangent-pq": _tangent_pq,
     "secant-pq": _secant_pq,
-    "tangent-q": _tangent_q,
-    "secant-q": _secant_q,
-    "tangent-qstar": _tangent_qstar,
-    "secant-qstar": _secant_qstar,
+    "tangent-q": lambda: _tangent_pq().at(AT_Q),
+    "secant-q": lambda: _secant_pq().at(AT_Q),
+    "tangent-qstar": lambda: _tangent_pq().at(AT_QSTAR),
+    "secant-qstar": lambda: _secant_pq().at(AT_QSTAR),
     "thm4.1": _thm41,
     "cf-A": _cf_a,
     "cf-SZ": _cf_sz,

@@ -162,7 +162,7 @@ def _check_signed(check_id: str, nmax: int):
     sums = [(side.sums(nmax), side.fixed and side.sums(nmax, side.fixed))
             for side in sides]
     bases = (stat_polynomials("Astar", nmax, {"q": {"inv": 1}}) if at is None
-             else [e.substitute(at) for e in e_pq_upto(nmax)])
+             else e_pq_upto(nmax, at))
     for n in range(1, nmax + 1):
         for side, (got, fixed) in zip(sides, sums):
             want = side.value(n, bases[n])
@@ -391,10 +391,9 @@ def _check_contra(order: int):
     # the specialised presets are compared with the signed Euler series up
     # to the order, and never below CONTRA_SERIES_ORDER
     series_order = max(order, CONTRA_SERIES_ORDER)
-    euler_pq = e_pq_upto(series_order)
     for check_id, names in SPECIALIZED.items():
         at, *sides = SIGNED[check_id]
-        bases = [e.substitute(at) for e in euler_pq]
+        bases = e_pq_upto(series_order, at)
         for name, side in zip(names, sides):
             pr = preset(name)
             big = pr.expand(series_order)
@@ -499,17 +498,18 @@ def certify_psi(n: int, stats=None, index=None):
 
 def _check_sec7(nmax: int):
     rz = rz_series(nmax)
-    euler_pq = e_pq_upto(nmax)
+    euler = e_pq_upto(nmax, AT_ONE)
+    euler_q = e_pq_upto(nmax, AT_Q)
     at_one = [parity_formula(n) for n in range(nmax + 1)]
     for n in range(nmax + 1):
-        want = euler_pq[n].substitute(AT_ONE).as_int()
+        want = euler[n].as_int()
         if rz.coeff(n) != want:
             return f"t^{n} of rational series: {rz.coeff(n)} != {want}"
         if at_one[n] != want:
             return f"double sum at n={n}: {at_one[n]} != {want}"
     hrz = hrz_series(nmax)
     for n in range(nmax + 1):
-        want = euler_pq[n].substitute(AT_Q)
+        want = euler_q[n]
         if hrz.coeff(n) != want:
             return f"t^{n} of q-rational series: {hrz.coeff(n)} != {want}"
         qp = q_parity_formula(n)

@@ -1,8 +1,9 @@
 """Euler numbers and all their q- and (p,q)-refinements.
 
 Integer E_n, the polynomials E_n(p,q), E_n(q), E*_n(q) (``e_pq``, ``e_q`` and
-``e_star_q`` by enumeration; ``e_pq_upto`` by continued fraction for every n
-up to a bound at once, and ``e_int`` from it), the (exc, fix) exponential
+``e_star_q`` by enumeration; ``e_pq_upto(nmax, at)`` by continued fraction at
+every n up to nmax, substituted at ``AT_Q``, ``AT_QSTAR`` or ``AT_ONE`` in the
+weights, and ``e_int`` from it), the (exc, fix) exponential
 generating function as n!-scaled integer polynomials, and the closed formulas:
 the parity-independent double sum and the rational series, each with its
 q-analogue; one routine sums both series, dividing out each factor in one pass,
@@ -26,7 +27,7 @@ from .algebra import (
     q_factorial,
     rising_factorial,
 )
-from .contfrac import preset
+from .contfrac import AT_ONE, AT_Q, AT_QSTAR, preset
 from .permstat import stat_polynomial, stat_polynomials
 
 # euler_table cross-checks its rows by enumeration up to this n; the rows
@@ -57,20 +58,16 @@ def e_pq(n: int) -> LaurentPoly:
     return stat_polynomial("A", n, _e_pq_weight(n))
 
 
-def e_pq_upto(nmax: int) -> list[LaurentPoly]:
-    """E_n(p,q) for n = 0..nmax by continued fraction, from one expansion of
-    the tangent and one of the secant preset."""
+def e_pq_upto(nmax: int, at: dict | None = None) -> list[LaurentPoly]:
+    """E_n(p,q) for n = 0..nmax by continued fraction, or its value ``at``
+    (``AT_Q``, ``AT_QSTAR``, ``AT_ONE``, or any map as ``stat_polynomials``
+    takes), from one expansion of the tangent and one of the secant preset,
+    each substituted before its pass (``Preset.at``)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    tan = preset("tangent-pq").expand(nmax)
-    sec = preset("secant-pq").expand(nmax)
+    tan, sec = (preset(name).at(at).expand(nmax)
+                for name in ("tangent-pq", "secant-pq"))
     return [tan.coeff(n) if n % 2 else sec.coeff(n) for n in range(nmax + 1)]
-
-
-# the specializations of E_n(p,q) giving E_n(q), E*_n(q) and E_n
-AT_Q = {"p": 1}
-AT_QSTAR = {"p": LaurentPoly.var("q", 2)}
-AT_ONE = {"p": 1, "q": 1}
 
 
 def e_q(n: int) -> LaurentPoly:
@@ -83,7 +80,7 @@ def e_star_q(n: int) -> LaurentPoly:
 
 def e_int(n: int) -> int:
     """E_n by continued fraction."""
-    return e_pq_upto(n)[n].substitute(AT_ONE).as_int()
+    return e_pq_upto(n, AT_ONE)[n].as_int()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ def test_quick_workload_runs_and_verifies(name):
     assert workload.verify(results, sizes) == []
 
 
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_setup_code_runs(name):
+    # the series setup builds every preset by name, so a renamed or dropped
+    # preset fails here
+    exec(workloads.WORKLOADS[name].setup_code, {})
+
+
 def test_the_printed_worker_count_is_one():
     # run.main prints it in the header of every run; every sum runs in one
     # process

@@ -324,16 +324,57 @@ def test_thm41_t2_coefficient():
     assert str(got) == "x^2*y^2 + x*s"
 
 
-def test_tangent_q_is_p1_specialization():
-    tan_pq = preset("tangent-pq").expand(7)
-    tan_q = preset("tangent-q").expand(7)
-    for n in range(8):
-        assert tan_pq.coeff(n).substitute({"p": 1}) == tan_q.coeff(n)
+def _qpow(k):
+    return LaurentPoly.var("q", k)
 
 
-def test_qstar_is_p_q2_specialization():
-    sec_pq = preset("secant-pq").expand(6)
-    sec_star = preset("secant-qstar").expand(6)
-    q2 = LaurentPoly.var("q", 2)
-    for n in range(7):
-        assert sec_pq.coeff(n).substitute({"p": q2}) == sec_star.coeff(n)
+_ONE = LaurentPoly.const(1)
+
+
+def _no_level(h):
+    return _ZERO
+
+
+# The displayed weights (b_h, ac_h) of Cor 2.2 and 2.3 and of the jv and sz
+# level forms.  Each of these presets is stated as a substitution into
+# tangent-pq, secant-pq, cf-A or cf-SZ, which must give them exactly.
+DISPLAYED = {
+    # Cor 2.2, p = 1
+    "tangent-q": (_no_level, lambda h: q_bracket(h + 1) * q_bracket(h + 2)),
+    "secant-q": (_no_level, lambda h: q_bracket(h + 1) ** 2),
+    # Cor 2.3, p = q^2
+    "tangent-qstar": (_no_level, lambda h: (
+        _qpow(2 * h + 1) * q_bracket(h + 1) * q_bracket(h + 2))),
+    "secant-qstar": (_no_level, lambda h: _qpow(2 * h) * q_bracket(h + 1) ** 2),
+    # cf-A at x = -1, y = 1 and at x = -1/q, y = 0
+    "jv-tangent": (lambda h: (_ONE - _qpow(1)) * q_bracket(h) - _ONE,
+                   lambda h: -(q_bracket(h + 1) ** 2)),
+    "jv-secant": (_no_level, lambda h: -(_qpow(-1) * q_bracket(h + 1) ** 2)),
+    # cf-SZ at x = -1/q, y = 1 and at x = -1, y = 0
+    "sz-tangent": (lambda h: _qpow(2 * h) + (_qpow(h) - _qpow(h - 1)) * q_bracket(h),
+                   lambda h: -(_qpow(2 * h) * q_bracket(h + 1) ** 2)),
+    "sz-secant": (_no_level, lambda h: -(_qpow(2 * h + 1) * q_bracket(h + 1) ** 2)),
+}
+
+
+@pytest.mark.parametrize("name", DISPLAYED)
+def test_substituted_presets_have_the_displayed_weights(name):
+    jf = preset(name).fraction
+    b, ac = DISPLAYED[name]
+    for h in range(40):
+        assert jf.b(h) == b(h), h
+        assert jf.ac(h) == ac(h), h
+
+
+@pytest.mark.parametrize("name,values", [
+    ("cf-A", {"x": -1, "y": 1}),
+    ("cf-SZ", {"x": LaurentPoly.var("q", -1, coeff=-1), "y": 0}),
+    ("thm4.1", {"p": LaurentPoly.var("q", 2), "s": 1}),
+])
+def test_a_substituted_fraction_expands_to_the_substituted_series(name, values):
+    # substitution is a ring homomorphism, and the pass only adds and
+    # multiplies
+    pr = preset(name)
+    assert pr.at(values).expand(8).coeffs == [
+        c.substitute(values) for c in pr.expand(8).coeffs]
+    assert pr.fraction.at(None) is pr.fraction

@@ -250,8 +250,8 @@ def test_contra_compares_the_presets_past_order_ten(monkeypatch):
     # E_11(p,q) off by 1: only jv-tangent's comparison up to the order sees it
     real = harness.e_pq_upto
 
-    def planted(nmax):
-        values = real(nmax)
+    def planted(nmax, at=None):
+        values = real(nmax, at)
         values[11] = values[11] + LaurentPoly.const(1)
         return values
 
@@ -833,6 +833,25 @@ def test_cli_usage_errors(capsys):
     assert main(["bij", "fv-star", "--verify", "--n", "3"]) == 2  # even n
     assert main(["bij", "phi", "--verify", "--n", "0"]) == 2  # n >= 1
     assert main(["verify", "jv", "--n", "3", "--order", "5"]) == 2
+
+
+# flags that a subcommand would otherwise drop without a word
+IGNORED_FLAGS = [
+    (["table", "--what", "euler", "--n", "2", "--family", "S", "--weight",
+      "x=wex"], "--what euler takes no --family or --weight"),
+    (["bij", "fz", "2,1", "--verify", "--n", "3"],
+     "bij --verify takes no permutation"),
+    (["bij", "fz", "2,1", "--n", "5"], "bij --n needs --verify"),
+]
+
+
+@pytest.mark.parametrize("argv,message", IGNORED_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in IGNORED_FLAGS])
+def test_cli_flags_it_would_ignore_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("perm", ["abc", "1,,2"])

@@ -60,6 +60,14 @@ def test_e_pq_upto_matches_enumeration():
         e_pq_upto(-1)
 
 
+@pytest.mark.parametrize("at", ["AT_Q", "AT_QSTAR", "AT_ONE"])
+def test_e_pq_upto_at_is_the_substituted_rows(at):
+    values = getattr(qeuler, at)
+    rows = e_pq_upto(16, values)
+    assert rows == [e.substitute(values) for e in e_pq_upto(16)]
+    assert rows[:9] == qeuler._e_pq_sums(8, values)
+
+
 def test_specializations_consistent():
     for n, full in enumerate(e_pq_upto(7)):
         assert e_q(n) == full.substitute({"p": 1})
