@@ -6,7 +6,8 @@ and cf-SZ.  The other presets substitute into their weights
 (``JFraction.at``): ``*-q`` and ``*-qstar`` are the (p,q) pair at ``AT_Q``
 and ``AT_QSTAR`` (Cor 2.2 and 2.3), and ``jv-*`` and ``sz-*`` are cf-A and
 cf-SZ at the x of the signed sides, y = 1 for the tangent and 0 for the
-secant, each with the displayed S-form that ``contra`` checks.
+secant.  The two tangents carry the displayed S-form that ``contra``
+checks.
 
 The fast path reads a fraction as weighted lattice paths (Flajolet) and gets
 every coefficient up to the order from one forward pass of
@@ -174,15 +175,15 @@ def expand_odd_contraction(c1: LaurentPoly, jf: JFraction, order: int) -> TruncS
 class Preset:
     fraction: JFraction
     t_prefix: int = 0          # multiply the expansion by t^t_prefix
-    s_form: JFraction | SFraction | None = None  # an equivalent form, when one exists
+    s_form: SFraction | None = None  # the displayed S-form, where contra checks one
 
     def expand(self, order: int) -> TruncSeries:
         series = self.fraction.expand(order)
         return series.shift(self.t_prefix) if self.t_prefix else series
 
     def at(self, values: dict | None,
-           s_form: JFraction | SFraction | None = None) -> "Preset":
-        """This preset's fraction at ``values``, with the form ``s_form``."""
+           s_form: SFraction | None = None) -> "Preset":
+        """This preset's fraction at ``values``, with the S-form ``s_form``."""
         return Preset(self.fraction.at(values), self.t_prefix, s_form)
 
 
@@ -272,11 +273,7 @@ def _jv_tangent() -> Preset:
 
 
 def _jv_secant() -> Preset:
-    # all b_h vanish, so this is already a fraction in t^2
-    def ac(h):
-        return _qpow(-1) * q_bracket(h + 1) ** 2 * (-1)
-
-    return _cf_a().at({"x": _MINUS_INV_Q, "y": 0}, JFraction(b=_zero, ac=ac))
+    return _cf_a().at({"x": _MINUS_INV_Q, "y": 0})
 
 
 def _sz_tangent() -> Preset:
@@ -290,10 +287,7 @@ def _sz_tangent() -> Preset:
 
 
 def _sz_secant() -> Preset:
-    def ac(h):
-        return -(_qpow(2 * h + 1) * q_bracket(h + 1) ** 2)
-
-    return _cf_sz().at({"x": -1, "y": 0}, JFraction(b=_zero, ac=ac))
+    return _cf_sz().at({"x": -1, "y": 0})
 
 
 _PRESET_BUILDERS = {

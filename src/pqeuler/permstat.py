@@ -13,10 +13,11 @@ layer, every word is still counted once, and each smaller size is read off
 its layer.  ``stat_polynomial`` is its sum at n.  Monomials are substituted
 (``at``) in the same program, letter by letter.  The program alone judges its
 size: a layer may hold at most ``DP_MAX_STATES`` states and
-``DP_MAX_ENTRIES`` (state, key) entries, and a larger call raises
-``EnumerationCapError``.  ``stat_table`` lists the weight's exponent vector
-of every word of S_n from the same program: the word's lexicographic rank is
-one more digit of its key, so no two words merge.  The per-word kernel
+``DP_MAX_ENTRIES`` (state, key) entries, or (state, digit) slots where each
+state holds one int, and a larger call raises ``EnumerationCapError``.
+``stat_table`` lists the weight's exponent vector of every word of S_n from
+the same program: the word's lexicographic rank is one more digit of its
+key, so no two words merge.  The per-word kernel
 ``stat_tuple`` computes every statistic of one word in one pass; it serves
 only ``basic_stats`` (``pqeuler stats``), the bijection tests and the scan
 oracle ``_accumulate_scan``.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import asdict, make_dataclass
 
 from .algebra import _PLACE, VAR_INDEX, VARS, LaurentPoly, _check_bound
@@ -44,7 +46,8 @@ MAX_OBJECTS = math.factorial(10)
 # What one layer of ``_accumulate`` may hold.  The widest layer of S_12 with
 # the quintuple weight holds 48,182 states and 4,247,842 entries (683 MB in
 # all).  Entries alone are not enough: where each state holds one key, the
-# states are the cost.
+# states are the cost.  Where each state holds one int, its digits count as
+# entries.
 DP_MAX_STATES = 200_000
 DP_MAX_ENTRIES = 5_000_000
 
@@ -391,6 +394,17 @@ _DERIVED = {"ndes": {"n": 1, "des": -1},
             "mad": {"des": 1, "toht": 1, "thto": 2}}
 
 
+def _letter_coeffs(plan) -> list:
+    """{letter statistic: coefficient} for each variable of VARS."""
+    coeffs = [dict.fromkeys(_LETTER_STATS, 0) for _ in VARS]
+    for i, entries in enumerate(plan):
+        for si, c in entries:
+            name = STAT_FIELDS[si]
+            for stat, mult in _DERIVED.get(name, {name: 1}).items():
+                coeffs[i][stat] += c * mult
+    return coeffs
+
+
 def _packed_plan(plan, n: int):
     """The plan over words of size n as ({letter statistic: key increment},
     digit width, exponent bound).
@@ -403,12 +417,7 @@ def _packed_plan(plan, n: int):
     holds the bound, so no digit ever carries into the next.  A bound past
     the algebra's digit range raises ``OverflowError`` before any layer.
     """
-    coeffs = [dict.fromkeys(_LETTER_STATS, 0) for _ in VARS]
-    for i, entries in enumerate(plan):
-        for si, c in entries:
-            name = STAT_FIELDS[si]
-            for stat, mult in _DERIVED.get(name, {name: 1}).items():
-                coeffs[i][stat] += c * mult
+    coeffs = _letter_coeffs(plan)
     bound = max(n, n * (n - 1) // 2) * max(
         sum(abs(c) for c in cs.values()) for cs in coeffs)
     _check_bound(bound)
@@ -416,6 +425,59 @@ def _packed_plan(plan, n: int):
     incs = {stat: sum(cs[stat] << (width * i) for i, cs in enumerate(coeffs))
             for stat in _LETTER_STATS}
     return incs, width, bound
+
+
+def _letter_most(stat: str, n: int) -> int:
+    """The most one letter of a word of size n adds to a letter statistic:
+    1 to a count of letters, 2 to fmax, suc and adj (the last letter
+    resolves its own and its predecessor's), n - 1 to maj or a count of
+    pairs (one per earlier or later letter)."""
+    if stat in ("fmax", "suc", "adj"):
+        return 2
+    return 1 if stat in ("n", "exc", "wex", "fix", "des") else n - 1
+
+
+_Dense = namedtuple("_Dense", "incs place g low unit")
+
+
+def _dense_plan(plan, n: int, sign: int | None, width: int):
+    """The plan of the int store over words of size n, or None where each
+    state keeps its map {key: count}.
+
+    The live digits are the variables with a coefficient left, x aside
+    where ``sign`` folds it.  The int store serves a plan with at most one,
+    whose span is no wider than its statistics can fill: with coefficients
+    c_s of gcd g on k statistics other than n, each at most
+    R = max(n, n(n-1)/2) on a word of size n, the rule is
+    sum |c_s| / g * R + 1 <= (R + 1)**k.
+
+    A state then holds one int whose balanced digit e in base 2**unit is the
+    count at exponent g (e + m low) of the live variable (at ``place``)
+    after m letters: ``low`` is the least a letter adds to the digit, read
+    off the plan by ``_letter_most``, and ``unit`` is the bits of n! plus a
+    sign bit, so no count carries.  ``incs`` are the letters' increments:
+    the x digit as in ``_packed_plan`` where ``sign`` folds it, and above it
+    ``unit`` times what the letter adds less ``low`` (the n entry carries
+    -low), so no letter shifts by a negative amount."""
+    coeffs = _letter_coeffs(plan)
+    live = [i for i, cs in enumerate(coeffs)
+            if any(cs.values()) and (i or sign is None)]
+    if len(live) > 1:
+        return None
+    cs = coeffs[live[0]] if live else dict.fromkeys(_LETTER_STATS, 0)
+    g = math.gcd(*cs.values()) or 1
+    reach = {s: cs[s] // g * _letter_most(s, n)
+             for s in _LETTER_STATS if cs[s] and s != "n"}
+    most = max(n, n * (n - 1) // 2)
+    if sum(abs(cs[s]) for s in reach) // g * most + 1 > (most + 1) ** len(reach):
+        return None
+    low = cs["n"] // g + sum(min(r, 0) for r in reach.values())
+    unit = math.factorial(n).bit_length() + 1
+    xw = width if sign else 0
+    incs = {s: (coeffs[0][s] if sign else 0)
+            + ((cs[s] // g - (low if s == "n" else 0)) * unit << xw)
+            for s in _LETTER_STATS}
+    return _Dense(incs, _PLACE[live[0]] if live else 0, g, low, unit)
 
 
 def _unpack(key: int, width: int) -> tuple:
@@ -426,9 +488,23 @@ def _unpack(key: int, width: int) -> tuple:
     return tuple((key >> (width * i) & mask) - half for i in range(len(VARS)))
 
 
-def _laurent(acc: dict, width: int, bound: int) -> LaurentPoly:
+def _laurent(acc, width: int, bound: int, dense=None,
+             base: int = 0) -> LaurentPoly:
     """The LaurentPoly of {key: count}: each digit of a key, read as in
-    ``_unpack``, moves to its ``algebra._PLACE`` place."""
+    ``_unpack``, moves to its ``algebra._PLACE`` place.  With ``dense`` (see
+    ``_dense_plan``), of the int store's int instead: its balanced digit j
+    is the count at exponent g (base + j) of the live variable."""
+    if dense is not None:
+        half, mask = 1 << (dense.unit - 1), (1 << dense.unit) - 1
+        place = dense.g * dense.place
+        terms = {}
+        while acc:
+            c = ((acc + half) & mask) - half
+            if c:
+                terms[base * place] = c
+            acc = (acc - c) >> dense.unit
+            base += 1
+        return LaurentPoly._packed(terms, bound)
     half = sum(1 << (width * i + width - 1) for i in range(len(VARS)))
     mask = (1 << width) - 1
     s1, s2, s3, s4 = width, 2 * width, 3 * width, 4 * width
@@ -449,14 +525,17 @@ def _too_large(family: str, n: int, p: int, name: str, bound: int,
 
 
 def _size_readout(layer: dict, m: int, width: int, bound: int, w_max: int,
-                  w_one: int, sign: int | None, drop: int) -> LaurentPoly:
+                  w_one: int, sign: int | None, drop: int,
+                  dense) -> LaurentPoly:
     """The sum over the words of size m, read from layer m of the program
     over a larger size: its states whose used set is exactly 1..m.  Each
     such prefix is a word of size m, whose keys lack only what the larger
     program adds at its own last letter: ``w_max`` where the last letter is
     m and ``w_one`` where it is 1, with x folded in as at every letter: its
     digit cleared, and the count's sign changed where it is odd and ``sign``
-    is -1.  Words ending on ``drop`` are left out."""
+    is -1.  Words ending on ``drop`` are left out.  In the int store each
+    addition is a shift, less the least of them, and the sum's first digit
+    is at m times the least a letter adds plus that least shift."""
     full = (2 << m) - 2
     half = 1 << (width - 1)
     corrections = {}                     # last letter -> (key, count sign)
@@ -464,6 +543,19 @@ def _size_readout(layer: dict, m: int, width: int, bound: int, w_max: int,
         k = (w_max if a == m else 0) + (w_one if a == 1 else 0)
         x_digit = ((k + half) & (2 * half - 1)) - half if sign else 0
         corrections[a] = k - x_digit, -1 if x_digit & 1 and sign == -1 else 1
+    if dense is not None:
+        xw = width if sign else 0
+        least = min(k >> xw for k, _ in corrections.values())
+        corrections = {a: ((k >> xw) - least, c)
+                       for a, (k, c) in corrections.items()}
+        other = corrections[0]
+        total = 0
+        for state, value in layer.items():
+            if state[0] == full and state[1] != drop:
+                shift, c0 = corrections.get(state[1], other)
+                total += c0 * (value << shift)
+        return _laurent(total, width, bound, dense,
+                        m * dense.low + least // dense.unit)
     other = corrections[0]
     acc: dict = {}
     get = acc.get
@@ -488,9 +580,10 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     An exact dynamic program over prefix states, layer by layer: the
     transfer-matrix method (Stanley, EC1 4.7) run over subsets, as in the
     subset DPs of Bellman and of Held and Karp (1962).  Layer p maps the state
-    of each length-p prefix to {packed key: count}.  A state holds only what
-    the family and the weighted statistics still read, so prefixes with the
-    same future merge, and every word is still counted once:
+    of each length-p prefix to what its prefixes weigh: a store.  A state
+    holds only what the family and the weighted statistics still read, so
+    prefixes with the same future merge, and every word is still counted
+    once:
 
     * the used-value mask (its top bit is the running maximum, which fmax and
       Dstar read);
@@ -511,11 +604,33 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     never split: the words of every first letter share the later layers, so
     parts summed apart would each rebuild most of them.
 
+    The letter logic is one loop; only the store differs.  The store is one
+    of three:
+
+    * the int store, where ``_dense_plan`` allows it (at most one live
+      exponent digit, and a span its statistics can fill): one int per
+      state, whose base-2**W digits are the counts at each exponent, the
+      Kronecker substitution applied to the counts (Kronecker 1882,
+      Schoenhage 1982).  Appending a letter shifts the int by W times what
+      the letter adds less the least a letter can add, merging adds the
+      ints, and the sign fold negates; the readout at size m takes m times
+      that least back off.  The per-key loop is then one shift and one add
+      of ints;
+    * else a map {packed key: count} (``_packed_plan``), where appending a
+      letter adds its key increment to every key;
+    * with ``ranked``, the list of the prefixes' keys (below).
+
     The program bounds what it holds.  A layer that would hold more than
-    ``DP_MAX_STATES`` states or ``DP_MAX_ENTRIES`` (state, key) entries
-    raises ``EnumerationCapError`` while it is being built: states are
-    counted as they are made, and entries after each source state, by the
-    size of each target before and after the merge.  In every family, for
+    ``DP_MAX_STATES`` states raises ``EnumerationCapError`` while it is
+    being built, and so does one that would hold more than
+    ``DP_MAX_ENTRIES`` (state, key) entries of a map, or (state, digit)
+    slots of the int store.  States are counted as they are made, and
+    entries after each source state, by the size of each target before and
+    after the merge.  Slots are counted the same way: a new state at the
+    digits of its first term, and a merge by how far the term reaches past
+    the target.  No digit carries, so an int is no wider than its widest
+    term, and a term's bits are its source's plus its shift.  In every
+    family, for
     2 <= p < n, the prefixes of length p take every set of p values, so
     layer p holds at least C(n, p) states, one per used set.  An n with
     C(n, n // 2) > ``DP_MAX_STATES`` is therefore refused before any work,
@@ -543,7 +658,8 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     add, so their keys lack only what the program adds at its last letter
     alone: fmax, suc and adj.  The readout is a function of its own: a
     closure here would make the hot loop's locals cell variables.
-    ``_laurent`` makes each sum from the keys as they are.
+    ``_laurent`` makes each sum from the keys as they are, or from the
+    int's digits.
     """
     if n == 0:
         return [(0,) * len(VARS) if ranked else LaurentPoly.const(1)]
@@ -557,6 +673,11 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
         raise _too_large(family, n, n // 2, "DP_MAX_STATES", DP_MAX_STATES,
                          "states")
     inc, width, bound = _packed_plan(plan, n)
+    dense = None if ranked else _dense_plan(plan, n, sign, width)
+    if dense is not None:
+        inc, w_digit = dense.incs, dense.unit
+    xw = width if sign else 0            # the int store's shift starts here
+    entries = "(state, key) entries" if dense is None else "(state, digit) slots"
     rule = _letter_rule(family, n)
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
@@ -583,13 +704,14 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     spread = [0]
 
     sizes = [LaurentPoly.const(1)]       # the sums at the sizes below n
-    final = [] if ranked else {}         # the keys of the words of size n
+    # the keys, or the int, of the words of size n
+    final = [] if ranked else {} if dense is None else 0
     # state: (used values, last letter, values u placed at a position > u,
     # crossing counts); fields the plan and family never read stay 0
-    layer = {(0, 0, 0, 0): [0] if ranked else {0: 1}}
+    layer = {(0, 0, 0, 0): [0] if ranked else {0: 1} if dense is None else 1}
     for p in range(1, n + 1):
         nxt: dict = {}
-        held = 0                         # the (state, key) entries of nxt
+        held = 0                         # nxt's entries or slots
         if w_cros:
             unit = 1 << cw * (p - 1)
             spread += [s + unit for s in spread]
@@ -598,6 +720,7 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
         states = ((layer.popitem() for _ in range(len(layer))) if ranked
                   else layer.items())
         for (used, a, below, cros), keys in states:
+            bits = 0 if dense is None else keys.bit_length()
             m = used.bit_length() - 1
             free = rule(p, used, a)
             down = w_des + w_maj * (p - 1)
@@ -657,12 +780,32 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                     x_digit = ((k + x_half) & x_mask) - x_half
                     k -= x_digit
                     flip = x_digit & odd
-                if p == n:
-                    target = final
-                else:
+                if p < n:
                     state = (used | bv, v if keep_last else 0,
                              below | bv if w_nest and v < p else below,
                              next_cros)
+                if dense is not None:
+                    k >>= xw             # the shift, x's digit dropped
+                    term = -(keys << k) if flip else keys << k
+                    if p == n:
+                        final += term
+                        continue
+                    target = nxt.get(state)
+                    if target is not None:
+                        nxt[state] = target + term
+                        old = target.bit_length()
+                        if bits + k > old:
+                            held += (bits + k) // w_digit - old // w_digit
+                        continue
+                    nxt[state] = term
+                    held += (bits + k) // w_digit + 1
+                    if len(nxt) > DP_MAX_STATES:
+                        raise _too_large(family, n, p, "DP_MAX_STATES",
+                                         DP_MAX_STATES, "states")
+                    continue
+                if p == n:
+                    target = final
+                else:
                     target = nxt.get(state)
                     if target is None:
                         nxt[state] = (
@@ -691,14 +834,15 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                 held += len(target) - before
             if held > DP_MAX_ENTRIES:
                 raise _too_large(family, n, p, "DP_MAX_ENTRIES",
-                                 DP_MAX_ENTRIES, "(state, key) entries")
+                                 DP_MAX_ENTRIES, entries)
         if p < n and not ranked:
             sizes.append(_size_readout(nxt, p, width, bound, w_fmax + w_suc,
                                        w_adj, sign,
-                                       p if family == "Dstar" else -1))
+                                       p if family == "Dstar" else -1, dense))
         layer = nxt
     if not ranked:
-        return sizes + [_laurent(final, width, bound)]
+        return sizes + [_laurent(final, width, bound, dense,
+                                 n * dense.low if dense else 0)]
     # the exponent digits are balanced and sum to less than half the rank
     # digit's unit in size, so rounding off below ``top`` leaves the rank
     half = 1 << (top - 1)

@@ -6,9 +6,9 @@ every n up to nmax, substituted at ``AT_Q``, ``AT_QSTAR`` or ``AT_ONE`` in the
 weights, and ``e_int`` from it), the (exc, fix) exponential
 generating function as n!-scaled integer polynomials, and the closed formulas:
 the parity-independent double sum and the rational series, each with its
-q-analogue; one routine sums both series, dividing out each factor in one pass,
-and the q double sum multiplies and divides coefficient lists by one binomial
-1 - q^i at a time.
+q-analogue; one routine sums both series on q coefficient lists, dividing out
+each factor in one pass, and the q-analogues multiply and divide coefficient
+lists by one binomial 1 - q^i at a time.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, starmap, zip_longest
+from operator import sub
 
 from .algebra import (
     LaurentPoly,
+    NotInvertibleError,
     TruncSeries,
     _from_q_dict,
-    q_bracket,
-    q_factorial,
     rising_factorial,
 )
 from .contfrac import AT_ONE, AT_Q, AT_QSTAR, preset
@@ -116,25 +116,43 @@ def egf_exc_fix(order: int) -> list[LaurentPoly]:
 
 def _rational_series(order: int, lead, factor) -> TruncSeries:
     """Sum over m of lead(m) t^m / prod over k <= m/2 of (a + b t^2), with
-    (a, b) = factor(m - 2k + 1) and a a unit monomial, each factor divided out
-    in one pass: g_n <- (g_n - b g_(n-2)) / a for n = m, m+2, ..., order."""
-    total = TruncSeries(order)
+    (a, times_b) = factor(m - 2k + 1), on q coefficient lists: a q-list
+    (low, g) is q^low times the polynomial g listed from q^0 up.  lead(m)
+    and a are q-lists, a a unit monomial +-q^e, and times_b maps a q-list
+    to b times it.  Each factor is divided out in one pass:
+    g_n <- (g_n - b g_(n-2)) / a for n = m, m+2, ..., order."""
+    total = [Counter() for _ in range(order + 1)]
+    zero = (0, [])
     for m in range(order + 1):
         # g_(-2) and g_(-1) read the two spare zeros at the end
-        g = [LaurentPoly()] * m + [lead(m)] + [LaurentPoly()] * (order - m + 2)
+        g = [zero] * m + [lead(m)] + [zero] * (order - m + 2)
         for k in range(m // 2 + 1):
-            a, b = factor(m - 2 * k + 1)
-            inv = a.unit_inverse()
+            (e, a), times_b = factor(m - 2 * k + 1)
+            if a not in ([1], [-1]):
+                raise NotInvertibleError(f"not invertible: q^{e} * {a}")
             for n in range(m, order + 1, 2):
-                g[n] = inv * (g[n] - b * g[n - 2])
-        total = total + TruncSeries(order, g)
-    return total
+                low, f = _q_sub(g[n], times_b(g[n - 2]))
+                g[n] = low - e, f if a == [1] else [-c for c in f]
+        for n in range(m, order + 1):
+            low, f = g[n]
+            total[n].update(dict(enumerate(f, low)))
+    return TruncSeries(order, map(_from_q_dict, total))
+
+
+def _q_sub(f: tuple, g: tuple) -> tuple:
+    """f - g for q-lists."""
+    (fl, fc), (gl, gc) = f, g
+    low = min(fl, gl)
+    return low, list(starmap(sub, zip_longest(
+        [0] * (fl - low) + fc, [0] * (gl - low) + gc, fillvalue=0)))
 
 
 def rz_series(order: int) -> TruncSeries:
-    """Sum over m of m! t^m / prod_k (1 + (m-2k+1)^2 t^2), truncated."""
-    return _rational_series(order, lambda m: LaurentPoly.const(math.factorial(m)),
-                            lambda j: (LaurentPoly.const(1), LaurentPoly.const(j * j)))
+    """Sum over m of m! t^m / prod_k (1 + (m-2k+1)^2 t^2), truncated: the
+    rational series on q-lists of length one."""
+    return _rational_series(
+        order, lambda m: (0, [math.factorial(m)]),
+        lambda j: ((0, [1]), lambda g: (g[0], [j * j * c for c in g[1]])))
 
 
 def parity_formula(n: int) -> int:
@@ -165,23 +183,29 @@ def parity_formula(n: int) -> int:
 def hrz_series(order: int) -> TruncSeries:
     """q-analogue of the rational series: sum over m of
     q^(m+1) [m]! t^m / prod_k (q^(m-2k+1) + [m-2k+1]^2 t^2),
-    expanded exactly over Laurent polynomials in q."""
+    expanded exactly on q coefficient lists.  [j] = (1 - q^j) / (1 - q), so
+    b = [j]^2 multiplies by 1 - q^j twice and divides by 1 - q twice, and
+    [m]! is built one binomial at a time."""
+    factorials = [[1]]
+    for i in range(1, order + 1):
+        factorials.append(_over(_times(factorials[-1], i), 1))
     return _rational_series(
-        order, lambda m: LaurentPoly.var("q", m + 1) * q_factorial(m),
-        lambda j: (LaurentPoly.var("q", j), q_bracket(j) ** 2))
+        order, lambda m: (m + 1, factorials[m]),
+        lambda j: ((j, [1]), lambda g: (
+            g[0], _over(_over(_times(_times(g[1], j), j), 1), 1))))
 
 
 def _times(g: list, i: int) -> list:
     """g (1 - q^i), g a coefficient list from q^0 up."""
-    return [a - b for a, b in zip(g + [0] * i, [0] * i + g)]
+    return list(map(sub, g + [0] * i, [0] * i + g))
 
 
 def _over(g: list, i: int) -> list | None:
     """g / (1 - q^i) from the low end, f_r = g_r + f_(r-i); None unless the
     top i coefficients vanish, i.e. unless the quotient is a polynomial."""
     f = list(g)
-    for r in range(i, len(f)):
-        f[r] += f[r - i]
+    for r in range(i):
+        f[r::i] = accumulate(f[r::i])
     cut = max(len(f) - i, 0)
     return None if any(f[cut:]) else f[:cut]
 

@@ -147,12 +147,13 @@ def test_criterion_10_oracle_coherence():
 
 
 # The checks that enumerate a family through stat_polynomial, at sizes past
-# the criteria above.
+# the criteria above, and two one-variable sums at the reach of the int store.
 FRONTIER = [(cid, 10) for cid in ("thm4_1", "cor_cf_A", "cor_cf_SZ")] + [
     (cid, 12) for cid in ("thm2_1", "cor2_2", "cor2_3")] + [
     (cid, 10) for cid in ("euler_roselle", "foata_han", "jv", "shin_zeng")] + [
     (cid, 13) for cid in ("jv", "shin_zeng", "euler_roselle")] + [
-    (cid, 12) for cid in ("foata_han", "mad_remark", "equidist_remark")]
+    (cid, 12) for cid in ("foata_han", "mad_remark", "equidist_remark")] + [
+    ("shin_zeng", 16), ("cor2_3", 15)]
 
 
 @pytest.mark.parametrize("cid,param", FRONTIER)

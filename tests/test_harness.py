@@ -436,10 +436,12 @@ def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
 
 
 def test_contra_expands_each_even_contraction_once(monkeypatch):
-    # one Laurent series per specialised preset's contracted form, which
-    # serves both the level-form comparison and the oracle, and none per
-    # random trial: a trial's int passes run once at q = 1 for B and once
-    # at q = 2^B, and each S-form preset's B takes one more
+    # one Laurent series per specialised preset's contracted form (the
+    # tangents carry one; the secants' displayed J-forms are their
+    # substituted fractions), which serves both the level-form comparison
+    # and the oracle, and none per random trial: a trial's int passes run
+    # once at q = 1 for B and once at q = 2^B, and each S-form preset's B
+    # takes one more
     calls, passes = [], []
     for attr in ("expand_j", "expand_s"):
         real = getattr(harness, attr)
@@ -449,7 +451,10 @@ def test_contra_expands_each_even_contraction_once(monkeypatch):
     monkeypatch.setattr(harness, "_contractions_at", lambda sf, order, value:
                         passes.append(1) or real_passes(sf, order, value))
     assert harness.check("contra", CONTRA_ORDER).passed
-    assert len(calls) == len(harness.SPECIALIZED) * 2
+    s_forms = [name for names in harness.SPECIALIZED.values() for name in names
+               if harness.preset(name).s_form is not None]
+    assert s_forms == ["jv-tangent", "sz-tangent"]
+    assert len(calls) == len(s_forms)
     assert len(passes) == 2 * harness.CONTRA_TRIALS + 2
 
 

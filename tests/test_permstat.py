@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqeuler import permstat
+from pqeuler import harness, permstat
 from pqeuler.algebra import VARS, LaurentPoly
 from pqeuler.lattice import (
     enumerate_objects,
@@ -281,14 +281,18 @@ def test_pool_at_the_smallest_sizes(n):
     assert stat_polynomial("S", n, {}, workers=2, parallel_threshold=0) == 1
 
 
-# (a call, the states and the (state, key) entries of its widest layer):
-# S_n with no weight has one state and one key per used set; with inv, the
-# prefixes on a used set of size p take every inv from 0 to p(p-1)/2; a
-# ranked layer holds one key per prefix
+# (a call, the states and the (state, key) entries or (state, digit) slots
+# of its widest layer).  S_n with no weight has one state per used set, each
+# one int of one digit; with inv, the prefixes on a used set of size p take
+# every inv from 0 to p(p-1)/2, so each state holds that many keys of a map
+# (p^n makes a second digit) or digits of an int; a ranked layer holds one
+# key per prefix
 LAYER_SIZES = [
     (lambda: stat_polynomial("S", 8, {}), math.comb(8, 4), math.comb(8, 4)),
     (lambda: stat_polynomial("S", 6, {"s": {"inv": 1}}),
      math.comb(6, 3), math.comb(6, 4) * 7),
+    (lambda: stat_polynomial("S", 5, {"s": {"inv": 1}, "p": {"n": 1}}),
+     math.comb(5, 2), math.comb(5, 3) * 4),
     (lambda: stat_table(5, {}), math.comb(5, 2), math.factorial(5)),
 ]
 
@@ -309,9 +313,9 @@ def test_dp_refuses_the_first_n_past_the_state_bound_before_any_work(
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_state_guard_refuses_nothing_the_dp_would_hold(family, monkeypatch):
-    # with no weight a state holds one key, so a layer's entries are its
-    # states: an entry bound one below C(n, n // 2) must trip in the
-    # program itself, with the state guard out of the way
+    # with no weight a state holds one int of one digit, so a layer's slots
+    # are its states: an entry bound one below C(n, n // 2) must trip in
+    # the program itself, with the state guard out of the way
     sizes = [n for n in range(4, 11) if _size(family, n)]
     monkeypatch.setattr(permstat, "DP_MAX_STATES", 10**9)
     for n in sizes:
@@ -583,6 +587,125 @@ def test_every_size_readout_matches_each_size_and_the_scan(family):
                     if m < len(scans):
                         assert got == scans[m].substitute(at), case
     assert covered == set(STAT_FIELDS)
+
+
+# the int store: sums with at most one live exponent digit.  The signed
+# sides (the sign fold; x = -1/q makes a letter's q digit -1 at least, a
+# negative offset), E_n(q) and E*_n(q), no digit at all, a live s or x
+# digit, a gcd of 2, Dstar's drop with mad, the last letter's fmax, suc and
+# adj with negative coefficients, and maj at -1 (an offset of 1 - n)
+ONE_DIGIT = [
+    ({"x": {"exc": 1}, "q": {"inv": 1}}, {"x": MINUS_INV_Q}),
+    ({"x": {"exc": 1}, "q": {"maj": 1}}, {"x": MINUS_INV_Q}),
+    ({"x": {"wex": 1}, "q": {"cros": 1}}, {"x": -1}),
+    ({"x": {"ndes": 1}, "q": {"toht": 1}}, {"x": MINUS_INV_Q}),
+    ({"x": {"ndes": 1}, "q": {"mad": 1}}, {"x": -1}),
+    ({"p": {"thot": 1}, "q": {"toht": 1}}, AT_Q),
+    ({"p": {"thto": 1}, "q": {"toht": 1}}, AT_QSTAR),
+    ({"x": {"exc": 1}}, {"x": -1}),
+    ({}, None),
+    ({"s": {"inv": 1}}, None),
+    ({"q": {"cros": 2, "nest": 2, "n": -4}}, None),
+    ({"x": {"fmax": -1, "suc": 2, "adj": -3, "wex": 1}}, None),
+    ({"x": {"fix": 1}, "y": {"maj": -1, "des": 2}}, {"x": -1}),
+]
+
+
+def _dict_store(monkeypatch):
+    monkeypatch.setattr(permstat, "_dense_plan", lambda *args: None)
+
+
+def _stores_taken(monkeypatch):
+    """The list that records, for each program from now on, whether it took
+    the int store."""
+    taken = []
+    real = permstat._dense_plan
+
+    def spy(*args):
+        dense = real(*args)
+        taken.append(dense is not None)
+        return dense
+
+    monkeypatch.setattr(permstat, "_dense_plan", spy)
+    return taken
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_int_store_matches_the_dict_store_and_the_scan(family, monkeypatch):
+    # every size m <= nmax of one program at nmax, against the same program
+    # with a map per state and, up to 6, against the scan substituted after
+    taken = _stores_taken(monkeypatch)
+    ints = {(i, nmax): stat_polynomials(family, nmax, weight, at)
+            for i, (weight, at) in enumerate(ONE_DIGIT) for nmax in range(8)}
+    assert taken and all(taken)
+    _dict_store(monkeypatch)
+    for i, (weight, at) in enumerate(ONE_DIGIT):
+        plan = permstat._weight_plan(weight)
+        scans = [LaurentPoly(permstat._accumulate_scan(family, m, plan))
+                 for m in range(7)]
+        for nmax in range(8):
+            case = (weight, at, nmax)
+            assert ints[i, nmax] == stat_polynomials(family, nmax, weight, at), case
+            for m, got in enumerate(ints[i, nmax][:len(scans)]):
+                assert got == scans[m].substitute(at or {}), (case, m)
+
+
+def _dense(weight, n, at=None):
+    plan, sign = permstat._fold(permstat._weight_plan(weight), at)
+    width = permstat._packed_plan(plan, n)[1]
+    return permstat._dense_plan(plan, n, sign, width)
+
+
+def test_two_live_digits_keep_the_dict_store():
+    # x is a live digit unless its value is folded in
+    weight = {"x": {"exc": 1}, "q": {"inv": 1}}
+    assert _dense(weight, 6) is None
+    assert _dense(weight, 6, {"x": MINUS_INV_Q}) is not None
+    assert _dense({"q": {"inv": 1}, "s": {"des": 1}}, 6) is None
+
+
+def test_a_span_its_statistics_cannot_fill_keeps_the_dict_store():
+    # q^(c inv + des) spans (c + 1) R + 1 exponents, R = 15 on S_6, and at
+    # most (R + 1)^2 of them are reached: the span fits up to c = R + 1
+    assert _dense({"q": {"inv": 10**6, "des": 1}}, 6) is None
+    assert _dense({"q": {"inv": 16, "des": 1}}, 6) is not None
+    assert _dense({"q": {"inv": 17, "des": 1}}, 6) is None
+    assert _dense({"q": {"inv": -17, "des": 1}}, 6) is None
+
+
+def test_the_digit_is_taken_in_units_of_its_gcd():
+    # inv <= 15 on S_6: 16 digits, however large the common coefficient
+    dense = _dense({"q": {"inv": 2**75}}, 6)
+    assert dense.g == 2**75
+    dp, scan = _dp_and_scan("S", 6, {"q": {"inv": 2**75}})
+    assert dp == scan and len(dp.sorted_terms()) == 16
+    assert _dense({"q": {"cros": 6, "nest": -4}}, 6).g == 2
+
+
+def test_a_sum_with_no_live_digit_takes_the_int_store():
+    for weight, at in (({}, None), ({"x": {"exc": 1}}, {"x": -1}),
+                       ({"q": {"inv": 1}}, {"q": 1})):
+        dense = _dense(weight, 6, at)
+        assert (dense.place, dense.low) == (0, 0)
+
+
+def test_a_ranked_table_never_takes_the_int_store(monkeypatch):
+    taken = _stores_taken(monkeypatch)
+    stat_table(5, {})
+    stat_table(5, {"x": {"inv": 1}})
+    assert taken == []
+
+
+_INT_STORE_CHECKS = [*harness.SIGNED, "cor2_2", "cor2_3"]
+
+
+@pytest.mark.parametrize("cid", _INT_STORE_CHECKS)
+def test_the_one_variable_checks_take_the_int_store(cid, monkeypatch):
+    # every sum of each signed identity, E_n(q) and E*_n(q) takes it: a
+    # silent fall-back to a map per state fails here
+    taken = _stores_taken(monkeypatch)
+    assert harness.check(cid, 7).passed
+    assert taken and all(taken), taken
 
 
 @pytest.mark.parametrize("x", [LaurentPoly(), LaurentPoly.const(2),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -114,6 +115,18 @@ def test_hrz_series():
         assert series.coeff(n) == full.substitute(qeuler.AT_Q)
 
 
+# sha256 prefixes of str(hrz_series(n)) as it printed when the series was
+# summed over LaurentPoly: the coefficient lists must leave it unchanged
+HRZ_TEXT = {12: "aa6b4414f892aecf", 24: "d5fd1a4d4c6cce0b",
+            33: "38de618c4dbe716b"}
+
+
+def test_hrz_series_prints_as_before():
+    for n, digest in HRZ_TEXT.items():
+        text = str(hrz_series(n)).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest, n
+
+
 def _by_reciprocal_and_product(order, lead, factor):
     """The reference for ``_rational_series``: each factor a + b t^2 inverted
     as a whole truncated series, and the term multiplied by that inverse."""
@@ -137,6 +150,28 @@ def test_rational_series_match_reciprocal_and_product():
         assert hrz_series(order) == _by_reciprocal_and_product(order, *hrz)
 
 
+def _q_list(poly):
+    """A polynomial in q alone as the q-list ``_rational_series`` takes:
+    (low, its coefficients from q^low up)."""
+    coeffs = {e[3]: c for e, c in poly.sorted_terms()}
+    low = min(coeffs, default=0)
+    return low, [coeffs.get(e, 0) for e in range(low, max(coeffs, default=-1) + 1)]
+
+
+def _times_q_list(b):
+    """q-list -> b times it, by the schoolbook product."""
+    bl, bc = _q_list(b)
+
+    def times(g):
+        gl, gc = g
+        out = [0] * (len(gc) + len(bc))
+        for i, x in enumerate(gc):
+            for j, y in enumerate(bc):
+                out[i + j] += x * y
+        return gl + bl, out
+    return times
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_one_pass_division_matches_reciprocal_and_product(seed):
     # a is +-q^e, e possibly negative; b is a signed q-polynomial or 0
@@ -153,14 +188,16 @@ def test_one_pass_division_matches_reciprocal_and_product(seed):
                    poly() if rng.random() < 0.7 else LaurentPoly())
                for j in range(1, order + 2)}
     lead, factor = leads.__getitem__, factors.__getitem__
-    assert (qeuler._rational_series(order, lead, factor)
-            == _by_reciprocal_and_product(order, lead, factor))
+    assert (qeuler._rational_series(
+        order, lambda m: _q_list(lead(m)),
+        lambda j: (_q_list(factor(j)[0]), _times_q_list(factor(j)[1])))
+        == _by_reciprocal_and_product(order, lead, factor))
 
 
 def test_rational_series_refuses_a_factor_without_a_unit_constant_term():
     with pytest.raises(NotInvertibleError):
-        qeuler._rational_series(3, lambda m: LaurentPoly.const(1),
-                                lambda j: (LaurentPoly.const(2), LaurentPoly()))
+        qeuler._rational_series(3, lambda m: (0, [1]),
+                                lambda j: ((0, [2]), lambda g: (g[0], [])))
 
 
 def test_a_negative_order_is_refused():
