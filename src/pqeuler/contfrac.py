@@ -1,13 +1,14 @@
 """J- and S-fraction expansion, the two contraction transforms, and named
 presets for every continued fraction used by the library.
 
-Five fractions are stated: the (p,q) tangent and secant, Thm 4.1's, cf-A
-and cf-SZ.  The other presets substitute into their weights
-(``JFraction.at``): ``*-q`` and ``*-qstar`` are the (p,q) pair at ``AT_Q``
-and ``AT_QSTAR`` (Cor 2.2 and 2.3), and ``jv-*`` and ``sz-*`` are cf-A and
-cf-SZ at the x of the signed sides, y = 1 for the tangent and 0 for the
-secant.  The two tangents carry the displayed S-form that ``contra``
-checks.
+Three fractions are stated: the (p,q) tangent and secant, and Thm 4.1's.
+The other presets substitute into their weights (``JFraction.at``):
+``*-q`` and ``*-qstar`` are the (p,q) pair at ``AT_Q`` and ``AT_QSTAR``
+(Cor 2.2 and 2.3); cf-A is Thm 4.1 at p = s = 1, and cf-SZ is Thm 4.1 at
+q = p = 1, s = q, y = y/x (wex = exc + fix); ``jv-*`` and ``sz-*`` are
+cf-A and cf-SZ at the x of the signed sides, y = 1 for the tangent and 0
+for the secant.  The two tangents carry the displayed S-form that
+``contra`` checks.
 
 The fast path reads a fraction as weighted lattice paths (Flajolet) and gets
 every coefficient up to the order from one forward pass of
@@ -22,13 +23,13 @@ at a depth; neither runs on the fast path, and they hold the only depths.
 ``expand_by_convergents`` does it with series reciprocals over the Laurent
 polynomials and is the definition the tests check against.
 ``convergents_at`` does it for an S-fraction over Z[q] at one integer q,
-over plain ints.  ``contra`` compares both contractions with it at one
-point q = 2^B: c_1..c_(order+4) are evaluated there once (``value_at``),
-and the contractions of that int-valued fraction are expanded by the same
-transfer pass over ints.  The contractions and the pass only add and
-multiply, so each int pass is its Laurent polynomial series at 2^B; with
-2^(B-1) above every |coefficient| of every side, balanced base-2^B digits
-make agreement there equality.
+over plain ints.  ``contra`` compares both contractions, and a preset's
+level form, with it at one point q = 2^B: c_1..c_(order+4) are evaluated
+there once (``value_at``), and the contractions of that int-valued
+fraction are expanded by the same transfer pass over ints.  The
+contractions and the pass only add and multiply, so each int pass is its
+Laurent polynomial series at 2^B; with 2^(B-1) above every |coefficient|
+of every side, balanced base-2^B digits make agreement there equality.
 """
 
 from __future__ import annotations
@@ -163,10 +164,6 @@ def contract_odd(sf: SFraction):
     return c(1), JFraction(b=b, ac=ac)
 
 
-def expand_odd_contraction(c1: LaurentPoly, jf: JFraction, order: int) -> TruncSeries:
-    return TruncSeries.one(order) + expand_j(jf, order).scale(c1).shift(1)
-
-
 # ---------------------------------------------------------------------------
 # presets
 
@@ -191,10 +188,6 @@ _ONE = LaurentPoly.const(1)
 _ZERO = LaurentPoly()
 _Q = LaurentPoly.var("q")
 _PS = LaurentPoly.monomial(1, p=1, s=1)
-
-
-def _qpow(k: int) -> LaurentPoly:
-    return LaurentPoly.var("q", k)
 
 
 def _zero(h: int) -> LaurentPoly:
@@ -237,27 +230,15 @@ def _thm41() -> Preset:
 
 
 def _cf_a() -> Preset:
-    xm, ym = LaurentPoly.var("x"), LaurentPoly.var("y")
-
-    def b(h):
-        return xm * ym + (_ONE + xm * _Q) * q_bracket(h)
-
-    def ac(h):
-        return xm * q_bracket(h + 1) ** 2
-
-    return Preset(JFraction(b=b, ac=ac))
+    # x^wex y^fix q^cros: Thm 4.1 at p = s = 1
+    return _thm41().at({"p": 1, "s": 1})
 
 
 def _cf_sz() -> Preset:
-    xm, ym = LaurentPoly.var("x"), LaurentPoly.var("y")
-
-    def b(h):
-        return ym * _qpow(2 * h) + (_ONE + xm) * _qpow(h) * q_bracket(h)
-
-    def ac(h):
-        return xm * _qpow(2 * h + 1) * q_bracket(h + 1) ** 2
-
-    return Preset(JFraction(b=b, ac=ac))
+    # x^exc y^fix q^inv: Thm 4.1 at q = p = 1 and s = q, with y/x for y
+    # since wex = exc + fix
+    return _thm41().at({"q": 1, "p": 1, "s": _Q,
+                        "y": LaurentPoly.monomial(1, x=-1, y=1)})
 
 
 _MINUS_INV_Q = LaurentPoly.var("q", -1, coeff=-1)
@@ -280,7 +261,7 @@ def _sz_tangent() -> Preset:
     # c_(2i-1) = q^(i-1) [i], c_2i = -q^(i-1) [i]
     def c(k):
         i = (k + 1) // 2
-        mono = _qpow(i - 1) * q_bracket(i)
+        mono = LaurentPoly.var("q", i - 1) * q_bracket(i)
         return mono if k % 2 else -mono
 
     return _cf_sz().at({"x": _MINUS_INV_Q, "y": 1}, SFraction(c=c))

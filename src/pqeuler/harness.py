@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebra import LaurentPoly, TruncSeries, _from_q_dict, _q_only
-# expand_j is not called here, but perfbench/spans.py wraps it under this
-# module's name
+# expand_j and expand_s are not called here, but perfbench/spans.py wraps
+# them under this module's names
 from .contfrac import (
     SFraction,
     contract_even,
     contract_odd,
     convergents_at,
     expand_j,
-    expand_odd_contraction,
     expand_s,
     preset,
     value_at,
@@ -295,24 +294,41 @@ def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
     return SFraction(c=lambda k, _p=tuple(polys): _p[k - 1])
 
 
-def _contraction_agrees(sf: SFraction, order: int):
-    """Witness that the even or the odd contraction of an S-fraction over
-    Z[q] does not expand to its convergents up to t^order, or None if both
-    do.
+def _contraction_agrees(sf: SFraction, order: int,
+                        level: TruncSeries | None = None):
+    """Witness that ``level``, or the even or the odd contraction of an
+    S-fraction over Z[q], does not expand to the fraction's convergents up
+    to t^order, or None if each does.
 
-    Both are compared with the oracle at one point, q = 2^B
-    (``_point_bits``), over plain ints: c_1..c_(order+4) are evaluated there
-    once, both contractions of that int-valued fraction are expanded by the
-    transfer pass (``_contractions_at``), and each is compared with
+    ``level`` is a series of Laurent polynomials, a preset's level form; each
+    of its t^0..t^order must be a polynomial in q, and B is taken above its
+    coefficients too (``_point_bits``).  Every side is compared with the
+    oracle at one point, q = 2^B, over plain ints: the rows of ``level`` are
+    read there, c_1..c_(order+4) are evaluated there once, both
+    contractions of that int-valued fraction are expanded by the transfer
+    pass (``_contractions_at``), and each is compared with
     ``convergents_at``.  Evaluation at an integer is a ring homomorphism and
     the contractions and the pass only add and multiply, so each int pass
     is its Laurent polynomial series at 2^B, and the oracle's values are the
     fraction's.  Two polynomials in q whose coefficients are all below
     2^(B-1) in absolute value are equal exactly when they agree at 2^B,
     since balanced base-2^B digits are unique."""
-    point = 1 << _point_bits(sf, order)
+    level_mismatch = "level form disagrees with contracted form"
+    rows = []
+    if level is not None:
+        try:
+            rows = [_q_only(level.coeff(n)) for n in range(order + 1)]
+        except ValueError:
+            return level_mismatch
+        if any(e < 0 for row in rows for e in row):
+            return level_mismatch
+    bits = _point_bits(sf, order, rows)
+    point = 1 << bits
     even, odd = _contractions_at(sf, order, partial(value_at, q=point))
     oracle = convergents_at(sf, order, point)
+    if rows and oracle != [sum(c << bits * e for e, c in row.items())
+                           for row in rows]:
+        return level_mismatch
     if even != oracle:
         return "even contraction mismatch"
     if odd != oracle:
@@ -332,28 +348,6 @@ def _contractions_at(sf: SFraction, order: int, value):
     c1, jf = contract_odd(at)
     odd = [1] + [c1 * v for v in transfer(jf.ac, jf.b, None, order)[:order]]
     return even, odd
-
-
-def _matches_convergents(sf: SFraction, series: TruncSeries, order: int) -> bool:
-    """Whether ``series``, a Laurent polynomial series, is the S-fraction's
-    expansion up to t^order.
-
-    Each t^n coefficient of ``series`` must be a polynomial in q, and B is
-    taken above its own coefficients too (``_point_bits``); its rows are
-    then compared at q = 2^B with the oracle ``convergents_at``, by the
-    argument of ``_contraction_agrees``."""
-    rows = []
-    for n in range(order + 1):
-        try:
-            coeffs = _q_only(series.coeff(n))
-        except ValueError:
-            return False
-        if any(e < 0 for e in coeffs):
-            return False
-        rows.append(coeffs)
-    bits = _point_bits(sf, order, rows)
-    return [sum(c << bits * e for e, c in row.items()) for row in rows] == (
-        convergents_at(sf, order, 1 << bits))
 
 
 def _point_bits(sf: SFraction, order: int, rows=()) -> int:
@@ -400,14 +394,9 @@ def _check_contra(order: int):
             pr = preset(name)
             big = pr.expand(series_order)
             if pr.s_form is not None:
-                s_series = expand_s(pr.s_form, order)
-                if TruncSeries(order, big.coeffs) != s_series:
-                    return f"{name}: level form disagrees with contracted form"
-                c1, jf = contract_odd(pr.s_form)
-                if s_series != expand_odd_contraction(c1, jf, order):
-                    return f"{name}: odd contraction mismatch"
-                if not _matches_convergents(pr.s_form, s_series, order):
-                    return f"{name}: even contraction mismatch"
+                why = _contraction_agrees(pr.s_form, order, big)
+                if why:
+                    return f"{name}: {why}"
             target = TruncSeries(series_order, [LaurentPoly.const(1)] + [
                 side.value(n, bases[n]) for n in range(1, series_order + 1)])
             if big != target:

@@ -13,7 +13,6 @@ from pqeuler.contfrac import (
     convergents_at,
     expand_by_convergents,
     expand_j,
-    expand_odd_contraction,
     expand_s,
     preset,
 )
@@ -171,6 +170,13 @@ def test_absolute_fraction_at_one_bounds_every_coefficient(name):
                        for _, c in series.coeff(n).sorted_terms()), n
 
 
+def _odd_series(sf, order):
+    """The odd contraction's series 1 + c_1 t J, with J expanded by
+    ``expand_j``."""
+    c1, jf = contract_odd(sf)
+    return TruncSeries.one(order) + expand_j(jf, order).scale(c1).shift(1)
+
+
 def _sizes(sf, levels):
     """The fraction with each of c_1..c_levels replaced by the sum of its
     absolute coefficients, an int."""
@@ -193,9 +199,7 @@ def test_absolute_passes_at_one_bound_each_contraction(name):
         bounds = (transfer(even.ac, even.b, None, MAX_ORDER),
                   [1] + [c1 * v for v in transfer(odd.ac, odd.b, None,
                                                    MAX_ORDER)[:MAX_ORDER]])
-        c1, odd = contract_odd(sf)
-        sides = (expand_s(sf, MAX_ORDER),
-                 expand_odd_contraction(c1, odd, MAX_ORDER))
+        sides = (expand_s(sf, MAX_ORDER), _odd_series(sf, MAX_ORDER))
         for series, bound in zip(sides, bounds):
             for n in range(MAX_ORDER + 1):
                 assert all(abs(c) <= bound[n]
@@ -285,8 +289,7 @@ def test_contractions_on_simple_fraction():
     order = 9
     direct = expand_by_convergents(sf, order)
     assert direct == expand_j(contract_even(sf), order)
-    c1, jf = contract_odd(sf)
-    assert direct == expand_odd_contraction(c1, jf, order)
+    assert direct == _odd_series(sf, order)
 
 
 def test_contract_dispatch():
@@ -335,10 +338,19 @@ def _no_level(h):
     return _ZERO
 
 
-# The displayed weights (b_h, ac_h) of Cor 2.2 and 2.3 and of the jv and sz
-# level forms.  Each of these presets is stated as a substitution into
-# tangent-pq, secant-pq, cf-A or cf-SZ, which must give them exactly.
+_X, _Y = LaurentPoly.var("x"), LaurentPoly.var("y")
+
+# The displayed weights (b_h, ac_h) of cf-A and cf-SZ, of Cor 2.2 and 2.3
+# and of the jv and sz level forms.  Each of these presets is stated as a
+# substitution into tangent-pq, secant-pq or Thm 4.1's fraction (thm4.1),
+# the jv and sz forms through cf-A and cf-SZ, and must give them exactly.
 DISPLAYED = {
+    # Thm 4.1 at p = s = 1: (wex, fix, cros)
+    "cf-A": (lambda h: _X * _Y + (_ONE + _X * _qpow(1)) * q_bracket(h),
+             lambda h: _X * q_bracket(h + 1) ** 2),
+    # Thm 4.1 at q = p = 1, s = q, y = y/x: (exc, fix, inv)
+    "cf-SZ": (lambda h: _Y * _qpow(2 * h) + (_ONE + _X) * _qpow(h) * q_bracket(h),
+              lambda h: _X * _qpow(2 * h + 1) * q_bracket(h + 1) ** 2),
     # Cor 2.2, p = 1
     "tangent-q": (_no_level, lambda h: q_bracket(h + 1) * q_bracket(h + 2)),
     "secant-q": (_no_level, lambda h: q_bracket(h + 1) ** 2),

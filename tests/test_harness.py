@@ -3,15 +3,14 @@ import json
 import random
 import time
 from functools import partial
-from types import SimpleNamespace
 
 import pytest
 
-from pqeuler import harness, permstat, qeuler
+from pqeuler import contfrac, harness, permstat, qeuler
 from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
 from pqeuler.contfrac import (SFraction, contract_odd, expand_by_convergents,
-                              expand_odd_contraction, expand_s, value_at)
+                              expand_j, expand_s, value_at)
 from pqeuler.permstat import basic_stats, family_iter, word_str
 
 
@@ -299,13 +298,6 @@ def _planted(series, fault):
     return TruncSeries(series.order, coeffs)
 
 
-def _plant_in_the_odd_contraction(monkeypatch, fault):
-    real_odd = harness.expand_odd_contraction
-    monkeypatch.setattr(harness, "expand_odd_contraction",
-                        lambda c1, jf, order: _planted(real_odd(c1, jf, order),
-                                                       fault))
-
-
 EVEN, ODD = 0, 1
 
 
@@ -331,11 +323,14 @@ def _plant_in_the_passes(monkeypatch, fault, sides):
     monkeypatch.setattr(harness, "_contractions_at", planted)
 
 
+LEVEL_MISMATCH = "level form disagrees with contracted form"
+
+
 def test_oracle_comparison_passes_the_even_contraction():
     sf, d = _contra_fraction()
     assert d == 2
     even = expand_s(sf, CONTRA_ORDER)
-    assert harness._matches_convergents(sf, even, CONTRA_ORDER)
+    assert harness._contraction_agrees(sf, CONTRA_ORDER, even) is None
     assert harness._contraction_agrees(sf, CONTRA_ORDER) is None
     # each int pass is the Laurent polynomial series at the point
     point = 1 << harness._point_bits(sf, CONTRA_ORDER)
@@ -349,9 +344,9 @@ def test_oracle_comparison_passes_the_even_contraction():
 def test_oracle_comparison_catches_a_planted_fault(name, monkeypatch):
     sf, d = _contra_fraction()
     fault = FAULTS[name](d)
-    # the specialised presets' Laurent polynomial series
-    assert not harness._matches_convergents(
-        sf, _planted(expand_s(sf, CONTRA_ORDER), fault), CONTRA_ORDER)
+    # in a level form, the Laurent polynomial series of an S-form preset
+    level = _planted(expand_s(sf, CONTRA_ORDER), fault)
+    assert harness._contraction_agrees(sf, CONTRA_ORDER, level) == LEVEL_MISMATCH
     # the same fault in both contractions' int passes keeps them equal to
     # each other, so only the oracle can catch it
     _plant_in_the_passes(monkeypatch, fault, (EVEN, ODD))
@@ -363,13 +358,15 @@ def _collision_bits(sf, series):
     """B as the one-point check should pick it: 2^(B-1) above every
     |coefficient| of ``series`` and of the fraction and its even and odd
     contractions with each c_k replaced by the sum of its absolute
-    coefficients, at q = 1, each expanded here as a Laurent series."""
+    coefficients, at q = 1, each expanded here as a Laurent series (the odd
+    one as 1 + c_1 t J, with J expanded by ``expand_j``)."""
     absolute = SFraction(c=lambda k: LaurentPoly.const(
         sum(abs(c) for _, c in sf.c(k).sorted_terms())))
     c1, jf = contract_odd(absolute)
     sides = (expand_by_convergents(absolute, CONTRA_ORDER),
              expand_s(absolute, CONTRA_ORDER),
-             expand_odd_contraction(c1, jf, CONTRA_ORDER))
+             TruncSeries.one(CONTRA_ORDER)
+             + expand_j(jf, CONTRA_ORDER).scale(c1).shift(1))
     top = max([coeff.as_int() for side in sides for coeff in side.coeffs]
               + [abs(c) for coeff in series.coeffs
                  for _, c in coeff.sorted_terms()])
@@ -380,7 +377,7 @@ def _collision_bits(sf, series):
 def test_oracle_comparison_rejects_a_collision_at_the_point(k, monkeypatch):
     # P + (q - 2^B) q^k equals P at q = 2^B for the B that the unperturbed
     # sides pick; its own coefficient -2^B raises B, so it must fail, in
-    # a Laurent series and in either contraction's int passes
+    # a level form and in either contraction's int passes
     sf, _ = _contra_fraction()
     even = expand_s(sf, CONTRA_ORDER)
     bits = _collision_bits(sf, even)
@@ -390,8 +387,8 @@ def test_oracle_comparison_rejects_a_collision_at_the_point(k, monkeypatch):
     assert harness._point_bits(sf, CONTRA_ORDER) == bits
     fault = (LaurentPoly.var("q") - (1 << bits)) * LaurentPoly.var("q", k)
     assert fault.substitute({"q": 1 << bits}).is_zero()
-    assert not harness._matches_convergents(sf, _planted(even, fault),
-                                            CONTRA_ORDER)
+    assert (harness._contraction_agrees(sf, CONTRA_ORDER, _planted(even, fault))
+            == LEVEL_MISMATCH)
     for side, witness in ((EVEN, "even contraction mismatch"),
                           (ODD, "odd contraction mismatch")):
         with monkeypatch.context() as m:
@@ -416,37 +413,47 @@ def test_an_odd_only_fault_is_an_odd_contraction_mismatch(monkeypatch):
 
 
 def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
-    # the same fault in the level form, the even contraction and the odd
-    # one: only the oracle can catch it
-    fault = LaurentPoly.var("x")
-    real_preset, real_s = harness.preset, harness.expand_s
+    # a fault in the even int pass of sz-tangent's S-form alone, the second
+    # S-form that contra checks
+    s_forms = []
+    real_preset, real_passes = harness.preset, harness._contractions_at
 
-    def planted_preset(name):
+    def recording(name):
         pr = real_preset(name)
-        return SimpleNamespace(
-            s_form=pr.s_form,
-            expand=lambda order: _planted(pr.expand(order), fault))
+        if name == "sz-tangent":
+            s_forms.append(pr.s_form)
+        return pr
 
-    monkeypatch.setattr(harness, "preset", planted_preset)
-    monkeypatch.setattr(harness, "expand_s",
-                        lambda sf, order: _planted(real_s(sf, order), fault))
-    _plant_in_the_odd_contraction(monkeypatch, fault)
+    def planted(sf, order, value):
+        even, odd = real_passes(sf, order, value)
+        if any(sf is f for f in s_forms):
+            even[FAULT_AT] += 1
+        return even, odd
+
+    monkeypatch.setattr(harness, "preset", recording)
+    monkeypatch.setattr(harness, "_contractions_at", planted)
     report = harness.check("contra", CONTRA_ORDER)
-    assert report.witness == "jv-tangent: even contraction mismatch"
+    assert report.witness == "sz-tangent: even contraction mismatch"
 
 
 def test_contra_expands_each_even_contraction_once(monkeypatch):
-    # one Laurent series per specialised preset's contracted form (the
-    # tangents carry one; the secants' displayed J-forms are their
-    # substituted fractions), which serves both the level-form comparison
-    # and the oracle, and none per random trial: a trial's int passes run
-    # once at q = 1 for B and once at q = 2^B, and each S-form preset's B
-    # takes one more
-    calls, passes = [], []
-    for attr in ("expand_j", "expand_s"):
+    # no Laurent series for an S-form: expand_s never runs, and every
+    # contraction contra builds is of an int-valued fraction.  The int
+    # passes of each random trial and of each S-form preset run once at
+    # q = 1 for B and once at q = 2^B
+    laurent, passes = [], []
+    for owner in (contfrac, harness):
+        monkeypatch.setattr(owner, "expand_s",
+                            lambda sf, order: laurent.append(sf))
+    for attr in ("contract_even", "contract_odd"):
         real = getattr(harness, attr)
-        monkeypatch.setattr(harness, attr, lambda f, order, _real=real:
-                            calls.append(1) or _real(f, order))
+
+        def checked(sf, _real=real):
+            if type(sf.c(1)) is not int:
+                laurent.append(sf)
+            return _real(sf)
+
+        monkeypatch.setattr(harness, attr, checked)
     real_passes = harness._contractions_at
     monkeypatch.setattr(harness, "_contractions_at", lambda sf, order, value:
                         passes.append(1) or real_passes(sf, order, value))
@@ -454,8 +461,8 @@ def test_contra_expands_each_even_contraction_once(monkeypatch):
     s_forms = [name for names in harness.SPECIALIZED.values() for name in names
                if harness.preset(name).s_form is not None]
     assert s_forms == ["jv-tangent", "sz-tangent"]
-    assert len(calls) == len(s_forms)
-    assert len(passes) == 2 * harness.CONTRA_TRIALS + 2
+    assert laurent == []
+    assert len(passes) == 2 * harness.CONTRA_TRIALS + 2 * len(s_forms)
 
 
 @pytest.mark.parametrize("cid", harness.CHECK_IDS)
