@@ -7,15 +7,16 @@ rising factorials).
 
 A LaurentPoly stores each exponent vector as one packed int (Kronecker
 substitution): the five exponents are balanced digits base 2**EXP_BITS
-(EXP_BITS = 80), x the most significant, so multiplying two monomials is one
-integer add and integer order on the keys is ascending lex order on the
-vectors.  Every exponent must satisfy |e| < 2**(EXP_BITS - 1).  Packing an
-exponent outside that range raises OverflowError, and so does any product,
-power or substitution whose result could leave it: each polynomial carries an
-upper bound on its |exponents|, and the bounds are added and checked before
-any key is, so a digit never carries silently into the next.  ``pack`` and
-``unpack`` convert between the two forms; the exponent-tuple form is what
-LaurentPoly(dict), ``sorted_terms``, JSON and printing use.
+(EXP_BITS = 32, so a key is a 160-bit int), x the most significant, so
+multiplying two monomials is one integer add and integer order on the keys is
+ascending lex order on the vectors.  Every exponent must satisfy
+|e| < 2**(EXP_BITS - 1) = 2**31.  Packing an exponent outside that range
+raises OverflowError, and so does any product, power or substitution whose
+result could leave it: each polynomial carries an upper bound on its
+|exponents|, and the bounds are added and checked before any key is, so a
+digit never carries silently into the next.  ``pack`` and ``unpack`` convert
+between the two forms; the exponent-tuple form is what LaurentPoly(dict),
+``sorted_terms``, JSON and printing use.
 
 Everything here is immutable after construction and all operations are pure.
 """
@@ -31,7 +32,7 @@ VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 
 # Width in bits of one packed exponent digit.  Every exponent must satisfy
 # |e| < EXP_LIMIT = 2**(EXP_BITS - 1).
-EXP_BITS = 80
+EXP_BITS = 32
 EXP_LIMIT = 1 << (EXP_BITS - 1)
 _DIGIT_MASK = (1 << EXP_BITS) - 1
 # the packed key of the monomial VARS[i]; x is the most significant digit
@@ -75,10 +76,22 @@ def unpack(key: int) -> tuple:
 
 
 def _mul_into(out: dict, a: dict, b: dict) -> dict:
-    """Add the product of the packed term maps a and b into out."""
-    get = out.get
+    """Add the product of the packed term maps a and b into out.
+
+    The smaller map is walked in the outer loop, the larger in the inner.
+    Into an empty out, the first outer term's products go in as one
+    comprehension: a monomial shift is injective, so none of its keys
+    collide and every count is a nonzero product."""
+    if len(a) > len(b):
+        a, b = b, a
     inner = b.items()
-    for e1, c1 in a.items():
+    outer = iter(a.items())
+    if not out:
+        for e1, c1 in outer:
+            out.update({e1 + e2: c1 * c2 for e2, c2 in inner})
+            break
+    get = out.get
+    for e1, c1 in outer:
         for e2, c2 in inner:
             e = e1 + e2
             v = get(e, 0) + c1 * c2
@@ -97,9 +110,12 @@ class LaurentPoly:
     nonzero coefficient; the zero polynomial has an empty map.  A key holds
     the five exponents as balanced digits base 2**EXP_BITS, x most
     significant, so a monomial product is the sum of the keys and integer
-    order is ascending lex order on the vectors.  ``bound`` is an upper bound
-    on every |exponent|; a product or power whose bound could reach
-    EXP_LIMIT raises ``OverflowError`` before any digit can carry.
+    order is ascending lex order on the vectors.  A product walks the
+    operand with more terms in its inner loop (``_mul_into``).  ``bound``
+    is an upper bound on every |exponent|; a product or power whose bound
+    could reach EXP_LIMIT raises ``OverflowError`` before any digit can
+    carry.  An operand that is neither an int nor a LaurentPoly gives
+    ``NotImplemented``, so Python raises ``TypeError``.
     """
 
     __slots__ = ("terms", "bound")
@@ -169,6 +185,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         big, small = self.terms, other.terms
         if len(small) > len(big):
             big, small = small, big
@@ -190,9 +208,13 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -201,6 +223,8 @@ class LaurentPoly:
                 return LaurentPoly()
             return LaurentPoly._packed(
                 {e: c * other for e, c in self.terms.items()}, self.bound)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         bound = self.bound + other.bound
         _check_bound(bound)
         return LaurentPoly._packed(_mul_into({}, self.terms, other.terms), bound)

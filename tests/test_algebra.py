@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,52 @@ def test_ring_axioms(a, b, c):
     assert a - a == LaurentPoly()
     assert LaurentPoly.dot([a, b, c], [b, c, a]) == a * b + b * c + c * a
     assert LaurentPoly.dot([a, -a], [b, b]).terms == {}
+
+
+@st.composite
+def sized_polys(draw, min_size, max_size):
+    # exponents in -1..1, so the products of two such polynomials collide
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-1, 1)] * 5),
+                                 coeffs.filter(bool), min_size=min_size,
+                                 max_size=max_size))
+    return LaurentPoly(terms)
+
+
+def _dot_reference(pairs):
+    """Reference for ``dot`` on exponent tuples: every term product of every
+    pair, exponents added entrywise, zero counts dropped, in lex order."""
+    out = {}
+    for a, b in pairs:
+        for e1, c1 in a.sorted_terms():
+            for e2, c2 in b.sorted_terms():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return sorted((e, c) for e, c in out.items() if c)
+
+
+@given(sized_polys(1, 4), sized_polys(0, 40))
+def test_products_match_the_reference_on_exponent_tuples(small, big):
+    want = _dot_reference([(small, big)])
+    for got in (small * big, big * small,
+                LaurentPoly.dot([small], [big]), LaurentPoly.dot([big], [small])):
+        assert got.sorted_terms() == want
+    # the second product lands on every key the first one filled ...
+    for xs, ys in (([small, big], [big, small]), ([big, small], [small, big])):
+        assert LaurentPoly.dot(xs, ys).sorted_terms() == _dot_reference(
+            zip(xs, ys))
+    # ... and cancels every one of them
+    assert LaurentPoly.dot([small, big], [big, -small]).terms == {}
+    assert LaurentPoly.dot([big, small], [-small, big]).terms == {}
+
+
+@pytest.mark.parametrize("other", [0.5, Fraction(1, 2), "q"])
+def test_an_operand_neither_int_nor_laurent_poly_is_a_type_error(other):
+    q = LaurentPoly.var("q")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(q, other)
+        with pytest.raises(TypeError):
+            op(other, q)
 
 
 @given(laurent_polys())

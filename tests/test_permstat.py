@@ -8,8 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqeuler import harness, permstat
-from pqeuler.algebra import VARS, LaurentPoly
+from pqeuler import harness, permstat, qeuler
+from pqeuler.algebra import EXP_LIMIT, VARS, LaurentPoly
 from pqeuler.lattice import (
     enumerate_objects,
     laguerre_quintuple_weights,
@@ -675,9 +675,10 @@ def test_a_span_its_statistics_cannot_fill_keeps_the_dict_store():
 
 def test_the_digit_is_taken_in_units_of_its_gcd():
     # inv <= 15 on S_6: 16 digits, however large the common coefficient
-    dense = _dense({"q": {"inv": 2**75}}, 6)
-    assert dense.g == 2**75
-    dp, scan = _dp_and_scan("S", 6, {"q": {"inv": 2**75}})
+    big = EXP_LIMIT >> 4
+    dense = _dense({"q": {"inv": big}}, 6)
+    assert dense.g == big
+    dp, scan = _dp_and_scan("S", 6, {"q": {"inv": big}})
     assert dp == scan and len(dp.sorted_terms()) == 16
     assert _dense({"q": {"cros": 6, "nest": -4}}, 6).g == 2
 
@@ -757,13 +758,42 @@ def test_an_exponent_past_the_packed_range_is_refused_before_any_layer(
 
 
 def test_the_bound_is_what_a_letter_statistic_reaches(monkeypatch):
-    # inv <= 15 on S_6: 15 * 2**75 is inside the packed range, 15 * 2**76
-    # is not
-    dp, scan = _dp_and_scan("S", 6, {"q": {"inv": 2**75}})
+    # inv <= 15 on S_6: 15 * (EXP_LIMIT >> 4) is inside the packed range,
+    # 15 * (EXP_LIMIT >> 3) is not
+    dp, scan = _dp_and_scan("S", 6, {"q": {"inv": EXP_LIMIT >> 4}})
     assert dp == scan and len(dp.sorted_terms()) == 16
     monkeypatch.setattr(permstat, "_letter_rule", _no_layer)
     with pytest.raises(OverflowError, match="past the packed digit range"):
-        stat_polynomial("S", 6, {"q": {"inv": 2**76}})
+        stat_polynomial("S", 6, {"q": {"inv": EXP_LIMIT >> 3}})
+
+
+def test_every_shipped_weight_fits_the_packed_range_at_the_largest_size(
+        monkeypatch):
+    # 20 is the largest size the program admits
+    assert math.comb(20, 10) <= permstat.DP_MAX_STATES
+    with pytest.raises(EnumerationCapError):
+        stat_polynomial("S", 21, {})
+    # the signed sides and E_n(p,q) record their weights and values, no
+    # program runs
+    calls = []
+
+    def record(family, nmax, weight, at=None):
+        calls.append((weight, at))
+        return [LaurentPoly()] * (nmax + 1)
+
+    monkeypatch.setattr(harness, "stat_polynomials", record)
+    monkeypatch.setattr(qeuler, "stat_polynomials", record)
+    for _, *sides in harness.SIGNED.values():
+        for side in sides:
+            side.sums(20)
+    for at in (None, AT_Q, AT_QSTAR):
+        qeuler._e_pq_sums(20, at)
+    weights = [(QUINTUPLE_WEIGHT, None), (LINEAR_QUINTUPLE_WEIGHT, None),
+               (harness._INVOLUTION_WEIGHT, None), *calls]
+    assert len(weights) == 3 + 2 * len(harness.SIGNED) + 6
+    for weight, at in weights:
+        plan, _ = permstat._fold(permstat._weight_plan(weight), at)
+        assert permstat._packed_plan(plan, 20)[2] < EXP_LIMIT, (weight, at)
 
 
 def test_no_program_runs_for_a_parity_family_without_words(monkeypatch):
@@ -804,9 +834,10 @@ def test_walk_and_scan_ignore_the_first_letter_at_n0(family):
 
 
 def test_packed_keys_hold_large_coefficients():
-    # far past the digit width that the exponents of S_6 alone would need
-    weight = {"x": {"inv": 10**12, "n": -10**12}, "y": {"fix": -7},
-              "s": {"cros": 3, "nest": -(2**70)}}
+    # far past the digit width that the exponents of S_6 alone would need,
+    # yet inside the packed range: 15 * sum |c| < EXP_LIMIT for each variable
+    weight = {"x": {"inv": EXP_LIMIT >> 6, "n": -(EXP_LIMIT >> 6)},
+              "y": {"fix": -7}, "s": {"cros": 3, "nest": -(EXP_LIMIT >> 5)}}
     dp, scan = _dp_and_scan("S", 6, weight)
     assert dp == scan
     poly = stat_polynomial("S", 6, weight)
