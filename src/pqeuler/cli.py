@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: stats, verify, cf, table, bij, export.  Exit codes: 0 success /
-verified, 1 a verification failed, 2 usage error.
+Subcommands: stats, verify, cf, table, bij, export, frontier.  Exit codes: 0
+success / verified, 1 a verification failed, 2 usage error.  ``python -m
+pqeuler`` runs it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import harness
+from . import frontier, harness
 from .contfrac import PRESET_NAMES, preset
 from .maps import csz, csz_biwords, fv, fv_star, fz, invol_phi, invol_psi
 from .permstat import (
@@ -156,6 +157,26 @@ def _cmd_export(args) -> int:
     return 0
 
 
+def _cmd_frontier(args) -> int:
+    def progress(check_id, step):
+        print(f"{check_id}@{step['n']}: {step['status']} "
+              f"[{step['seconds']:.2f}s, {step['peak_rss_mb']} MB]", flush=True)
+
+    unknown = [cid for cid in args.ids if cid not in harness.CHECK_IDS]
+    if unknown:
+        raise UsageError(f"unknown check {unknown[0]!r}; known: "
+                         f"{', '.join(harness.CHECK_IDS)}")
+    result = frontier.frontier(args.ids or harness.CHECK_IDS, args.budget,
+                               args.repeat, None if args.json else progress)
+    if args.json:
+        print(json.dumps(result))
+    else:
+        for climb in result["checks"]:
+            print(f"{climb['check']}: reach {climb['reach']} (from "
+                  f"{climb['start']}; {climb['steps'][-1]['n']} {climb['stop']})")
+    return 1 if any(c["stop"] in ("fail", "error") for c in result["checks"]) else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqeuler",
@@ -200,6 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--out", default="euler_table.json")
     p.set_defaults(func=_cmd_export)
+
+    p = sub.add_parser("frontier", help="the largest size each check passes "
+                       "within a time budget, one child process at a time")
+    p.add_argument("ids", nargs="*", metavar="ID",
+                   help="checks to climb (default: every check)")
+    p.add_argument("--budget", type=float, default=frontier.BUDGET,
+                   help="seconds (default %(default)s)")
+    p.add_argument("--repeat", type=int, default=1,
+                   help="the most runs per size; the median decides")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_frontier)
 
     return parser
 

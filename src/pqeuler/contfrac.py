@@ -18,14 +18,16 @@ t is expanded through its even contraction.  A path of length at most N
 never climbs above N/2, so no depth is needed: a fraction ends only where
 its own coefficients vanish.
 
-Two oracles evaluate the fraction bottom-up, as displayed, from the tail 1
-at a depth; neither runs on the fast path, and they hold the only depths.
-``expand_by_convergents`` does it with series reciprocals over the Laurent
-polynomials and is the definition the tests check against.
-``convergents_at`` does it for an S-fraction over Z[q] at one integer q,
-over plain ints.  ``contra`` compares both contractions, and a preset's
-level form, with it at one point q = 2^B: c_1..c_(order+4) are evaluated
-there once (``value_at``), and the contractions of that int-valued
+Two oracles read the fraction as displayed, at a depth; neither runs on
+the fast path, and they hold the only depths.  ``expand_by_convergents``
+evaluates it bottom-up from the tail 1 with series reciprocals over the
+Laurent polynomials and is the definition the tests check against.
+``convergents_at`` gives the same coefficients for an S-fraction over Z[q]
+at one integer q, over plain ints, as the convergent A_order / B_order:
+its numerator and denominator by the Euler-Wallis recurrence for
+continuants, then one series division.  ``contra`` compares both
+contractions, and a preset's level form, with it at one point q = 2^B:
+each c_k is valued there once, and the contractions of that int-valued
 fraction are expanded by the same transfer pass over ints.  The
 contractions and the pass only add and multiply, so each int pass is its
 Laurent polynomial series at 2^B; with 2^(B-1) above every |coefficient|
@@ -110,23 +112,41 @@ def expand_by_convergents(fraction: JFraction | SFraction, order: int,
 def convergents_at(sf: SFraction, order: int, q: int) -> list[int]:
     """The oracle for ``contra`` and tests: the coefficients of t^0..t^order
     of ``expand_by_convergents(sf, order)`` at the integer q, over plain
-    ints.  Each of c_1..c_order must be in Z[q].
+    ints.  Each of c_1..c_order must be in Z[q] (an int is a constant).
 
-    From the tail 1 at depth ``order``, f <- 1 / (1 - c_k t f) for k down to
-    1, with the reciprocal read as h_n = c_k (f_0 h_(n-1) + ... + f_(n-1)
-    h_0).  The level-k series is needed only to t^(order - k + 1)."""
-    f = [1]
-    for k in range(order, 0, -1):
+    That series is the convergent A_order / B_order, cut at t^order.  Its
+    numerator and denominator are continuants (the Euler-Wallis recurrence;
+    H. S. Wall, *Analytic Theory of Continued Fractions*, 1948; P. Flajolet,
+    Discrete Math. 32, 1980): A_0 = A_1 = 1, B_0 = 1, B_1 = 1 - c_1 t, and
+    A_k = A_(k-1) - c_k t A_(k-2), likewise for B.  Each is a polynomial in
+    t of degree at most (k + 1) // 2, so none reaches past t^order.  One
+    series division then reads h_n = A_n - (B_1 h_(n-1) + ... + B_n h_0),
+    as B_0 = 1: O(order^2) products in all."""
+    # A_(-1) = 0 and B_(-1) = 1 start both recurrences at k = 1
+    a_prev, a, b_prev, b = [0], [1], [1], [1]
+    for k in range(1, order + 1):
         c = value_at(sf.c(k), q)
-        h = [1]
-        for _ in range(order - k + 1):
-            h.append(c * sum(map(mul, f, reversed(h))))
-        f = h
-    return f
+        a_prev, a = a, _continue(a, a_prev, c)
+        b_prev, b = b, _continue(b, b_prev, c)
+    h = []
+    for n in range(order + 1):
+        h.append((a[n] if n < len(a) else 0)
+                 - sum(map(mul, b[1:], reversed(h))))
+    return h
 
 
-def value_at(poly: LaurentPoly, q: int) -> int:
-    """A polynomial in Z[q] at the integer q."""
+def _continue(p: list, p_prev: list, c: int) -> list:
+    """p - c t p_prev, as coefficient lists in t."""
+    out = p + [0] * (len(p_prev) + 1 - len(p))
+    for i, v in enumerate(p_prev, 1):
+        out[i] -= c * v
+    return out
+
+
+def value_at(poly: LaurentPoly | int, q: int) -> int:
+    """A polynomial in Z[q] at the integer q; an int is its own value."""
+    if type(poly) is int:
+        return poly
     value = 0
     for e, coeff in _q_only(poly).items():
         if e < 0:

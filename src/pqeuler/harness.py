@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import LaurentPoly, TruncSeries, _from_q_dict, _q_only
+from .algebra import LaurentPoly, TruncSeries, _q_only
 # expand_j and expand_s are not called here, but perfbench/spans.py wraps
 # them under this module's names
 from .contfrac import (
@@ -31,7 +31,6 @@ from .contfrac import (
     expand_j,
     expand_s,
     preset,
-    value_at,
 )
 from .lattice import enumerate_objects, transfer
 from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
@@ -282,52 +281,72 @@ def _check_thm3_2(nmax: int):
     return None
 
 
-def _random_s_fraction(rng: random.Random, levels: int) -> SFraction:
-    """c_1..c_levels, each a nonzero a_0 + a_1 q + a_2 q^2 with a_0, a_1,
-    a_2 drawn from -3..3 in that order."""
-    polys = []
+def _random_s_fraction(rng: random.Random, levels: int) -> list[list[int]]:
+    """c_1..c_levels as q-coefficient lists [a_0, a_1, a_2], each nonzero,
+    with a_0, a_1, a_2 drawn from -3..3 in that order."""
+    coeffs = []
     for _ in range(levels):
-        poly = LaurentPoly()
-        while poly.is_zero():
-            poly = _from_q_dict({d: rng.randint(-3, 3) for d in range(3)})
-        polys.append(poly)
-    return SFraction(c=lambda k, _p=tuple(polys): _p[k - 1])
+        c = [0]
+        while not any(c):
+            c = [rng.randint(-3, 3) for _ in range(3)]
+        coeffs.append(c)
+    return coeffs
 
 
-def _contraction_agrees(sf: SFraction, order: int,
+def _q_coeffs(poly: LaurentPoly) -> list[int]:
+    """A polynomial in Z[q] as its coefficient list, constant term first;
+    anything else is a ValueError."""
+    terms = _q_only(poly)
+    if any(e < 0 for e in terms):
+        raise ValueError(f"{poly} is not in Z[q]")
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        coeffs[e] = c
+    return coeffs
+
+
+def _at_point(coeffs: list[int], bits: int) -> int:
+    """The polynomial with these q coefficients at q = 2^bits."""
+    return sum(c << bits * e for e, c in enumerate(coeffs))
+
+
+def _int_fraction(values: list[int]) -> SFraction:
+    return SFraction(c=lambda k: values[k - 1])
+
+
+def _contraction_agrees(coeffs: list[list[int]], order: int,
                         level: TruncSeries | None = None):
-    """Witness that ``level``, or the even or the odd contraction of an
-    S-fraction over Z[q], does not expand to the fraction's convergents up
-    to t^order, or None if each does.
+    """Witness that ``level``, or the even or the odd contraction of the
+    S-fraction whose c_1..c_(order+4) have the q-coefficient lists
+    ``coeffs``, does not expand to the fraction's convergents up to
+    t^order, or None if each does.
 
     ``level`` is a series of Laurent polynomials, a preset's level form; each
     of its t^0..t^order must be a polynomial in q, and B is taken above its
     coefficients too (``_point_bits``).  Every side is compared with the
-    oracle at one point, q = 2^B, over plain ints: the rows of ``level`` are
-    read there, c_1..c_(order+4) are evaluated there once, both
-    contractions of that int-valued fraction are expanded by the transfer
-    pass (``_contractions_at``), and each is compared with
-    ``convergents_at``.  Evaluation at an integer is a ring homomorphism and
-    the contractions and the pass only add and multiply, so each int pass
-    is its Laurent polynomial series at 2^B, and the oracle's values are the
-    fraction's.  Two polynomials in q whose coefficients are all below
-    2^(B-1) in absolute value are equal exactly when they agree at 2^B,
-    since balanced base-2^B digits are unique."""
+    oracle at one point, q = 2^B, over plain ints.  Each c_k is read once
+    from its list, as its size (the sum of its absolute coefficients) for B
+    and as its value at 2^B; both contractions of that int-valued fraction
+    are expanded by the transfer pass (``_contractions_at``), and each is
+    compared with ``convergents_at`` of the same ints.  Evaluation at an
+    integer is a ring homomorphism and the contractions and the pass only
+    add and multiply, so each int pass is its Laurent polynomial series at
+    2^B, and the oracle's values are the fraction's.  Two polynomials in q
+    whose coefficients are all below 2^(B-1) in absolute value are equal
+    exactly when they agree at 2^B, since balanced base-2^B digits are
+    unique."""
     level_mismatch = "level form disagrees with contracted form"
     rows = []
     if level is not None:
         try:
-            rows = [_q_only(level.coeff(n)) for n in range(order + 1)]
+            rows = [_q_coeffs(level.coeff(n)) for n in range(order + 1)]
         except ValueError:
             return level_mismatch
-        if any(e < 0 for row in rows for e in row):
-            return level_mismatch
-    bits = _point_bits(sf, order, rows)
-    point = 1 << bits
-    even, odd = _contractions_at(sf, order, partial(value_at, q=point))
-    oracle = convergents_at(sf, order, point)
-    if rows and oracle != [sum(c << bits * e for e, c in row.items())
-                           for row in rows]:
+    bits = _point_bits([sum(map(abs, c)) for c in coeffs], order, rows)
+    values = [_at_point(c, bits) for c in coeffs]
+    even, odd = _contractions_at(values, order)
+    oracle = convergents_at(_int_fraction(values), order, 1 << bits)
+    if rows and oracle != [_at_point(row, bits) for row in rows]:
         return level_mismatch
     if even != oracle:
         return "even contraction mismatch"
@@ -336,13 +355,12 @@ def _contraction_agrees(sf: SFraction, order: int,
     return None
 
 
-def _contractions_at(sf: SFraction, order: int, value):
-    """The even and the odd contraction of the S-fraction, as lists of the
-    ints at t^0..t^order, with each of c_1..c_(order+4) replaced once by the
-    int ``value(c_k)``.  Both are expanded by the transfer pass over ints,
-    the odd one as 1 + c_1 t J."""
-    cs = [value(sf.c(k)) for k in range(1, order + 5)]
-    at = SFraction(c=lambda k: cs[k - 1])
+def _contractions_at(values: list[int], order: int):
+    """The even and the odd contraction of the S-fraction with the ints
+    c_k = ``values[k - 1]``, as lists of the ints at t^0..t^order.  Both
+    are expanded by the transfer pass over ints, the odd one as
+    1 + c_1 t J."""
+    at = _int_fraction(values)
     jf = contract_even(at)
     even = transfer(jf.ac, jf.b, None, order)
     c1, jf = contract_odd(at)
@@ -350,28 +368,22 @@ def _contractions_at(sf: SFraction, order: int, value):
     return even, odd
 
 
-def _point_bits(sf: SFraction, order: int, rows=()) -> int:
-    """B with 2^(B-1) above every |coefficient| in ``rows`` (maps of q
-    exponents to coefficients) and in the t^0..t^order of the fraction and
-    of its even and odd contractions.
+def _point_bits(sizes: list[int], order: int, rows=()) -> int:
+    """B with 2^(B-1) above every |coefficient| in ``rows`` (q-coefficient
+    lists) and in the t^0..t^order of the fraction and of its even and odd
+    contractions, whose c_k has the size ``sizes[k - 1]``.
 
     Each coefficient of a t^n is a signed sum of products of coefficients
     of the c_k, one per path, so it is at most in absolute value the t^n of
-    the same expansion with each c_k replaced by the sum of its absolute
-    coefficients, at q = 1.  That takes three int passes: the fraction's
+    the same expansion with each c_k replaced by its size, the sum of its
+    absolute coefficients.  That takes three int passes: the fraction's
     convergents and each contraction's transfer pass.  The contractions'
     bounds come from their own passes, not from the contraction identity
     that ``contra`` tests."""
-    absolute = SFraction(c=lambda k: LaurentPoly.const(_size(sf.c(k))))
-    even, odd = _contractions_at(sf, order, _size)
-    top = max(convergents_at(absolute, order, 1) + even + odd
-              + [abs(c) for row in rows for c in row.values()])
+    even, odd = _contractions_at(sizes, order)
+    top = max(convergents_at(_int_fraction(sizes), order, 1) + even + odd
+              + [abs(c) for row in rows for c in row])
     return top.bit_length() + 1
-
-
-def _size(poly: LaurentPoly) -> int:
-    """The sum of the absolute values of the coefficients."""
-    return sum(map(abs, poly.terms.values()))
 
 
 # contra's specialized presets, by the signed identity whose tangent and
@@ -394,7 +406,8 @@ def _check_contra(order: int):
             pr = preset(name)
             big = pr.expand(series_order)
             if pr.s_form is not None:
-                why = _contraction_agrees(pr.s_form, order, big)
+                coeffs = [_q_coeffs(pr.s_form.c(k)) for k in range(1, order + 5)]
+                why = _contraction_agrees(coeffs, order, big)
                 if why:
                     return f"{name}: {why}"
             target = TruncSeries(series_order, [LaurentPoly.const(1)] + [

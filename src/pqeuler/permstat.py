@@ -13,8 +13,9 @@ layer, every word is still counted once, and each smaller size is read off
 its layer.  ``stat_polynomial`` is its sum at n.  Monomials are substituted
 (``at``) in the same program, letter by letter.  The program alone judges its
 size: a layer may hold at most ``DP_MAX_STATES`` states and
-``DP_MAX_ENTRIES`` (state, key) entries, or (state, digit) slots where each
-state holds one int, and a larger call raises ``EnumerationCapError``.
+``DP_MAX_BYTES`` bytes, ``DP_ENTRY_BYTES`` for each (state, key) entry of a
+map or its bits / 8 for each state's int, and a larger call raises
+``EnumerationCapError``.
 ``stat_table`` lists the weight's exponent vector of every word of S_n from
 the same program: the word's lexicographic rank is one more digit of its
 key, so no two words merge.  The per-word kernel
@@ -45,11 +46,13 @@ STAT_INDEX = {name: i for i, name in enumerate(STAT_FIELDS)}
 MAX_OBJECTS = math.factorial(10)
 # What one layer of ``_accumulate`` may hold.  The widest layer of S_12 with
 # the quintuple weight holds 48,182 states and 4,247,842 entries (683 MB in
-# all).  Entries alone are not enough: where each state holds one key, the
-# states are the cost.  Where each state holds one int, its digits count as
-# entries.
+# all, about 160 bytes an entry).  Bytes alone are not enough: where each
+# state holds one key, the states are the cost.  A map entry counts
+# ``DP_ENTRY_BYTES``, so a map may hold 5,000,000 entries; an int counts its
+# bits / 8.
 DP_MAX_STATES = 200_000
-DP_MAX_ENTRIES = 5_000_000
+DP_ENTRY_BYTES = 160
+DP_MAX_BYTES = 5_000_000 * DP_ENTRY_BYTES
 
 
 class EnumerationCapError(ValueError):
@@ -622,15 +625,15 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
 
     The program bounds what it holds.  A layer that would hold more than
     ``DP_MAX_STATES`` states raises ``EnumerationCapError`` while it is
-    being built, and so does one that would hold more than
-    ``DP_MAX_ENTRIES`` (state, key) entries of a map, or (state, digit)
-    slots of the int store.  States are counted as they are made, and
-    entries after each source state, by the size of each target before and
-    after the merge.  Slots are counted the same way: a new state at the
-    digits of its first term, and a merge by how far the term reaches past
-    the target.  No digit carries, so an int is no wider than its widest
-    term, and a term's bits are its source's plus its shift.  In every
-    family, for
+    being built, and so does one that would hold more than ``DP_MAX_BYTES``
+    bytes: ``DP_ENTRY_BYTES`` for each (state, key) entry of a map, or its
+    bits / 8 for each int of the int store.  States are counted as they are
+    made, and entries after each source state, by the size of each target
+    before and after the merge.  Bits are counted the same way: a new state
+    at the bits of its first term, and a merge by how far the term reaches
+    past the target.  No digit carries, so an int outgrows its widest term
+    only by its top digit's growth, and a term's bits are its source's plus
+    its shift.  In every family, for
     2 <= p < n, the prefixes of length p take every set of p values, so
     layer p holds at least C(n, p) states, one per used set.  An n with
     C(n, n // 2) > ``DP_MAX_STATES`` is therefore refused before any work,
@@ -674,10 +677,15 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                          "states")
     inc, width, bound = _packed_plan(plan, n)
     dense = None if ranked else _dense_plan(plan, n, sign, width)
-    if dense is not None:
-        inc, w_digit = dense.incs, dense.unit
+    # held counts map entries or int bits, against the bytes it may hold
+    if dense is None:
+        limit = DP_MAX_BYTES // DP_ENTRY_BYTES
+        counted = f"bytes at {DP_ENTRY_BYTES} per (state, key) entry"
+    else:
+        inc = dense.incs
+        limit = 8 * DP_MAX_BYTES
+        counted = "bytes of the states' ints"
     xw = width if sign else 0            # the int store's shift starts here
-    entries = "(state, key) entries" if dense is None else "(state, digit) slots"
     rule = _letter_rule(family, n)
     top = width * len(VARS)              # the rank digit starts here
     # the x digit: its balanced value is ((k + x_half) & x_mask) - x_half
@@ -711,7 +719,7 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
     layer = {(0, 0, 0, 0): [0] if ranked else {0: 1} if dense is None else 1}
     for p in range(1, n + 1):
         nxt: dict = {}
-        held = 0                         # nxt's entries or slots
+        held = 0                         # nxt's entries or bits
         if w_cros:
             unit = 1 << cw * (p - 1)
             spread += [s + unit for s in spread]
@@ -795,10 +803,10 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                         nxt[state] = target + term
                         old = target.bit_length()
                         if bits + k > old:
-                            held += (bits + k) // w_digit - old // w_digit
+                            held += bits + k - old
                         continue
                     nxt[state] = term
-                    held += (bits + k) // w_digit + 1
+                    held += bits + k
                     if len(nxt) > DP_MAX_STATES:
                         raise _too_large(family, n, p, "DP_MAX_STATES",
                                          DP_MAX_STATES, "states")
@@ -832,9 +840,9 @@ def _accumulate(family: str, n: int, plan, ranked: bool = False,
                         key += k
                         target[key] = get(key, 0) + c
                 held += len(target) - before
-            if held > DP_MAX_ENTRIES:
-                raise _too_large(family, n, p, "DP_MAX_ENTRIES",
-                                 DP_MAX_ENTRIES, entries)
+            if held > limit:
+                raise _too_large(family, n, p, "DP_MAX_BYTES", DP_MAX_BYTES,
+                                 counted)
         if p < n and not ranked:
             sizes.append(_size_readout(nxt, p, width, bound, w_fmax + w_suc,
                                        w_adj, sign,

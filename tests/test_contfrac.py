@@ -138,18 +138,77 @@ def test_transfer_matches_convergents_on_random_s_fractions():
 
 # integer points, negative ones among them, and one past a machine word
 ORACLE_POINTS = (-3, -2, -1, 0, 1, 2, 3, 7, 2 ** 64)
+S_FORMS = tuple(name for name in PRESET_NAMES
+                if preset(name).s_form is not None)
 
 
-@pytest.mark.parametrize("name", ["random", "jv-tangent", "sz-tangent"])
+def _with_zeros():
+    """S-fractions with zero c_k: the first, the second, every third, every
+    one from the fourth on, the last the orders reach, and all of them."""
+    rng = random.Random(36)
+    cuts = (lambda k: k == 1, lambda k: k == 2, lambda k: k % 3 == 0,
+            lambda k: k >= 4, lambda k: k == MAX_ORDER, lambda k: True)
+    fractions = []
+    for zero in cuts:
+        polys = tuple(_ZERO if zero(k) else sum(
+            (LaurentPoly.var("q", d, coeff=rng.randint(-3, 3)) for d in range(3)),
+            LaurentPoly.var("q", 3)) for k in range(1, MAX_ORDER + 3))
+        fractions.append(SFraction(c=lambda k, _p=polys: _p[k - 1]))
+    return fractions
+
+
+def _oracle_fractions(name):
+    if name == "random":
+        return _random_s_fractions()
+    if name == "zeros":
+        return _with_zeros()
+    return [preset(name).s_form]
+
+
+@pytest.mark.parametrize("name", ("random", "zeros") + S_FORMS)
 def test_evaluated_oracle_is_the_convergents_at_each_point(name):
-    fractions = (_random_s_fractions() if name == "random"
-                 else [preset(name).s_form])
-    for sf in fractions:
+    # the continuants' quotient against the fraction evaluated bottom-up,
+    # at every order from 0, at each point
+    assert S_FORMS == ("jv-tangent", "sz-tangent")
+    for sf in _oracle_fractions(name):
         for order in range(MAX_ORDER + 1):
             series = expand_by_convergents(sf, order)
             for q in ORACLE_POINTS:
                 want = [c.substitute({"q": q}).as_int() for c in series.coeffs]
                 assert convergents_at(sf, order, q) == want, (order, q)
+
+
+def test_oracle_at_orders_0_and_1():
+    # 1, and 1 + c_1 t: t^1 reads c_1 alone
+    for sf in _random_s_fractions() + _with_zeros():
+        c1 = sf.c(1).substitute({"q": 5}).as_int()
+        assert convergents_at(sf, 0, 5) == [1]
+        assert convergents_at(sf, 1, 5) == [1, c1]
+
+
+def test_oracle_takes_int_levels_as_constants():
+    # an int c_k is the constant polynomial: its value at every q
+    for sf in _random_s_fractions() + _with_zeros():
+        ints = [sf.c(k).substitute({"q": 3}).as_int()
+                for k in range(1, MAX_ORDER + 1)]
+        at_int = SFraction(c=lambda k, _v=ints: _v[k - 1])
+        const = SFraction(c=lambda k, _v=ints: LaurentPoly.const(_v[k - 1]))
+        for q in (0, 1, 3, 2 ** 64):
+            assert (convergents_at(at_int, MAX_ORDER, q)
+                    == convergents_at(const, MAX_ORDER, 1)
+                    == convergents_at(sf, MAX_ORDER, 3))
+
+
+def test_oracle_past_the_small_orders():
+    # one fraction at order 24, where each continuant has 13 coefficients
+    rng = random.Random(24)
+    polys = [sum((LaurentPoly.var("q", d, coeff=rng.randint(-3, 3))
+                  for d in range(3)), LaurentPoly.const(1)) for _ in range(26)]
+    sf = SFraction(c=lambda k: polys[k - 1])
+    series = expand_by_convergents(sf, 24)
+    for q in (-2, 3, 2 ** 70):
+        want = [c.substitute({"q": q}).as_int() for c in series.coeffs]
+        assert convergents_at(sf, 24, q) == want, q
 
 
 @pytest.mark.parametrize("name", ["random", "jv-tangent", "sz-tangent"])

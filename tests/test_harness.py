@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -265,13 +266,24 @@ FAULT_AT = 3
 
 
 def _contra_fraction():
-    """The first random trial of contra at CONTRA_ORDER, and its d: the
-    largest q-degree among c_1..c_order."""
+    """The first random trial of contra at CONTRA_ORDER, as the q-coefficient
+    lists of its c_k, and its d: the largest q-degree among c_1..c_order."""
     rng = random.Random(harness.CONTRA_SEED)
-    sf = harness._random_s_fraction(rng, CONTRA_ORDER + 4)
-    d = max(e[3] for k in range(1, CONTRA_ORDER + 1)
-            for e, _ in sf.c(k).sorted_terms())
-    return sf, d
+    coeffs = harness._random_s_fraction(rng, CONTRA_ORDER + 4)
+    d = max(e for c in coeffs[:CONTRA_ORDER] for e, a in enumerate(c) if a)
+    return coeffs, d
+
+
+def _laurent(coeffs):
+    """The S-fraction whose c_k are the Laurent polynomials with these q
+    coefficient lists."""
+    polys = [sum((LaurentPoly.var("q", e, coeff=a) for e, a in enumerate(c)),
+                 LaurentPoly()) for c in coeffs]
+    return SFraction(c=lambda k: polys[k - 1])
+
+
+def _sizes(coeffs):
+    return [sum(map(abs, c)) for c in coeffs]
 
 
 def _vanishing_at_the_points(d):
@@ -303,23 +315,33 @@ EVEN, ODD = 0, 1
 
 def _plant_in_the_passes(monkeypatch, fault, sides):
     """Add the fault at t^FAULT_AT to the given sides of every int pass of
-    contra's random trials, as the pass would carry it: by its image under
-    the map the pass applies to each c_k, its size in the bound passes at
-    q = 1 and its value in the passes at q = 2^B.  A fault outside Z[q]
-    has no value there, so it is added as it is and the pass leaves the
-    ints."""
-    real = harness._contractions_at
+    contra's random trials, as the pass would carry it: its size (the sum
+    of its absolute coefficients) in the bound passes that ``_point_bits``
+    runs, and its value at q = 2^B in the passes after it, with B as that
+    call returned.  A fault outside Z[q] has no value there, so it is added
+    as it is and the pass leaves the ints."""
+    real_passes, real_bits = harness._contractions_at, harness._point_bits
+    bits = []                            # None while _point_bits runs
 
-    def planted(sf, order, value):
-        passes = real(sf, order, value)
-        try:
-            image = value(fault)
-        except ValueError:
-            image = fault
+    def planted_bits(*args):
+        bits.append(None)
+        bits[-1] = real_bits(*args)
+        return bits[-1]
+
+    def planted(values, order):
+        passes = real_passes(values, order)
+        if bits[-1] is None:
+            image = sum(abs(c) for _, c in fault.sorted_terms())
+        else:
+            try:
+                image = value_at(fault, 1 << bits[-1])
+            except ValueError:
+                image = fault
         for side in sides:
             passes[side][FAULT_AT] += image
         return passes
 
+    monkeypatch.setattr(harness, "_point_bits", planted_bits)
     monkeypatch.setattr(harness, "_contractions_at", planted)
 
 
@@ -327,30 +349,31 @@ LEVEL_MISMATCH = "level form disagrees with contracted form"
 
 
 def test_oracle_comparison_passes_the_even_contraction():
-    sf, d = _contra_fraction()
+    coeffs, d = _contra_fraction()
     assert d == 2
-    even = expand_s(sf, CONTRA_ORDER)
-    assert harness._contraction_agrees(sf, CONTRA_ORDER, even) is None
-    assert harness._contraction_agrees(sf, CONTRA_ORDER) is None
+    even = expand_s(_laurent(coeffs), CONTRA_ORDER)
+    assert harness._contraction_agrees(coeffs, CONTRA_ORDER, even) is None
+    assert harness._contraction_agrees(coeffs, CONTRA_ORDER) is None
     # each int pass is the Laurent polynomial series at the point
-    point = 1 << harness._point_bits(sf, CONTRA_ORDER)
-    passes = harness._contractions_at(sf, CONTRA_ORDER,
-                                      partial(value_at, q=point))
-    want = [c.substitute({"q": point}).as_int() for c in even.coeffs]
+    bits = harness._point_bits(_sizes(coeffs), CONTRA_ORDER)
+    passes = harness._contractions_at(
+        [harness._at_point(c, bits) for c in coeffs], CONTRA_ORDER)
+    want = [c.substitute({"q": 1 << bits}).as_int() for c in even.coeffs]
     assert passes == (want, want)
 
 
 @pytest.mark.parametrize("name", FAULTS)
 def test_oracle_comparison_catches_a_planted_fault(name, monkeypatch):
-    sf, d = _contra_fraction()
+    coeffs, d = _contra_fraction()
     fault = FAULTS[name](d)
     # in a level form, the Laurent polynomial series of an S-form preset
-    level = _planted(expand_s(sf, CONTRA_ORDER), fault)
-    assert harness._contraction_agrees(sf, CONTRA_ORDER, level) == LEVEL_MISMATCH
+    level = _planted(expand_s(_laurent(coeffs), CONTRA_ORDER), fault)
+    assert (harness._contraction_agrees(coeffs, CONTRA_ORDER, level)
+            == LEVEL_MISMATCH)
     # the same fault in both contractions' int passes keeps them equal to
     # each other, so only the oracle can catch it
     _plant_in_the_passes(monkeypatch, fault, (EVEN, ODD))
-    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
+    assert (harness._contraction_agrees(coeffs, CONTRA_ORDER)
             == "even contraction mismatch")
 
 
@@ -378,27 +401,28 @@ def test_oracle_comparison_rejects_a_collision_at_the_point(k, monkeypatch):
     # P + (q - 2^B) q^k equals P at q = 2^B for the B that the unperturbed
     # sides pick; its own coefficient -2^B raises B, so it must fail, in
     # a level form and in either contraction's int passes
-    sf, _ = _contra_fraction()
-    even = expand_s(sf, CONTRA_ORDER)
-    bits = _collision_bits(sf, even)
-    rows = [dict((e[3], c) for e, c in coeff.sorted_terms())
-            for coeff in even.coeffs]
-    assert harness._point_bits(sf, CONTRA_ORDER, rows) == bits
-    assert harness._point_bits(sf, CONTRA_ORDER) == bits
+    coeffs, _ = _contra_fraction()
+    sizes = _sizes(coeffs)
+    even = expand_s(_laurent(coeffs), CONTRA_ORDER)
+    bits = _collision_bits(_laurent(coeffs), even)
+    rows = [harness._q_coeffs(coeff) for coeff in even.coeffs]
+    assert harness._point_bits(sizes, CONTRA_ORDER, rows) == bits
+    assert harness._point_bits(sizes, CONTRA_ORDER) == bits
     fault = (LaurentPoly.var("q") - (1 << bits)) * LaurentPoly.var("q", k)
     assert fault.substitute({"q": 1 << bits}).is_zero()
-    assert (harness._contraction_agrees(sf, CONTRA_ORDER, _planted(even, fault))
+    assert (harness._contraction_agrees(coeffs, CONTRA_ORDER,
+                                        _planted(even, fault))
             == LEVEL_MISMATCH)
     for side, witness in ((EVEN, "even contraction mismatch"),
                           (ODD, "odd contraction mismatch")):
         with monkeypatch.context() as m:
             _plant_in_the_passes(m, fault, (side,))
-            assert harness._point_bits(sf, CONTRA_ORDER) > bits
-            assert harness._contraction_agrees(sf, CONTRA_ORDER) == witness
+            assert harness._point_bits(sizes, CONTRA_ORDER) > bits
+            assert harness._contraction_agrees(coeffs, CONTRA_ORDER) == witness
 
 
 def test_the_vanishing_fault_hides_from_every_point():
-    sf, d = _contra_fraction()
+    _, d = _contra_fraction()
     fault = _vanishing_at_the_points(d)
     assert fault.sorted_terms()[-1][0][3] == CONTRA_ORDER * d + 1
     for q in range(CONTRA_ORDER * d + 1):
@@ -406,42 +430,45 @@ def test_the_vanishing_fault_hides_from_every_point():
 
 
 def test_an_odd_only_fault_is_an_odd_contraction_mismatch(monkeypatch):
-    sf, _ = _contra_fraction()
+    coeffs, _ = _contra_fraction()
     _plant_in_the_passes(monkeypatch, LaurentPoly.const(1), (ODD,))
-    assert (harness._contraction_agrees(sf, CONTRA_ORDER)
+    assert (harness._contraction_agrees(coeffs, CONTRA_ORDER)
             == "odd contraction mismatch")
 
 
 def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
     # a fault in the even int pass of sz-tangent's S-form alone, the second
-    # S-form that contra checks
-    s_forms = []
-    real_preset, real_passes = harness.preset, harness._contractions_at
+    # S-form that contra checks, told apart by its c_k's coefficient lists
+    s_form = harness.preset("sz-tangent").s_form
+    sz = [harness._q_coeffs(s_form.c(k)) for k in range(1, CONTRA_ORDER + 5)]
+    current = []
+    real_agrees, real_passes = (harness._contraction_agrees,
+                                harness._contractions_at)
 
-    def recording(name):
-        pr = real_preset(name)
-        if name == "sz-tangent":
-            s_forms.append(pr.s_form)
-        return pr
+    def recording(coeffs, order, level=None):
+        current.append(coeffs)
+        return real_agrees(coeffs, order, level)
 
-    def planted(sf, order, value):
-        even, odd = real_passes(sf, order, value)
-        if any(sf is f for f in s_forms):
+    def planted(values, order):
+        even, odd = real_passes(values, order)
+        if current[-1] == sz:
             even[FAULT_AT] += 1
         return even, odd
 
-    monkeypatch.setattr(harness, "preset", recording)
+    monkeypatch.setattr(harness, "_contraction_agrees", recording)
     monkeypatch.setattr(harness, "_contractions_at", planted)
     report = harness.check("contra", CONTRA_ORDER)
     assert report.witness == "sz-tangent: even contraction mismatch"
+    assert len(current) == 2
 
 
 def test_contra_expands_each_even_contraction_once(monkeypatch):
-    # no Laurent series for an S-form: expand_s never runs, and every
-    # contraction contra builds is of an int-valued fraction.  The int
-    # passes of each random trial and of each S-form preset run once at
-    # q = 1 for B and once at q = 2^B
-    laurent, passes = [], []
+    # one int path: no Laurent series for an S-form (expand_s never runs),
+    # every fraction contracted or given to the oracle has int c_k, each
+    # agreement runs the contractions' passes and the oracle once at
+    # q = 1 for B and once at q = 2^B, and each c_k is valued at the point
+    # once
+    laurent, passes, oracles, points = [], [], [], []
     for owner in (contfrac, harness):
         monkeypatch.setattr(owner, "expand_s",
                             lambda sf, order: laurent.append(sf))
@@ -454,15 +481,31 @@ def test_contra_expands_each_even_contraction_once(monkeypatch):
             return _real(sf)
 
         monkeypatch.setattr(harness, attr, checked)
-    real_passes = harness._contractions_at
-    monkeypatch.setattr(harness, "_contractions_at", lambda sf, order, value:
-                        passes.append(1) or real_passes(sf, order, value))
+    real_oracle = harness.convergents_at
+
+    def oracle(sf, order, q):
+        if not all(type(sf.c(k)) is int for k in range(1, order + 1)):
+            laurent.append(sf)
+        oracles.append(q)
+        return real_oracle(sf, order, q)
+
+    monkeypatch.setattr(harness, "convergents_at", oracle)
+    real_passes, real_at = harness._contractions_at, harness._at_point
+    monkeypatch.setattr(harness, "_contractions_at", lambda values, order:
+                        passes.append(1) or real_passes(values, order))
+    monkeypatch.setattr(harness, "_at_point", lambda coeffs, bits:
+                        points.append(1) or real_at(coeffs, bits))
     assert harness.check("contra", CONTRA_ORDER).passed
     s_forms = [name for names in harness.SPECIALIZED.values() for name in names
                if harness.preset(name).s_form is not None]
     assert s_forms == ["jv-tangent", "sz-tangent"]
     assert laurent == []
-    assert len(passes) == 2 * harness.CONTRA_TRIALS + 2 * len(s_forms)
+    agreements = harness.CONTRA_TRIALS + len(s_forms)
+    assert len(passes) == 2 * agreements
+    assert len(oracles) == 2 * agreements and oracles.count(1) == agreements
+    # c_1..c_(order+4) of each fraction, and each S-form's level rows
+    assert len(points) == (agreements * (CONTRA_ORDER + 4)
+                           + len(s_forms) * (CONTRA_ORDER + 1))
 
 
 @pytest.mark.parametrize("cid", harness.CHECK_IDS)
@@ -480,16 +523,32 @@ def test_no_check_takes_a_series_reciprocal_or_product(monkeypatch, cid):
 
 @pytest.mark.parametrize("levels", (8, 16, 20))
 def test_random_s_fractions_are_the_sums_of_their_drawn_monomials(levels):
-    # each level was once built as the sum of three LaurentPoly.var terms
+    # each level was once built as the sum of three LaurentPoly.var terms,
+    # drawn again until nonzero; the coefficient lists are those draws
     new, old = (random.Random(harness.CONTRA_SEED) for _ in range(2))
     for _ in range(harness.CONTRA_TRIALS):
-        sf = harness._random_s_fraction(new, levels)
+        coeffs = harness._random_s_fraction(new, levels)
+        assert len(coeffs) == levels
+        sf = _laurent(coeffs)
         for k in range(1, levels + 1):
             want = LaurentPoly()
             while want.is_zero():
-                want = sum((LaurentPoly.var("q", d, coeff=old.randint(-3, 3))
-                            for d in range(3)), LaurentPoly())
+                draws = [old.randint(-3, 3) for _ in range(3)]
+                want = sum((LaurentPoly.var("q", d, coeff=a)
+                            for d, a in enumerate(draws)), LaurentPoly())
+            assert coeffs[k - 1] == draws
             assert (sf.c(k).terms, sf.c(k).bound) == (want.terms, want.bound)
+
+
+def test_contra_at_20_draws_the_trials_it_drew_as_laurent_polynomials():
+    # the sha256 prefix of repr() of the 100 trials' c_1..c_24 as [a_0,
+    # a_1, a_2], in draw order, as read off the Laurent polynomials that
+    # contra drew before its trials were lists
+    rng = random.Random(harness.CONTRA_SEED)
+    trials = [c for _ in range(harness.CONTRA_TRIALS)
+              for c in harness._random_s_fraction(rng, 20 + 4)]
+    digest = hashlib.sha256(repr(trials).encode()).hexdigest()[:16]
+    assert digest == "7fc9f12682fb8ee0"
 
 
 def test_sec7_checks_the_q_double_sum_past_ten(monkeypatch):
@@ -601,11 +660,12 @@ def test_cli_oversize_order_exits_2_before_the_sizes_below(monkeypatch, capsys):
     # check must not sum S_0..S_7 first
     calls = _record_calls(monkeypatch, harness, "stat_polynomials")
     programs = _record_calls(monkeypatch, permstat, "_accumulate")
-    monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", 1000)
+    monkeypatch.setattr(permstat, "DP_MAX_BYTES",
+                        1000 * permstat.DP_ENTRY_BYTES)
     assert main(["verify", "thm4_1", "--order", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "DP_MAX_ENTRIES" in captured.err
+    assert "DP_MAX_BYTES" in captured.err
     assert [n for _, n, _ in calls] == [8]
     assert [n for _, n, _ in programs] == [8]
 

@@ -281,19 +281,22 @@ def test_pool_at_the_smallest_sizes(n):
     assert stat_polynomial("S", n, {}, workers=2, parallel_threshold=0) == 1
 
 
-# (a call, the states and the (state, key) entries or (state, digit) slots
-# of its widest layer).  S_n with no weight has one state per used set, each
-# one int of one digit; with inv, the prefixes on a used set of size p take
-# every inv from 0 to p(p-1)/2, so each state holds that many keys of a map
-# (p^n makes a second digit) or digits of an int; a ranked layer holds one
-# key per prefix
+# (a call, the states of its widest layer, and the bytes of the layer that
+# holds the most).  S_n with no weight has one state per used set, each one
+# int: on S_8, layer 4 has the most states, C(8, 4), and layer 5 the most
+# bits, C(8, 5) ints of 4! = 24, 5 bits each.  With inv, each state holds
+# an int of one digit per inv from 0 to p(p-1)/2; its 126 bytes are read
+# off the program.  p^n makes a second digit, so the prefixes on a used set
+# of size p take every inv as keys of a map, at DP_ENTRY_BYTES each; a
+# ranked layer holds one key per prefix
 LAYER_SIZES = [
-    (lambda: stat_polynomial("S", 8, {}), math.comb(8, 4), math.comb(8, 4)),
-    (lambda: stat_polynomial("S", 6, {"s": {"inv": 1}}),
-     math.comb(6, 3), math.comb(6, 4) * 7),
+    (lambda: stat_polynomial("S", 8, {}), math.comb(8, 4),
+     math.comb(8, 5) * 5 // 8),
+    (lambda: stat_polynomial("S", 6, {"s": {"inv": 1}}), math.comb(6, 3), 126),
     (lambda: stat_polynomial("S", 5, {"s": {"inv": 1}, "p": {"n": 1}}),
-     math.comb(5, 2), math.comb(5, 3) * 4),
-    (lambda: stat_table(5, {}), math.comb(5, 2), math.factorial(5)),
+     math.comb(5, 2), math.comb(5, 3) * 4 * permstat.DP_ENTRY_BYTES),
+    (lambda: stat_table(5, {}), math.comb(5, 2),
+     math.factorial(5) * permstat.DP_ENTRY_BYTES),
 ]
 
 
@@ -313,24 +316,26 @@ def test_dp_refuses_the_first_n_past_the_state_bound_before_any_work(
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_state_guard_refuses_nothing_the_dp_would_hold(family, monkeypatch):
-    # with no weight a state holds one int of one digit, so a layer's slots
-    # are its states: an entry bound one below C(n, n // 2) must trip in
-    # the program itself, with the state guard out of the way
+    # with no weight a state holds one int of at least one bit, so a layer
+    # holds at least as many bits as states: a byte bound below
+    # C(n, n // 2) bits must trip in the program itself, with the state
+    # guard out of the way
     sizes = [n for n in range(4, 11) if _size(family, n)]
     monkeypatch.setattr(permstat, "DP_MAX_STATES", 10**9)
     for n in sizes:
-        monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", math.comb(n, n // 2) - 1)
-        with pytest.raises(EnumerationCapError, match="DP_MAX_ENTRIES"):
+        monkeypatch.setattr(permstat, "DP_MAX_BYTES",
+                            (math.comb(n, n // 2) - 1) // 8)
+        with pytest.raises(EnumerationCapError, match="DP_MAX_BYTES"):
             stat_polynomial(family, n, {})
 
 
-@pytest.mark.parametrize("call,states,entries", LAYER_SIZES)
+@pytest.mark.parametrize("call,states,size", LAYER_SIZES)
 def test_dp_holds_a_layer_at_its_bounds_and_not_past_them(
-        monkeypatch, call, states, entries):
+        monkeypatch, call, states, size):
     monkeypatch.setattr(permstat, "DP_MAX_STATES", states)
-    monkeypatch.setattr(permstat, "DP_MAX_ENTRIES", entries)
+    monkeypatch.setattr(permstat, "DP_MAX_BYTES", size)
     call()
-    for name, bound in (("DP_MAX_STATES", states), ("DP_MAX_ENTRIES", entries)):
+    for name, bound in (("DP_MAX_STATES", states), ("DP_MAX_BYTES", size)):
         with monkeypatch.context() as m:
             m.setattr(permstat, name, bound - 1)
             with pytest.raises(EnumerationCapError,
