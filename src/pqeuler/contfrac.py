@@ -125,7 +125,7 @@ def convergents_at(sf: SFraction, order: int, q: int) -> list[int]:
     # A_(-1) = 0 and B_(-1) = 1 start both recurrences at k = 1
     a_prev, a, b_prev, b = [0], [1], [1], [1]
     for k in range(1, order + 1):
-        c = value_at(sf.c(k), q)
+        c = value_at(q_coeffs(sf.c(k)), q)
         a_prev, a = a, _continue(a, a_prev, c)
         b_prev, b = b, _continue(b, b_prev, c)
     h = []
@@ -143,15 +143,26 @@ def _continue(p: list, p_prev: list, c: int) -> list:
     return out
 
 
-def value_at(poly: LaurentPoly | int, q: int) -> int:
-    """A polynomial in Z[q] at the integer q; an int is its own value."""
+def q_coeffs(poly: LaurentPoly | int) -> list[int]:
+    """A polynomial in Z[q] as its coefficient list, constant term first;
+    an int is a constant, and anything else is a ValueError."""
     if type(poly) is int:
-        return poly
+        return [poly]
+    terms = _q_only(poly)
+    if any(e < 0 for e in terms):
+        raise ValueError(f"{poly} is not in Z[q]")
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        coeffs[e] = c
+    return coeffs
+
+
+def value_at(coeffs: list[int], q: int) -> int:
+    """The polynomial in q with the coefficient list ``coeffs``, constant
+    term first, at the integer q, by Horner's rule."""
     value = 0
-    for e, coeff in _q_only(poly).items():
-        if e < 0:
-            raise ValueError(f"{poly} is not in Z[q]")
-        value += coeff * q ** e
+    for c in reversed(coeffs):
+        value = value * q + c
     return value
 
 

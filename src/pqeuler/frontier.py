@@ -1,7 +1,7 @@
 """The frontier: for each check, the largest size that passes within a time
 budget.
 
-``climb`` steps a check up one size at a time from its acceptance size.
+``climb`` steps a check up one size at a time from its default size.
 Each step runs ``python -m pqeuler verify ID --n N --json`` in one child
 process at a time, and reads three things: the check's own elapsed time
 from the report, the child's peak RSS from ``os.wait4``, and the exit
@@ -32,17 +32,8 @@ BUDGET = 10.0
 # what a child may run past the budget, for the interpreter and the import
 STARTUP = 2.0
 POLL = 0.01
-# the size each acceptance criterion verifies; a check without one starts
-# at its default size
-ACCEPTANCE = {"thm2_1": 9, "thm4_1": 8, "foata_han": 8, "jv": 8,
-              "shin_zeng": 8, "thm3_2": 9, "contra": 12, "sz_linear": 9,
-              "sec7": 12}
 # the directory that holds the package, put first on the child's path
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def start_size(check_id: str) -> int:
-    return ACCEPTANCE.get(check_id, CHECKS[check_id][1])
 
 
 def _command(check_id: str, n: int) -> list[str]:
@@ -123,10 +114,11 @@ def _step(n: int, status: str, seconds: float, runs: list) -> dict:
 
 
 def climb(check_id: str, budget: float = BUDGET, repeat: int = 1,
-          report=None) -> dict:
-    """Step the check up from its acceptance size until a size does not
-    pass; ``report`` is called with each step as it is measured."""
-    first = n = start_size(check_id)
+          report=None, start: int | None = None) -> dict:
+    """Step the check up from ``start`` (by default, its default size)
+    until a size does not pass; ``report`` is called with each step as it
+    is measured."""
+    first = n = CHECKS[check_id][1] if start is None else start
     steps, reach = [], None
     while True:
         step = measure(check_id, n, budget, repeat)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import LaurentPoly, TruncSeries, _q_only
+from .algebra import LaurentPoly, TruncSeries
 # expand_j and expand_s are not called here, but perfbench/spans.py wraps
 # them under this module's names
 from .contfrac import (
@@ -31,6 +31,8 @@ from .contfrac import (
     expand_j,
     expand_s,
     preset,
+    q_coeffs,
+    value_at,
 )
 from .lattice import enumerate_objects, transfer
 from .maps import csz, fv, fv_star, fz, invol_phi, invol_psi
@@ -293,23 +295,6 @@ def _random_s_fraction(rng: random.Random, levels: int) -> list[list[int]]:
     return coeffs
 
 
-def _q_coeffs(poly: LaurentPoly) -> list[int]:
-    """A polynomial in Z[q] as its coefficient list, constant term first;
-    anything else is a ValueError."""
-    terms = _q_only(poly)
-    if any(e < 0 for e in terms):
-        raise ValueError(f"{poly} is not in Z[q]")
-    coeffs = [0] * (max(terms, default=-1) + 1)
-    for e, c in terms.items():
-        coeffs[e] = c
-    return coeffs
-
-
-def _at_point(coeffs: list[int], bits: int) -> int:
-    """The polynomial with these q coefficients at q = 2^bits."""
-    return sum(c << bits * e for e, c in enumerate(coeffs))
-
-
 def _int_fraction(values: list[int]) -> SFraction:
     return SFraction(c=lambda k: values[k - 1])
 
@@ -339,14 +324,15 @@ def _contraction_agrees(coeffs: list[list[int]], order: int,
     rows = []
     if level is not None:
         try:
-            rows = [_q_coeffs(level.coeff(n)) for n in range(order + 1)]
+            rows = [q_coeffs(level.coeff(n)) for n in range(order + 1)]
         except ValueError:
             return level_mismatch
     bits = _point_bits([sum(map(abs, c)) for c in coeffs], order, rows)
-    values = [_at_point(c, bits) for c in coeffs]
+    point = 1 << bits
+    values = [value_at(c, point) for c in coeffs]
     even, odd = _contractions_at(values, order)
-    oracle = convergents_at(_int_fraction(values), order, 1 << bits)
-    if rows and oracle != [_at_point(row, bits) for row in rows]:
+    oracle = convergents_at(_int_fraction(values), order, point)
+    if rows and oracle != [value_at(row, point) for row in rows]:
         return level_mismatch
     if even != oracle:
         return "even contraction mismatch"
@@ -406,7 +392,7 @@ def _check_contra(order: int):
             pr = preset(name)
             big = pr.expand(series_order)
             if pr.s_form is not None:
-                coeffs = [_q_coeffs(pr.s_form.c(k)) for k in range(1, order + 5)]
+                coeffs = [q_coeffs(pr.s_form.c(k)) for k in range(1, order + 5)]
                 why = _contraction_agrees(coeffs, order, big)
                 if why:
                     return f"{name}: {why}"

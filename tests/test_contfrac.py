@@ -15,6 +15,8 @@ from pqeuler.contfrac import (
     expand_j,
     expand_s,
     preset,
+    q_coeffs,
+    value_at,
 )
 from pqeuler.lattice import WeightSpec, transfer, weighted_sum
 from pqeuler.permstat import QUINTUPLE_WEIGHT, stat_polynomial
@@ -333,6 +335,22 @@ def test_evaluated_oracle_refuses_what_is_not_in_z_q():
         sf = SFraction(c=lambda k, _c=c: _c)
         with pytest.raises(ValueError):
             convergents_at(sf, 2, 1)
+
+
+def test_a_coefficient_list_at_a_point_is_the_polynomial_there():
+    rng = random.Random(7)
+    for _ in range(20):
+        poly = sum((LaurentPoly.var("q", d, coeff=rng.randint(-5, 5))
+                    for d in range(6)), LaurentPoly())
+        coeffs = q_coeffs(poly)
+        assert len(coeffs) <= 6
+        for q in (-3, 0, 1, 2 ** 40):
+            assert value_at(coeffs, q) == poly.substitute({"q": q}).as_int()
+    assert q_coeffs(LaurentPoly()) == [] and value_at([], 5) == 0
+    assert q_coeffs(-4) == [-4]
+    for bad in (LaurentPoly.var("q", -1), LaurentPoly.var("p")):
+        with pytest.raises(ValueError):
+            q_coeffs(bad)
 
 
 def test_negative_order_is_rejected():

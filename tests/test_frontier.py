@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from pqeuler import frontier
+from pqeuler import frontier, harness
 from pqeuler.cli import main
 
 
@@ -31,8 +31,11 @@ def test_python_m_pqeuler_runs_the_cli():
         assert proc.stdout == ""
 
 
-def _from(monkeypatch, check_id, n):
-    monkeypatch.setitem(frontier.ACCEPTANCE, check_id, n)
+def _from_zero(monkeypatch):
+    # the CLI's climbs start at 0, not at the default size
+    climb = frontier.climb
+    monkeypatch.setattr(frontier, "climb",
+                        lambda *args: climb(*args, start=0))
 
 
 # the CLI in a child whose state bound is 60: C(8, 4) = 70 states outgrow
@@ -42,10 +45,9 @@ _BOUNDED = ("import sys; from pqeuler import cli, permstat; "
 
 
 def test_a_climb_stops_at_a_refusal(monkeypatch):
-    _from(monkeypatch, "euler_roselle", 5)
     monkeypatch.setattr(frontier, "_command", lambda cid, n: [
         sys.executable, "-c", _BOUNDED, "verify", cid, "--n", str(n), "--json"])
-    result = frontier.climb("euler_roselle", budget=30)
+    result = frontier.climb("euler_roselle", budget=30, start=5)
     assert [step["n"] for step in result["steps"]] == [5, 6, 7, 8]
     assert (result["reach"], result["stop"]) == (7, "refused")
     (run,) = result["steps"][-1]["runs"]
@@ -59,8 +61,8 @@ def test_a_climb_stops_at_the_budget(monkeypatch):
     # time grows with n, so a 20 ms budget stops the climb within a few
     # steps; a size runs until two of its three runs agree
     budget = 0.02
-    _from(monkeypatch, "euler_roselle", 1)
-    result = frontier.climb("euler_roselle", budget=budget, repeat=3)
+    result = frontier.climb("euler_roselle", budget=budget, repeat=3,
+                            start=1)
     *passed, last = result["steps"]
     assert result["stop"] == last["status"] == "over"
     assert last["seconds"] > budget
@@ -79,10 +81,9 @@ def test_a_climb_stops_at_the_budget(monkeypatch):
 def test_an_overshoot_is_killed_not_waited_for(monkeypatch):
     # contra at 60 runs for about a minute in under 30 MB; a child still
     # running STARTUP seconds past the budget is killed
-    _from(monkeypatch, "contra", 60)
     monkeypatch.setattr(frontier, "STARTUP", 1.0)
     start = time.perf_counter()
-    result = frontier.climb("contra", budget=0.01)
+    result = frontier.climb("contra", budget=0.01, start=60)
     assert time.perf_counter() - start < 10
     (step,) = result["steps"]
     (run,) = step["runs"]
@@ -91,8 +92,21 @@ def test_an_overshoot_is_killed_not_waited_for(monkeypatch):
     assert (result["reach"], result["stop"]) == (None, "over")
 
 
+def test_a_climb_starts_at_the_default_size(monkeypatch):
+    sizes = []
+
+    def measured(check_id, n, budget, repeat):
+        sizes.append(n)
+        return frontier._step(n, "over", budget, [{"peak_rss_mb": 1.0}])
+
+    monkeypatch.setattr(frontier, "measure", measured)
+    for cid in ("contra", "thm2_1", "jv"):
+        assert frontier.climb(cid)["start"] == harness.CHECKS[cid][1]
+    assert sizes == [12, harness.SERIES_DEFAULT, harness.PERM_DEFAULT]
+
+
 def test_the_json_shape(monkeypatch, capsys):
-    _from(monkeypatch, "sec7", 0)
+    _from_zero(monkeypatch)
     assert main(["frontier", "sec7", "--budget", "0.005", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["budget"] == 0.005 and out["repeat"] == 1
@@ -111,7 +125,7 @@ def test_the_json_shape(monkeypatch, capsys):
 
 
 def test_the_text_lists_each_step_and_the_reach(monkeypatch, capsys):
-    _from(monkeypatch, "sec7", 0)
+    _from_zero(monkeypatch)
     assert main(["frontier", "sec7", "--budget", "0.002"]) == 0
     *steps, summary = capsys.readouterr().out.splitlines()
     assert steps[0].startswith("sec7@0: pass [")

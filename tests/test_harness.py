@@ -11,7 +11,7 @@ from pqeuler import contfrac, harness, permstat, qeuler
 from pqeuler.algebra import LaurentPoly, TruncSeries
 from pqeuler.cli import BIJ_NAMES, main, parse_weight
 from pqeuler.contfrac import (SFraction, contract_odd, expand_by_convergents,
-                              expand_j, expand_s, value_at)
+                              expand_j, expand_s, q_coeffs, value_at)
 from pqeuler.permstat import basic_stats, family_iter, word_str
 
 
@@ -334,7 +334,7 @@ def _plant_in_the_passes(monkeypatch, fault, sides):
             image = sum(abs(c) for _, c in fault.sorted_terms())
         else:
             try:
-                image = value_at(fault, 1 << bits[-1])
+                image = value_at(q_coeffs(fault), 1 << bits[-1])
             except ValueError:
                 image = fault
         for side in sides:
@@ -357,7 +357,7 @@ def test_oracle_comparison_passes_the_even_contraction():
     # each int pass is the Laurent polynomial series at the point
     bits = harness._point_bits(_sizes(coeffs), CONTRA_ORDER)
     passes = harness._contractions_at(
-        [harness._at_point(c, bits) for c in coeffs], CONTRA_ORDER)
+        [value_at(c, 1 << bits) for c in coeffs], CONTRA_ORDER)
     want = [c.substitute({"q": 1 << bits}).as_int() for c in even.coeffs]
     assert passes == (want, want)
 
@@ -405,7 +405,7 @@ def test_oracle_comparison_rejects_a_collision_at_the_point(k, monkeypatch):
     sizes = _sizes(coeffs)
     even = expand_s(_laurent(coeffs), CONTRA_ORDER)
     bits = _collision_bits(_laurent(coeffs), even)
-    rows = [harness._q_coeffs(coeff) for coeff in even.coeffs]
+    rows = [q_coeffs(coeff) for coeff in even.coeffs]
     assert harness._point_bits(sizes, CONTRA_ORDER, rows) == bits
     assert harness._point_bits(sizes, CONTRA_ORDER) == bits
     fault = (LaurentPoly.var("q") - (1 << bits)) * LaurentPoly.var("q", k)
@@ -440,7 +440,7 @@ def test_contra_names_the_preset_whose_even_contraction_fails(monkeypatch):
     # a fault in the even int pass of sz-tangent's S-form alone, the second
     # S-form that contra checks, told apart by its c_k's coefficient lists
     s_form = harness.preset("sz-tangent").s_form
-    sz = [harness._q_coeffs(s_form.c(k)) for k in range(1, CONTRA_ORDER + 5)]
+    sz = [q_coeffs(s_form.c(k)) for k in range(1, CONTRA_ORDER + 5)]
     current = []
     real_agrees, real_passes = (harness._contraction_agrees,
                                 harness._contractions_at)
@@ -490,11 +490,11 @@ def test_contra_expands_each_even_contraction_once(monkeypatch):
         return real_oracle(sf, order, q)
 
     monkeypatch.setattr(harness, "convergents_at", oracle)
-    real_passes, real_at = harness._contractions_at, harness._at_point
+    real_passes, real_at = harness._contractions_at, harness.value_at
     monkeypatch.setattr(harness, "_contractions_at", lambda values, order:
                         passes.append(1) or real_passes(values, order))
-    monkeypatch.setattr(harness, "_at_point", lambda coeffs, bits:
-                        points.append(1) or real_at(coeffs, bits))
+    monkeypatch.setattr(harness, "value_at", lambda coeffs, q:
+                        points.append(1) or real_at(coeffs, q))
     assert harness.check("contra", CONTRA_ORDER).passed
     s_forms = [name for names in harness.SPECIALIZED.values() for name in names
                if harness.preset(name).s_form is not None]

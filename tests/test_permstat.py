@@ -316,17 +316,26 @@ def test_dp_refuses_the_first_n_past_the_state_bound_before_any_work(
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_state_guard_refuses_nothing_the_dp_would_hold(family, monkeypatch):
-    # with no weight a state holds one int of at least one bit, so a layer
-    # holds at least as many bits as states: a byte bound below
-    # C(n, n // 2) bits must trip in the program itself, with the state
-    # guard out of the way
+    # the guard refuses an n with C(n, n // 2) > DP_MAX_STATES before any
+    # work, which is sound only if some layer of the program over the
+    # family's words of size n holds at least C(n, n // 2) states: with
+    # both bounds out of the way, every layer 1 <= p < n is read off by
+    # _size_readout, and the widest of them is counted there
     sizes = [n for n in range(4, 11) if _size(family, n)]
     monkeypatch.setattr(permstat, "DP_MAX_STATES", 10**9)
+    monkeypatch.setattr(permstat, "DP_MAX_BYTES", 10**12)
+    readout = permstat._size_readout
+    widths = []
+
+    def counted(layer, *args):
+        widths.append(len(layer))
+        return readout(layer, *args)
+
+    monkeypatch.setattr(permstat, "_size_readout", counted)
     for n in sizes:
-        monkeypatch.setattr(permstat, "DP_MAX_BYTES",
-                            (math.comb(n, n // 2) - 1) // 8)
-        with pytest.raises(EnumerationCapError, match="DP_MAX_BYTES"):
-            stat_polynomial(family, n, {})
+        widths.clear()
+        stat_polynomial(family, n, {})
+        assert len(widths) == n - 1 and max(widths) >= math.comb(n, n // 2), n
 
 
 @pytest.mark.parametrize("call,states,size", LAYER_SIZES)
